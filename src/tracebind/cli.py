@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,13 +35,11 @@ from .errors import (
 from .identity import (
     ActivationSet,
     GroundedIdentity,
-    IngredientSpec,
     ScaffoldArchitecture,
     ScaffoldState,
     activation_sets,
     identity_to_document,
     load_identity_file,
-    state_distance,
 )
 from .metrics import (
     MetricParams,
@@ -51,14 +49,15 @@ from .metrics import (
     gap_ratio,
     identifiability,
     persistence,
-    recovery as recovery_metric,
-    recovery_bound as recovery_bound_metric,
+    recovery,
+    recovery_bound,
     render_json,
     render_number,
     render_text,
 )
 from .simulator import (
     PROBE_IDENTITY,
+    context_identity,
     probe_presets,
     probe_script,
     run,
@@ -112,8 +111,6 @@ class TraceData:
             capacity = max(capacity, len(state.context))
         n_flags = len(self.states[0].policy_flags) if self.states else 0
         return ScaffoldArchitecture(
-            token_alphabet_id="trace",
-            memory_key_space_id="trace",
             n_policy_flags=n_flags,
             context_capacity=capacity,
             corpus=frozenset(corpus),
@@ -327,14 +324,117 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-SCENARIOS = (
-    "noncommutation",
-    "alternating",
-    "capacity",
-    "rag-displacement",
-    "drift-recover",
-    "preset-probe",
-)
+@dataclass(frozen=True)
+class ScenarioFiles:
+    """What one ``simulate`` scenario writes, before anything is written.
+
+    ``traces`` maps a label to trace records; the label ``""`` names the
+    lone trace of a scenario, any other label ``x`` names the files
+    ``<base>.x.trace.jsonl`` and the sidecar keys ``trace_x`` and
+    ``expect_x``.  ``head`` sidecar fields come right after the scenario
+    name; each ``tail`` section is merged into the sidecar section of that
+    name, or appended when the sidecar has none.
+    """
+
+    traces: dict[str, list[dict]]
+    identity: GroundedIdentity
+    cfg: WindowConfig
+    head: dict = field(default_factory=dict)
+    tail: dict[str, dict] = field(default_factory=dict)
+
+
+def _state_records(states: Sequence[ScaffoldState]) -> list[dict]:
+    return [state_record(state) for state in states]
+
+
+def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
+    states, identity, cfg = scenario_noncommutation()
+    return ScenarioFiles(
+        {"": _state_records(states)},
+        identity,
+        cfg,
+        tail={"expect": {"occurs": True, "coinstantiated": False, "gap_ratio": "inf"}},
+    )
+
+
+def _alternating(args: argparse.Namespace) -> ScenarioFiles:
+    states, identity, cfg = scenario_alternating(args.length)
+    return ScenarioFiles(
+        {"": _state_records(states)}, identity, cfg, tail={"expect": {"gap_ratio": "inf"}}
+    )
+
+
+def _capacity(args: argparse.Namespace) -> ScenarioFiles:
+    states, identity = scenario_capacity_limited(args.c, args.k, args.length)
+    cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
+    return ScenarioFiles({"": _state_records(states)}, identity, cfg)
+
+
+def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
+    without_rag, with_rag, identity, cfg = scenario_rag_displacement(
+        baseline_block_tokens=args.block,
+        passage_tokens=args.passage,
+        capacity=args.capacity,
+    )
+    return ScenarioFiles(
+        {"without": _state_records(without_rag), "with": _state_records(with_rag)},
+        identity,
+        cfg,
+        tail={"expect": {"p_strong_strictly_drops": True, "p_weak_preserved": True}},
+    )
+
+
+def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
+    if args.k < 1:
+        raise ParameterError("--k must be >= 1")
+    if not 0 <= args.drift <= args.k:
+        raise ParameterError("--drift must be between 0 and --k")
+    if not 0 <= args.controllable <= args.k:
+        raise ParameterError("--controllable must be between 0 and --k")
+    universe = [f"g{i}" for i in range(args.k)]
+    removed = universe[-args.drift:] if args.drift else []
+    controllable = universe[: args.controllable]
+    reference, drifted, recovered = scenario_drift_recover(
+        universe, removed, controllable, args.interventions
+    )
+    bound = recovery_bound(reference, drifted, controllable, args.k, args.epsilon)
+    measured = recovery(reference, drifted, recovered, args.k, args.epsilon)
+    return ScenarioFiles(
+        {"": [activation_record(a) for a in (reference, drifted, recovered)]},
+        context_identity(universe),
+        WindowConfig.all_valid(0, 1, 3, DEFAULT_HORIZON_MAX),
+        tail={
+            "derived": {
+                "recovery_bound": render_number(bound),
+                "recovery_measured": render_number(measured),
+                "recovery_le_bound": measured <= bound + 1e-9,
+                "epsilon": render_number(args.epsilon),
+            }
+        },
+    )
+
+
+def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
+    presets = probe_presets()
+    if args.preset not in presets:
+        raise ParameterError(
+            f"unknown preset {args.preset!r}; choose from {', '.join(sorted(presets))}"
+        )
+    states = run(presets[args.preset], probe_script(args.cycles), skip_unsupported=True)
+    cfg = WindowConfig.all_valid(1, 1, len(states), 8)
+    return ScenarioFiles(
+        {"": _state_records(states)}, PROBE_IDENTITY, cfg, head={"preset": args.preset}
+    )
+
+
+SCENARIOS = {
+    "noncommutation": _noncommutation,
+    "alternating": _alternating,
+    "capacity": _capacity,
+    "rag-displacement": _rag_displacement,
+    "drift-recover": _drift_recover,
+    "preset-probe": _preset_probe,
+}
 
 
 def _window_doc(cfg: WindowConfig) -> dict:
@@ -346,12 +446,39 @@ def _window_doc(cfg: WindowConfig) -> dict:
     }
 
 
-def _persistence_expect(activations, identity, cfg) -> dict:
-    result = persistence(activations, identity, cfg)
-    return {
-        "p_weak": render_number(result.p_weak),
-        "p_strong": render_number(result.p_strong),
-    }
+def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
+    """Write the traces, the identity spec, and the expected-values sidecar.
+
+    The sidecar's persistence expectations come from re-reading each written
+    trace, so they describe exactly the bytes on disk.
+    """
+    base.parent.mkdir(parents=True, exist_ok=True)
+    sidecar: dict = {"scenario": scenario, **files.head}
+    written = []
+    for label, records in files.traces.items():
+        name = f"{base.name}.{label}" if label else base.name
+        suffix = f"_{label}" if label else ""
+        path = base.with_name(f"{name}.trace.jsonl")
+        write_trace(path, records)
+        sidecar[f"trace{suffix}"] = path.name
+        written.append((suffix, path))
+    identity_path = base.with_name(base.name + ".identity.json")
+    identity_path.write_text(
+        render_json(identity_to_document(files.identity)) + "\n", encoding="utf-8"
+    )
+    sidecar["identity"] = identity_path.name
+    sidecar["window"] = _window_doc(files.cfg)
+    for suffix, path in written:
+        activations = parse_trace(path).to_activations(files.identity)
+        result = persistence(activations, files.identity, files.cfg)
+        sidecar[f"expect{suffix}"] = {
+            "p_weak": render_number(result.p_weak),
+            "p_strong": render_number(result.p_strong),
+        }
+    for section, fields in files.tail.items():
+        sidecar.setdefault(section, {}).update(fields)
+    sidecar_path = base.with_name(base.name + ".expect.json")
+    sidecar_path.write_text(render_json(sidecar) + "\n", encoding="utf-8")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -363,142 +490,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}"
         )
     base = Path(args.out) if args.out else Path(scenario)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    sidecar: dict = {"scenario": scenario}
-
-    if scenario == "rag-displacement":
-        without_rag, with_rag, identity, cfg = scenario_rag_displacement(
-            baseline_block_tokens=args.block,
-            passage_tokens=args.passage,
-            capacity=args.capacity,
-        )
-        trace_without = base.with_name(base.name + ".without.trace.jsonl")
-        trace_with = base.with_name(base.name + ".with.trace.jsonl")
-        identity_path = base.with_name(base.name + ".identity.json")
-        write_trace(trace_without, [state_record(s) for s in without_rag])
-        write_trace(trace_with, [state_record(s) for s in with_rag])
-        identity_path.write_text(
-            render_json(identity_to_document(identity)) + "\n", encoding="utf-8"
-        )
-        trace = parse_trace(trace_without)
-        expect_without = _persistence_expect(
-            trace.to_activations(identity), identity, cfg
-        )
-        trace = parse_trace(trace_with)
-        expect_with = _persistence_expect(trace.to_activations(identity), identity, cfg)
-        sidecar.update(
-            {
-                "trace_without": trace_without.name,
-                "trace_with": trace_with.name,
-                "identity": identity_path.name,
-                "window": _window_doc(cfg),
-                "expect_without": expect_without,
-                "expect_with": expect_with,
-                "expect": {
-                    "p_strong_strictly_drops": True,
-                    "p_weak_preserved": True,
-                },
-            }
-        )
-    elif scenario == "drift-recover":
-        if args.k < 1:
-            raise ParameterError("--k must be >= 1")
-        if not 0 <= args.drift <= args.k:
-            raise ParameterError("--drift must be between 0 and --k")
-        if not 0 <= args.controllable <= args.k:
-            raise ParameterError("--controllable must be between 0 and --k")
-        universe = [f"g{i}" for i in range(args.k)]
-        removed = universe[-args.drift:] if args.drift else []
-        controllable = universe[: args.controllable]
-        reference, drifted, recovered = scenario_drift_recover(
-            universe, removed, controllable, args.interventions
-        )
-        identity = GroundedIdentity(
-            tuple(
-                IngredientSpec(ingredient_id=i, kind="context", context_pattern=(i,))
-                for i in universe
-            )
-        )
-        trace_path = base.with_name(base.name + ".trace.jsonl")
-        identity_path = base.with_name(base.name + ".identity.json")
-        write_trace(
-            trace_path,
-            [activation_record(a) for a in (reference, drifted, recovered)],
-        )
-        identity_path.write_text(
-            render_json(identity_to_document(identity)) + "\n", encoding="utf-8"
-        )
-        epsilon = args.epsilon
-        bound = recovery_bound_metric(reference, drifted, controllable, args.k, epsilon)
-        if epsilon > 0:
-            measured = recovery_metric(reference, drifted, recovered, args.k, epsilon)
-        else:
-            # with a zero regularizer the ratio is taken directly; no drift
-            # at all counts as fully recovered
-            d_drift = state_distance(drifted, reference, args.k)
-            d_recov = state_distance(recovered, reference, args.k)
-            measured = 1.0 if d_drift == 0 else max(0.0, 1.0 - d_recov / d_drift)
-        cfg = WindowConfig.all_valid(0, 1, 3, DEFAULT_HORIZON_MAX)
-        activations = [reference, drifted, recovered]
-        sidecar.update(
-            {
-                "trace": trace_path.name,
-                "identity": identity_path.name,
-                "window": _window_doc(cfg),
-                "expect": _persistence_expect(activations, identity, cfg),
-                "derived": {
-                    "recovery_bound": render_number(bound),
-                    "recovery_measured": render_number(measured),
-                    "recovery_le_bound": measured <= bound + 1e-9,
-                    "epsilon": render_number(epsilon),
-                },
-            }
-        )
-    else:
-        if scenario == "noncommutation":
-            states, identity, cfg = scenario_noncommutation()
-            extra = {"occurs": True, "coinstantiated": False, "gap_ratio": "inf"}
-        elif scenario == "alternating":
-            states, identity, cfg = scenario_alternating(args.length)
-            extra = {"gap_ratio": "inf"}
-        elif scenario == "preset-probe":
-            presets = probe_presets()
-            if args.preset not in presets:
-                raise ParameterError(
-                    f"unknown preset {args.preset!r}; choose from "
-                    f"{', '.join(sorted(presets))}"
-                )
-            states = run(
-                presets[args.preset], probe_script(args.cycles), skip_unsupported=True
-            )
-            identity = PROBE_IDENTITY
-            cfg = WindowConfig.all_valid(1, 1, len(states), 8)
-            sidecar["preset"] = args.preset
-            extra = {}
-        else:
-            states, identity = scenario_capacity_limited(args.c, args.k, args.length)
-            cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
-            extra = {}
-        trace_path = base.with_name(base.name + ".trace.jsonl")
-        identity_path = base.with_name(base.name + ".identity.json")
-        write_trace(trace_path, [state_record(s) for s in states])
-        identity_path.write_text(
-            render_json(identity_to_document(identity)) + "\n", encoding="utf-8"
-        )
-        trace = parse_trace(trace_path)
-        expect = _persistence_expect(trace.to_activations(identity), identity, cfg)
-        expect.update(extra)
-        sidecar.update(
-            {
-                "trace": trace_path.name,
-                "identity": identity_path.name,
-                "window": _window_doc(cfg),
-                "expect": expect,
-            }
-        )
-
-    sidecar_path = base.with_name(base.name + ".expect.json")
-    sidecar_path.write_text(render_json(sidecar) + "\n", encoding="utf-8")
+    _write_scenario(scenario, SCENARIOS[scenario](args), base)
     sys.stdout.write(f"wrote {scenario} scenario files next to {base}\n")
     return 0
 

@@ -14,7 +14,7 @@ inputs always agrees, and values can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -24,15 +24,21 @@ from .errors import (
     StructuralError,
 )
 
-INGREDIENT_KINDS = ("context", "memory", "policy", "retrieval")
+# The IngredientSpec fields each ingredient kind sets, in file-record order.
+_KIND_FIELDS = {
+    "context": ("context_pattern",),
+    "memory": ("memory_key", "memory_value"),
+    "policy": ("flag_index",),
+    "retrieval": ("doc_id",),
+}
+
+INGREDIENT_KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
 class ScaffoldArchitecture:
     """Static description of a scaffold: capacities and component spaces."""
 
-    token_alphabet_id: str
-    memory_key_space_id: str
     n_policy_flags: int
     context_capacity: int
     corpus: frozenset[str] = frozenset()
@@ -103,26 +109,19 @@ class IngredientSpec:
     doc_id: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in INGREDIENT_KINDS:
+        if self.kind not in _KIND_FIELDS:
             raise StructuralError(f"unknown ingredient kind {self.kind!r}")
         if not self.ingredient_id:
             raise StructuralError("ingredient_id must be non-empty")
         if self.context_pattern is not None:
             object.__setattr__(self, "context_pattern", tuple(self.context_pattern))
-        provided = {
-            "context_pattern": self.context_pattern is not None,
-            "memory_key": self.memory_key is not None,
-            "memory_value": self.memory_value is not None,
-            "flag_index": self.flag_index is not None,
-            "doc_id": self.doc_id is not None,
+        required = set(_KIND_FIELDS[self.kind])
+        actual = {
+            name
+            for names in _KIND_FIELDS.values()
+            for name in names
+            if getattr(self, name) is not None
         }
-        required = {
-            "context": {"context_pattern"},
-            "memory": {"memory_key", "memory_value"},
-            "policy": {"flag_index"},
-            "retrieval": {"doc_id"},
-        }[self.kind]
-        actual = {name for name, given in provided.items() if given}
         if actual != required:
             raise StructuralError(
                 f"ingredient {self.ingredient_id!r} of kind {self.kind!r} must set "
@@ -369,13 +368,6 @@ def detect_grounding_failures(
 # or line-delimited JSON where every line is one ingredient record.
 # Unknown fields are rejected.
 
-_KIND_FIELDS = {
-    "context": {"context_pattern"},
-    "memory": {"memory_key", "memory_value"},
-    "policy": {"flag_index"},
-    "retrieval": {"doc_id"},
-}
-
 
 def _ingredient_from_record(record: dict, where: str) -> IngredientSpec:
     if not isinstance(record, dict):
@@ -383,7 +375,7 @@ def _ingredient_from_record(record: dict, where: str) -> IngredientSpec:
     kind = record.get("kind")
     if kind not in _KIND_FIELDS:
         raise FileFormatError(f"{where}: unknown ingredient kind {kind!r}")
-    allowed = {"id", "kind"} | _KIND_FIELDS[kind]
+    allowed = {"id", "kind", *_KIND_FIELDS[kind]}
     unknown = set(record) - allowed
     if unknown:
         raise FileFormatError(f"{where}: unknown fields {sorted(unknown)}")
@@ -394,11 +386,7 @@ def _ingredient_from_record(record: dict, where: str) -> IngredientSpec:
         return IngredientSpec(
             ingredient_id=record["id"],
             kind=kind,
-            context_pattern=tuple(record["context_pattern"]) if kind == "context" else None,
-            memory_key=record.get("memory_key"),
-            memory_value=record.get("memory_value"),
-            flag_index=record.get("flag_index"),
-            doc_id=record.get("doc_id"),
+            **{name: record[name] for name in _KIND_FIELDS[kind]},
         )
     except StructuralError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
@@ -486,15 +474,9 @@ def identity_to_document(
     records = []
     for spec in identity.ingredients:
         record: dict = {"id": spec.ingredient_id, "kind": spec.kind}
-        if spec.kind == "context":
-            record["context_pattern"] = list(spec.context_pattern)
-        elif spec.kind == "memory":
-            record["memory_key"] = spec.memory_key
-            record["memory_value"] = spec.memory_value
-        elif spec.kind == "policy":
-            record["flag_index"] = spec.flag_index
-        else:
-            record["doc_id"] = spec.doc_id
+        for name in _KIND_FIELDS[spec.kind]:
+            value = getattr(spec, name)
+            record[name] = list(value) if isinstance(value, tuple) else value
         records.append(record)
     doc: dict = {"ingredients": records}
     if layers is not None:

@@ -25,7 +25,7 @@ from .errors import (
     StructuralError,
 )
 from .identity import ActivationSet, GroundedIdentity, state_distance
-from .windows import INFINITE, WindowConfig, minimal_horizons
+from .windows import INFINITE, WindowConfig, _check_membership, minimal_horizons
 
 
 @dataclass(frozen=True)
@@ -93,77 +93,28 @@ class MetricParams:
             raise ParameterError("delta_i must be in [0, 1]")
         if not 0.0 <= self.delta_cons <= 1.0:
             raise ParameterError("delta_cons must be in [0, 1]")
-        if self.epsilon <= 0.0:
-            raise ParameterError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < INFINITE:
+            raise ParameterError("epsilon must be finite and > 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must be in [0, 1]")
 
 
-def _check_membership(act: ActivationSet, universe: frozenset[str]) -> None:
-    if not act.active <= universe:
-        raise StructuralError(
-            f"activation set at step {act.step_index} contains ids outside "
-            f"the identity universe"
-        )
-
-
 def persistence(
-    activations: Sequence[ActivationSet],
-    identity: GroundedIdentity,
-    cfg: WindowConfig,
-) -> PersistenceResult:
-    """Window-counting persistence scores.
-
-    Per layer time: the occur flag checks each ingredient for presence
-    anywhere in the window, the coinst flag looks for a step whose
-    activation set has full cardinality.  Scores are counts over ``|T|``.
-    """
-    if not cfg.eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    universe = identity.ingredient_ids
-    k = identity.k
-    n = len(activations)
-    per_window = []
-    n_weak = 0
-    n_strong = 0
-    for t in cfg.eval_indices:
-        start = cfg.stride * t
-        end = start + cfg.horizon
-        if end >= n:
-            raise OutOfRangeError(
-                f"window at t={t} covers steps {start}..{end}, trace has {n} steps"
-            )
-        covered: set[str] = set()
-        coinst = False
-        for u in range(start, end + 1):
-            act = activations[u]
-            _check_membership(act, universe)
-            covered |= act.active
-            if len(act.active) == k:
-                coinst = True
-        occur = universe <= covered
-        n_weak += occur
-        n_strong += coinst
-        per_window.append((t, occur, coinst))
-    n_t = len(cfg.eval_indices)
-    return PersistenceResult(
-        p_weak=n_weak / n_t,
-        p_strong=n_strong / n_t,
-        per_window=tuple(per_window),
-    )
-
-
-def persistence_streaming(
     activations: Iterable[ActivationSet],
     identity: GroundedIdentity,
     cfg: WindowConfig,
 ) -> PersistenceResult:
-    """Single-pass equivalent of :func:`persistence`.
+    """Window-counting persistence scores, computed in one pass.
+
+    Per layer time: the occur flag checks each ingredient for presence
+    anywhere in the window, the coinst flag looks for a step whose
+    activation set has full cardinality.  Scores are counts over ``|T|``.
 
     Keeps a last-seen step per ingredient and a queue of full-conjunction
     steps inside the current window, so the cost is linear in the trace
     length instead of ``|T| * (horizon+1) * k``.  Input must arrive in step
-    order; the output is identical to the naive computation on all inputs.
+    order; every step up to the last evaluated window is checked against
+    the identity universe once.
     """
     if not cfg.eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
@@ -223,6 +174,9 @@ def persistence_streaming(
         p_strong=n_strong / n_t,
         per_window=tuple(per_window),
     )
+
+
+persistence_streaming = persistence
 
 
 def gap_ratio(
@@ -310,6 +264,11 @@ def consistency(
     return hits / (n * (n - 1) / 2)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < INFINITE:
+        raise ParameterError("epsilon must be finite and >= 0")
+
+
 def recovery(
     reference: ActivationSet,
     drifted: ActivationSet,
@@ -317,11 +276,16 @@ def recovery(
     k: int,
     epsilon: float,
 ) -> float:
-    """How much of the drift the corrective interventions undid, in [0, 1]."""
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be > 0")
+    """How much of the drift the corrective interventions undid, in [0, 1].
+
+    ``epsilon`` regularizes the ratio and must be finite and >= 0; with
+    ``epsilon == 0`` a run with no drift at all counts as fully recovered.
+    """
+    _check_epsilon(epsilon)
     d_recov = state_distance(recovered, reference, k)
     d_drift = state_distance(drifted, reference, k)
+    if epsilon == 0.0 and d_drift == 0:
+        return 1.0
     return max(0.0, 1.0 - d_recov / (d_drift + epsilon))
 
 
@@ -334,8 +298,7 @@ def recovery_bound(
 ) -> float:
     """Upper bound on recovery when interventions only reach ``controllable``
     ingredients: ``(|P & D| + eps*k) / (|D| + eps*k)`` over the drift set D."""
-    if epsilon < 0.0:
-        raise ParameterError("epsilon must be >= 0")
+    _check_epsilon(epsilon)
     drift_set = reference.active ^ drifted.active
     reachable = len(frozenset(controllable) & drift_set)
     if epsilon == 0.0 and not drift_set:

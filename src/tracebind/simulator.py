@@ -47,7 +47,17 @@ from .windows import WindowConfig
 
 ACTION_KINDS = ("infer", "retrieve", "store", "tool")
 
-PRESET_NAMES = ("stateless", "prompted", "rag", "memory", "controller")
+# What each preset name implies:
+# (memory_enabled, controller_flags_enabled, context_persists).
+_PRESET_FEATURES = {
+    "stateless": (False, False, False),
+    "prompted": (False, False, True),
+    "rag": (False, False, True),
+    "memory": (True, False, True),
+    "controller": (True, True, True),
+}
+
+PRESET_NAMES = tuple(_PRESET_FEATURES)
 
 
 @dataclass(frozen=True)
@@ -209,7 +219,7 @@ class ArchitecturePreset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pinned_prefix", tuple(self.pinned_prefix))
-        if self.name not in PRESET_NAMES:
+        if self.name not in _PRESET_FEATURES:
             raise StructuralError(f"unknown preset name {self.name!r}")
         if self.context_capacity < 1:
             raise StructuralError("context_capacity must be >= 1")
@@ -217,39 +227,23 @@ class ArchitecturePreset:
             raise StructuralError("pinned prefix exceeds context capacity")
         if self.n_policy_flags < 0:
             raise StructuralError("n_policy_flags must be >= 0")
-        checks = {
-            "stateless": (
-                not self.pinned_prefix and self.retrieval.mode == "none"
-                and not self.memory_enabled and not self.controller_flags_enabled
-                and not self.context_persists
-            ),
-            "prompted": (
-                self.retrieval.mode == "none" and not self.memory_enabled
-                and not self.controller_flags_enabled and self.context_persists
-            ),
-            "rag": (
-                not self.pinned_prefix and self.retrieval.mode != "none"
-                and not self.memory_enabled and not self.controller_flags_enabled
-                and self.context_persists
-            ),
-            "memory": (
-                not self.pinned_prefix and self.memory_enabled
-                and not self.controller_flags_enabled and self.context_persists
-            ),
-            "controller": (
-                self.memory_enabled and self.controller_flags_enabled
-                and self.context_persists
-            ),
-        }
-        if not checks[self.name]:
+        features = (
+            self.memory_enabled, self.controller_flags_enabled, self.context_persists
+        )
+        # only prompted and controller pin a prefix; stateless and prompted
+        # never retrieve, rag always does, memory and controller may
+        pinned_ok = not self.pinned_prefix or self.name in ("prompted", "controller")
+        retrieves = self.retrieval.mode != "none"
+        retrieval_ok = (
+            retrieves == (self.name == "rag") or self.name in ("memory", "controller")
+        )
+        if features != _PRESET_FEATURES[self.name] or not pinned_ok or not retrieval_ok:
             raise StructuralError(
                 f"feature set does not match the {self.name!r} preset"
             )
 
     def architecture(self) -> ScaffoldArchitecture:
         return ScaffoldArchitecture(
-            token_alphabet_id=f"{self.name}-tokens",
-            memory_key_space_id=f"{self.name}-keys",
             n_policy_flags=self.n_policy_flags,
             context_capacity=self.context_capacity,
             corpus=self.retrieval.corpus,
@@ -280,30 +274,21 @@ def make_preset(
     n_policy_flags: int = 1,
 ) -> ArchitecturePreset:
     """Build a preset with the feature set its name implies."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESET_FEATURES:
         raise StructuralError(f"unknown preset name {name!r}")
     if name == "rag" and (retrieval is None or retrieval.mode == "none"):
         raise StructuralError("the rag preset needs a retrieval policy")
     policy = retrieval if retrieval is not None else POLICY_NONE
-    features = {
-        "stateless": dict(memory_enabled=False, controller_flags_enabled=False,
-                          context_persists=False),
-        "prompted": dict(memory_enabled=False, controller_flags_enabled=False,
-                         context_persists=True),
-        "rag": dict(memory_enabled=False, controller_flags_enabled=False,
-                    context_persists=True),
-        "memory": dict(memory_enabled=True, controller_flags_enabled=False,
-                       context_persists=True),
-        "controller": dict(memory_enabled=True, controller_flags_enabled=True,
-                           context_persists=True),
-    }[name]
+    memory_enabled, controller_flags_enabled, context_persists = _PRESET_FEATURES[name]
     return ArchitecturePreset(
         name=name,
         context_capacity=context_capacity,
         pinned_prefix=tuple(pinned_prefix),
         retrieval=policy,
+        memory_enabled=memory_enabled,
+        controller_flags_enabled=controller_flags_enabled,
+        context_persists=context_persists,
         n_policy_flags=n_policy_flags,
-        **features,
     )
 
 
@@ -424,7 +409,8 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _context_identity(ids: Sequence[str]) -> GroundedIdentity:
+def context_identity(ids: Sequence[str]) -> GroundedIdentity:
+    """One single-token context ingredient per id, matching the id itself."""
     return GroundedIdentity(
         tuple(
             IngredientSpec(ingredient_id=i, kind="context", context_pattern=(i,))
@@ -436,7 +422,7 @@ def _context_identity(ids: Sequence[str]) -> GroundedIdentity:
 def scenario_noncommutation() -> tuple[list[ScaffoldState], GroundedIdentity, WindowConfig]:
     """Two steps, one ingredient each: the window covers both ingredients but
     no single step holds their conjunction."""
-    identity = _context_identity(["p", "q"])
+    identity = context_identity(["p", "q"])
     preset = make_preset("prompted", context_capacity=1)
     initial = ScaffoldState(
         context=("p",), memory={}, policy_flags=(0,), retrieved=frozenset(), step_index=0
@@ -447,18 +433,16 @@ def scenario_noncommutation() -> tuple[list[ScaffoldState], GroundedIdentity, Wi
 
 
 def scenario_alternating(
-    length: int, k_groups: int = 2
+    length: int,
 ) -> tuple[list[ScaffoldState], GroundedIdentity, WindowConfig]:
     """One ingredient on even steps, the other on odd steps.
 
     Every two-step window sees both ingredients, so weak persistence is 1,
     while the conjunction is never active at any single step.
     """
-    if k_groups != 2:
-        raise ParameterError("the alternating construction uses exactly two groups")
     if length < 2:
         raise ParameterError("length must be >= 2")
-    identity = _context_identity(["g1", "g2"])
+    identity = context_identity(["g1", "g2"])
     preset = make_preset("prompted", context_capacity=1)
     initial = ScaffoldState(
         context=("g1",), memory={}, policy_flags=(0,), retrieved=frozenset(), step_index=0
@@ -481,7 +465,7 @@ def scenario_capacity_limited(
     if length < 1:
         raise ParameterError("length must be >= 1")
     ids = [f"g{i}" for i in range(k)]
-    identity = _context_identity(ids)
+    identity = context_identity(ids)
     preset = make_preset("prompted", context_capacity=c)
 
     def subset(u: int) -> tuple[str, ...]:
@@ -530,7 +514,7 @@ def scenario_rag_displacement(
         raise ScenarioError("passage does not fit in the context at all")
 
     ids = [f"i{j}" for j in range(k)]
-    identity = _context_identity(ids)
+    identity = context_identity(ids)
     block = tuple(ids)
 
     baseline_preset = make_preset("prompted", context_capacity=capacity)

@@ -126,6 +126,14 @@ def diamond(segment: WindowSegment, ingredient_subset: Iterable[str]) -> bool:
     return any(subset <= act.active for act in segment.activation_sets)
 
 
+def _check_membership(act: ActivationSet, universe: frozenset[str]) -> None:
+    if not act.active <= universe:
+        raise StructuralError(
+            f"activation set at step {act.step_index} contains ids outside "
+            f"the identity universe"
+        )
+
+
 def minimal_horizons(
     activations: Sequence[ActivationSet],
     identity: GroundedIdentity,
@@ -153,11 +161,6 @@ def minimal_horizons(
     covered: set[str] = set()
     for delta in range(limit + 1):
         act = activations[start + delta]
-        if not act.active <= universe:
-            raise StructuralError(
-                f"activation set at step {act.step_index} contains ids outside "
-                f"the identity universe"
-            )
         covered |= act.active
         if w_weak is INFINITE and universe <= covered:
             w_weak = delta
@@ -165,4 +168,9 @@ def minimal_horizons(
             w_strong = delta
         if w_weak is not INFINITE and w_strong is not INFINITE:
             break
+    # a stray id in any scanned step shows up in ``covered``; only then are
+    # the scanned steps checked one by one, to name the first offending step
+    if not covered <= universe:
+        for act in activations[start : start + delta + 1]:
+            _check_membership(act, universe)
     return w_weak, w_strong

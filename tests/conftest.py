@@ -27,8 +27,6 @@ def context_identity(k: int, prefix: str = "g") -> GroundedIdentity:
 
 def plain_architecture(n_flags: int = 2, capacity: int = 16) -> ScaffoldArchitecture:
     return ScaffoldArchitecture(
-        token_alphabet_id="test-tokens",
-        memory_key_space_id="test-keys",
         n_policy_flags=n_flags,
         context_capacity=capacity,
         corpus=frozenset({"doc-a", "doc-b"}),

@@ -203,8 +203,6 @@ def test_criterion_06_rag_non_monotonicity(capsys):
     from tracebind.identity import ScaffoldArchitecture
 
     arch = ScaffoldArchitecture(
-        token_alphabet_id="t",
-        memory_key_space_id="k",
         n_policy_flags=1,
         context_capacity=12,
         corpus=frozenset({"d0", "d1", "d2", "passage"}),

@@ -284,6 +284,20 @@ class TestAnalyzeCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_nonfinite_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
+        trace_path, identity_path = self._alternating_files(tmp_path, length=10)
+        code = main(
+            [
+                "analyze",
+                "--trace", str(trace_path),
+                "--identity", str(identity_path),
+                f"--epsilon={epsilon}",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_trace_too_short_for_window(self, tmp_path):
         trace_path, identity_path = self._alternating_files(tmp_path, length=3)
         code = main(
@@ -395,6 +409,18 @@ class TestSimulateCommand:
                         )
                 if "gap_ratio" in expect:
                     assert report["gap_ratio"] == expect["gap_ratio"]
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.5"])
+    def test_drift_recover_rejects_bad_epsilon(self, tmp_path, epsilon):
+        code = main(
+            [
+                "simulate", "drift-recover",
+                f"--epsilon={epsilon}",
+                "--out", str(tmp_path / "dr"),
+            ]
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_scenario_is_usage_error(self, tmp_path):
         assert main(["simulate", "warpdrive", "--out", str(tmp_path / "x")]) == 2

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracebind
 from conftest import (
     activations_from_sets,
     context_identity,
@@ -19,8 +22,9 @@ from tracebind.errors import (
     OutOfRangeError,
     ParameterError,
     StreamOrderError,
+    StructuralError,
 )
-from tracebind.identity import ActivationSet
+from tracebind.identity import ActivationSet, state_distance
 from tracebind.metrics import (
     MetricParams,
     consistency,
@@ -80,6 +84,12 @@ class TestPersistence:
             persistence(alternating_trace(10), identity,
                         WindowConfig(1, 1, ()))
 
+    def test_stray_ingredient_rejected(self):
+        identity = context_identity(2)
+        acts = activations_from_sets([{"g0"}, {"g1", "stray"}, {"g0"}])
+        with pytest.raises(StructuralError, match="step 1"):
+            persistence(acts, identity, WindowConfig(1, 1, (0,)))
+
     def test_window_overrun_rejected(self):
         identity = context_identity(2)
         cfg = WindowConfig(horizon=4, stride=1, eval_indices=(20,))
@@ -101,11 +111,14 @@ class TestPersistence:
 
 
 class TestPersistenceStreaming:
+    def test_is_an_alias(self):
+        assert persistence_streaming is persistence
+
     def test_matches_naive_on_fixtures(self):
         identity = context_identity(2)
         cfg = WindowConfig.all_valid(horizon=1, stride=1, trace_length=100)
         acts = alternating_trace(100)
-        assert persistence_streaming(acts, identity, cfg) == persistence(
+        assert persistence_streaming(acts, identity, cfg) == oracle_persistence(
             acts, identity, cfg
         )
 
@@ -119,9 +132,9 @@ class TestPersistenceStreaming:
             delta = rng.randint(0, min(8, length - 1))
             stride = rng.randint(1, 5)
             cfg = WindowConfig.all_valid(delta, stride, length, 32)
-            naive = persistence(acts, identity, cfg)
+            expected = oracle_persistence(acts, identity, cfg)
             streamed = persistence_streaming(iter(acts), identity, cfg)
-            assert streamed == naive
+            assert streamed == expected
 
     def test_sparse_windows_with_large_stride(self):
         # stride larger than the window, so consecutive windows do not overlap
@@ -130,7 +143,7 @@ class TestPersistenceStreaming:
         for stride in (1, 2, 3, 4, 5):
             acts = random_activations(rng, 40, identity)
             cfg = WindowConfig.all_valid(1, stride, 40, 16)
-            assert persistence_streaming(acts, identity, cfg) == persistence(
+            assert persistence_streaming(acts, identity, cfg) == oracle_persistence(
                 acts, identity, cfg
             )
 
@@ -296,7 +309,32 @@ class TestRecovery:
 
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ParameterError):
-            recovery(self.REF, self.DRIFT, self.REF, 4, 0.0)
+            recovery(self.REF, self.DRIFT, self.REF, 4, -0.01)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ParameterError):
+            recovery(self.REF, self.DRIFT, self.REF, 4, epsilon)
+        with pytest.raises(ParameterError):
+            recovery_bound(self.REF, self.DRIFT, {"g0"}, 4, epsilon)
+
+    @pytest.mark.parametrize(
+        "drifted, recovered",
+        [
+            ({"g3"}, {"g3"}),
+            ({"g3"}, {"g0", "g3"}),
+            ({"g3"}, {"g0", "g1", "g2", "g3"}),
+            ({"g0", "g1", "g2", "g3"}, {"g0", "g1", "g2", "g3"}),
+            ({"g0", "g1", "g2", "g3"}, {"g1"}),
+        ],
+    )
+    def test_zero_epsilon_is_the_plain_ratio(self, drifted, recovered):
+        drift_a = ActivationSet(1, frozenset(drifted))
+        recov_a = ActivationSet(2, frozenset(recovered))
+        d_drift = state_distance(drift_a, self.REF, 4)
+        d_recov = state_distance(recov_a, self.REF, 4)
+        plain = 1.0 if d_drift == 0 else max(0.0, 1.0 - d_recov / d_drift)
+        assert recovery(self.REF, drift_a, recov_a, 4, 0.0) == plain
 
     def test_bound_epsilon_zero(self):
         drift = ActivationSet(1, frozenset({"g3"}))  # drift set {g0,g1,g2}
@@ -383,6 +421,8 @@ class TestMetricParams:
             {"delta_i": -0.1},
             {"delta_cons": 1.5},
             {"epsilon": 0.0},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
             {"alpha": 2.0},
         ],
     )
@@ -439,6 +479,28 @@ class TestOracleAgreement:
             )
 
 
+def test_only_the_oracle_module_imports_the_oracle():
+    """The oracle stays an independent check: no production module uses it."""
+    package = Path(tracebind.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        here = ("tracebind", *path.relative_to(package).parent.parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                parent = here[: len(here) - node.level + 1] if node.level else ()
+                module = ".".join([*parent, *filter(None, [node.module])])
+                targets = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(t == "tracebind.oracle" or t.startswith("tracebind.oracle.") for t in targets):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 class TestRendering:
     def test_render_json_is_deterministic(self):
         doc = {"a": 1.0, "b": INFINITE, "c": None, "d": {"e": 3, "f": True}}
@@ -469,6 +531,6 @@ def test_streaming_equivalence_hypothesis(k, length, delta, stride):
     identity = context_identity(k)
     acts = random_activations(rng, length, identity)
     cfg = WindowConfig.all_valid(min(delta, length - 1), stride, length, 16)
-    assert persistence_streaming(acts, identity, cfg) == persistence(
+    assert persistence_streaming(acts, identity, cfg) == oracle_persistence(
         acts, identity, cfg
     )

@@ -324,8 +324,6 @@ class TestScenarioAlternating:
     def test_length_validation(self):
         with pytest.raises(ParameterError):
             scenario_alternating(1)
-        with pytest.raises(ParameterError):
-            scenario_alternating(10, k_groups=3)
 
 
 class TestScenarioCapacity:
@@ -372,8 +370,6 @@ class TestScenarioRagDisplacement:
         from tracebind.identity import ScaffoldArchitecture
 
         arch_rag = ScaffoldArchitecture(
-            token_alphabet_id="t",
-            memory_key_space_id="k",
             n_policy_flags=1,
             context_capacity=12,
             corpus=policy_corpus,
@@ -391,8 +387,6 @@ class TestScenarioRagDisplacement:
         from tracebind.identity import ScaffoldArchitecture
 
         arch = ScaffoldArchitecture(
-            token_alphabet_id="t",
-            memory_key_space_id="k",
             n_policy_flags=1,
             context_capacity=12,
             corpus=frozenset({"d0", "d1", "d2", "passage"}),

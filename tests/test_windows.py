@@ -249,3 +249,14 @@ class TestMinimalHorizons:
         acts = activations_from_sets([{"g0"}])
         with pytest.raises(OutOfRangeError):
             minimal_horizons(acts, context_identity(1), 1, 5, 8)
+
+    def test_stray_ingredient_in_scanned_steps_rejected(self):
+        identity = context_identity(2)
+        acts = activations_from_sets([{"g0"}, {"g1", "stray"}, {"g0", "g1"}])
+        with pytest.raises(StructuralError, match="step 1"):
+            minimal_horizons(acts, identity, 1, 0, 8)
+
+    def test_stray_ingredient_after_both_horizons_not_scanned(self):
+        identity = context_identity(2)
+        acts = activations_from_sets([{"g0", "g1"}, {"stray"}])
+        assert minimal_horizons(acts, identity, 1, 0, 8) == (0, 0)
