@@ -166,7 +166,7 @@ def parse_trace(path: str | Path) -> TraceData:
             f"record fields {sorted(set(obj))} do not match the {form} form "
             f"used by this file",
         )
-        _require(isinstance(obj["u"], int), where, "u must be an integer")
+        _require(type(obj["u"]) is int, where, "u must be an integer")
         _require(
             obj["u"] == index,
             where,
@@ -186,7 +186,9 @@ def parse_trace(path: str | Path) -> TraceData:
         )
         _require(isinstance(obj["pi"], list), where, "pi must be a list")
         _require(
-            all(flag in (0, 1) for flag in obj["pi"]), where, "pi entries must be 0 or 1"
+            all(type(flag) is int and flag in (0, 1) for flag in obj["pi"]),
+            where,
+            "pi entries must be the integers 0 or 1",
         )
         retrieved = _string_list(obj["D"], where, "D")
         if states and len(obj["pi"]) != len(states[0].policy_flags):

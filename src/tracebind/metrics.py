@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     MetricError,
@@ -25,7 +26,7 @@ from .errors import (
     StructuralError,
 )
 from .identity import ActivationSet, GroundedIdentity, state_distance
-from .windows import INFINITE, WindowConfig, _check_membership, minimal_horizons
+from .windows import INFINITE, WindowConfig, _check_membership, window_horizons
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,12 @@ def gap_ratio(
     """
     if not eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
-    per_t = []
-    terms = []
-    for t in eval_indices:
-        w_weak, w_strong = minimal_horizons(activations, identity, stride, t, horizon_max)
-        per_t.append((t, w_weak, w_strong))
-        if w_weak != INFINITE:
-            terms.append((w_strong + 1) / (w_weak + 1))
+    per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
+    terms = [
+        (w_strong + 1) / (w_weak + 1)
+        for _, w_weak, w_strong in per_t
+        if w_weak != INFINITE
+    ]
     if not terms:
         raise MetricError(
             "gap ratio is undefined: no evaluated window has a finite weak horizon"
@@ -238,28 +238,34 @@ def continuity(
     return per_step, sum(per_step) / len(per_step)
 
 
-def jaccard_similarity(a: str, b: str) -> float:
-    """Token-set Jaccard over whitespace-split, case-folded text."""
-    ta = set(a.casefold().split())
-    tb = set(b.casefold().split())
+def _tokens(text: str) -> frozenset[str]:
+    # interned, so token sets held for a whole pair loop share their strings
+    return frozenset(map(sys.intern, text.casefold().split()))
+
+
+def _token_jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
     if not ta and not tb:
         return 1.0
-    return len(ta & tb) / len(ta | tb)
+    shared = len(ta & tb)
+    return shared / (len(ta) + len(tb) - shared)
 
 
-def consistency(
-    outputs: Sequence[str],
-    similarity: Callable[[str, str], float] = jaccard_similarity,
-    delta_cons: float = 0.5,
-) -> float:
-    """Fraction of unordered output pairs whose similarity clears the threshold."""
+def jaccard_similarity(a: str, b: str) -> float:
+    """Token-set Jaccard over whitespace-split, case-folded text."""
+    return _token_jaccard(_tokens(a), _tokens(b))
+
+
+def consistency(outputs: Sequence[str], delta_cons: float = 0.5) -> float:
+    """Fraction of unordered output pairs whose :func:`jaccard_similarity`
+    clears the threshold.  Each output is tokenised once, not once per pair."""
     n = len(outputs)
     if n < 2:
         raise ParameterError("consistency needs at least two outputs")
+    token_sets = [_tokens(text) for text in outputs]
     hits = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if similarity(outputs[i], outputs[j]) >= delta_cons:
+    for i, ta in enumerate(token_sets):
+        for tb in token_sets[i + 1 :]:
+            if _token_jaccard(ta, tb) >= delta_cons:
                 hits += 1
     return hits / (n * (n - 1) / 2)
 
@@ -407,7 +413,11 @@ class MetricsReport:
 
 
 def render_number(value: float | int | None) -> str:
-    """Fixed-precision rendering: 6 decimals, ``inf`` for infinities."""
+    """Fixed-precision rendering: 6 decimals, ``inf`` for infinities.
+
+    NaN and ``-inf`` have no JSON form and no meaning as a score, so they
+    raise :class:`MetricError` instead of reaching a report.
+    """
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -416,6 +426,8 @@ def render_number(value: float | int | None) -> str:
         return str(value)
     if value == INFINITE:
         return '"inf"'
+    if not -INFINITE < value:
+        raise MetricError(f"cannot render {value} in a report")
     return f"{value:.6f}"
 
 

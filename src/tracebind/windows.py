@@ -8,11 +8,17 @@ The gap between the two is what the rest of the toolkit measures.
 Windows are never truncated: a layer time whose window would overrun the
 trace is out of range.  Missing minima are reported as ``INFINITE``
 (``math.inf``), which sorts above every finite horizon.
+
+The minimal horizons of all layer times come from one forward pass
+(``window_horizons``) that reads each step at most once, so the gap search
+is linear in the trace length and does not depend on the ``horizon_max``
+cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -134,6 +140,83 @@ def _check_membership(act: ActivationSet, universe: frozenset[str]) -> None:
         )
 
 
+def window_horizons(
+    activations: Sequence[ActivationSet],
+    identity: GroundedIdentity,
+    stride: int,
+    eval_indices: Sequence[int],
+    horizon_max: int,
+) -> list[tuple[int, int | float, int | float]]:
+    """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
+    the given order: the least horizons at which the window starting at
+    ``stride*t`` first satisfies ``occurs`` and ``coinstantiated``.
+
+    One forward pass serves every start.  Each step read is checked against
+    the identity universe and folded into a last-seen step per ingredient.
+    Starts wait in two queues, one per horizon, in start order:
+
+    - a start ``s`` gets its weak horizon at the first step ``u`` with
+      ``min(last_seen) >= s``; that minimum never decreases, so weak starts
+      resolve front first;
+    - every start still waiting for its strong horizon gets it at the next
+      step that holds all ``k`` ingredients;
+    - a start expires, its missing horizons ``INFINITE``, once ``u - s``
+      exceeds ``horizon_max``, or at the trace end.
+
+    A step is read at most once, and only while some start is waiting, so a
+    stray id fails only inside some window's scanned range
+    ``s .. s + (w_strong or the cap)``.  The cost is O(n*k) whatever the cap.
+    """
+    n = len(activations)
+    for t in eval_indices:
+        start = stride * t
+        if t < 0 or not 0 <= start < n:
+            raise OutOfRangeError(
+                f"window start {start} is outside the trace of length {n}"
+            )
+    universe = identity.ingredient_ids
+    k = identity.k
+    order = {ingredient: i for i, ingredient in enumerate(sorted(universe))}
+    last_seen = [-1] * k
+    horizons = {stride * t: [INFINITE, INFINITE] for t in eval_indices}
+    starts = sorted(horizons)
+    next_start = 0
+    pending_weak: deque[int] = deque()
+    pending_strong: deque[int] = deque()
+    u = starts[0] if starts else n
+    while u < n:
+        if next_start < len(starts) and starts[next_start] == u:
+            pending_weak.append(u)
+            pending_strong.append(u)
+            next_start += 1
+        # a full step also completes coverage, so the weak queue is always a
+        # subset of the strong one and an empty strong queue means idle
+        while pending_strong and u - pending_strong[0] > horizon_max:
+            pending_strong.popleft()
+        while pending_weak and u - pending_weak[0] > horizon_max:
+            pending_weak.popleft()
+        if not pending_strong:
+            if next_start == len(starts):
+                break
+            u = starts[next_start]
+            continue
+        act = activations[u]
+        _check_membership(act, universe)
+        for ingredient in act.active:
+            last_seen[order[ingredient]] = u
+        if pending_weak:
+            covered_from = min(last_seen)
+            while pending_weak and pending_weak[0] <= covered_from:
+                s = pending_weak.popleft()
+                horizons[s][0] = u - s
+        if len(act.active) == k:
+            for s in pending_strong:
+                horizons[s][1] = u - s
+            pending_strong.clear()
+        u += 1
+    return [(t, *horizons[stride * t]) for t in eval_indices]
+
+
 def minimal_horizons(
     activations: Sequence[ActivationSet],
     identity: GroundedIdentity,
@@ -146,31 +229,10 @@ def minimal_horizons(
 
     The search stops at ``horizon_max`` or the trace end, whichever comes
     first; a minimum not found by then is ``INFINITE``.  The strong horizon
-    is never smaller than the weak one.
+    is never smaller than the weak one.  This is :func:`window_horizons`
+    for a single start.
     """
-    start = stride * t
-    if t < 0 or start >= len(activations):
-        raise OutOfRangeError(
-            f"window start {start} is outside the trace of length {len(activations)}"
-        )
-    universe = identity.ingredient_ids
-    k = identity.k
-    limit = min(horizon_max, len(activations) - 1 - start)
-    w_weak: int | float = INFINITE
-    w_strong: int | float = INFINITE
-    covered: set[str] = set()
-    for delta in range(limit + 1):
-        act = activations[start + delta]
-        covered |= act.active
-        if w_weak is INFINITE and universe <= covered:
-            w_weak = delta
-        if w_strong is INFINITE and len(act.active) == k:
-            w_strong = delta
-        if w_weak is not INFINITE and w_strong is not INFINITE:
-            break
-    # a stray id in any scanned step shows up in ``covered``; only then are
-    # the scanned steps checked one by one, to name the first offending step
-    if not covered <= universe:
-        for act in activations[start : start + delta + 1]:
-            _check_membership(act, universe)
+    ((_, w_weak, w_strong),) = window_horizons(
+        activations, identity, stride, (t,), horizon_max
+    )
     return w_weak, w_strong

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from pathlib import Path
 
 from conftest import (
     activations_from_sets,
@@ -46,6 +47,9 @@ from tracebind.windows import (
     minimal_horizons,
     occurs,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -345,16 +349,17 @@ def test_criterion_10_streaming_performance(capsys):
 
 
 def test_criterion_11_report_stability(tmp_path, capsys):
-    scenarios = (
-        "noncommutation",
-        "alternating",
-        "capacity",
-        "rag-displacement",
-        "drift-recover",
-        "preset-probe",
-    )
+    # scenario at its default flags -> the tests/golden case that pins it
+    scenarios = {
+        "noncommutation": "noncommutation",
+        "alternating": "alternating",
+        "capacity": "capacity",
+        "rag-displacement": "rag-displacement",
+        "drift-recover": "drift-recover",
+        "preset-probe": "preset-probe-controller",
+    }
     stable = True
-    for scenario in scenarios:
+    for scenario, golden_case in scenarios.items():
         base = tmp_path / scenario.replace("-", "_")
         assert main(["simulate", scenario, "--out", str(base)]) == 0
         sidecar = json.loads((tmp_path / f"{base.name}.expect.json").read_text())
@@ -382,14 +387,17 @@ def test_criterion_11_report_stability(tmp_path, capsys):
                 )
                 assert code == 0
                 blobs.append(out.read_bytes())
-            if blobs[0] != blobs[1]:
+            golden = GOLDEN / golden_case / (
+                golden_case + trace_name[len(base.name):] + ".analyze.json"
+            )
+            if blobs[0] != blobs[1] or blobs[0] != golden.read_bytes():
                 stable = False
     capsys.readouterr()
     with capsys.disabled():
         report(
             11,
-            "analyze reports are byte-identical across two runs on every shipped "
-            "scenario fixture",
+            "analyze reports are byte-identical across two runs and to the "
+            "committed goldens on every shipped scenario fixture",
             stable,
         )
 

@@ -115,6 +115,27 @@ class TestParseTrace:
         with pytest.raises(FileFormatError, match="pi"):
             parse_trace(path)
 
+    @pytest.mark.parametrize("step", ["true", "1.0", '"1"'])
+    def test_non_integer_step_rejected(self, tmp_path, step):
+        # bool is a subclass of int, so a type check must exclude it by name
+        path = tmp_path / "trace.jsonl"
+        write_lines(path, ['{"u":0,"F":[]}', f'{{"u":{step},"F":[]}}'])
+        with pytest.raises(FileFormatError, match=r"trace\.jsonl:2: u must be an integer"):
+            parse_trace(path)
+
+    @pytest.mark.parametrize("flag", ["1.0", "0.0", "true", "false"])
+    def test_non_integer_flag_rejected(self, tmp_path, flag):
+        path = tmp_path / "trace.jsonl"
+        write_lines(
+            path,
+            [
+                '{"u":0,"C":[],"M":{},"pi":[0],"D":[]}',
+                f'{{"u":1,"C":[],"M":{{}},"pi":[{flag}],"D":[]}}',
+            ],
+        )
+        with pytest.raises(FileFormatError, match=r"trace\.jsonl:2: pi entries"):
+            parse_trace(path)
+
     def test_stray_ingredient_in_activation_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_lines(path, activation_lines([{"ghost"}]))
@@ -283,6 +304,30 @@ class TestAnalyzeCommand:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ['{"u":0,"F":["g0","g1"]}', '{"u":true,"F":["g0","g1"]}'],
+            [
+                '{"u":0,"C":["g0","g1"],"M":{},"pi":[1],"D":[]}',
+                '{"u":1,"C":["g0","g1"],"M":{},"pi":[true],"D":[]}',
+            ],
+        ],
+    )
+    def test_coerced_trace_values_are_usage_errors(self, tmp_path, capsys, lines):
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, lines)
+        identity_path = tmp_path / "identity.json"
+        write_identity(identity_path, context_identity(2))
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path),
+             "--delta", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "trace.jsonl:2:" in captured.err
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
     def test_nonfinite_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):

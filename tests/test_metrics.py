@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from tracebind.metrics import (
     recovery,
     recovery_bound,
     render_json,
+    render_number,
     render_text,
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
@@ -51,6 +53,22 @@ def alternating_trace(length: int):
 
 
 WORKED_EXAMPLE = activations_from_sets([{"g0"}, {"g1"}, {"g2"}])
+
+
+class CountingSequence(Sequence):
+    """A read-only trace that counts the steps read through it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        item = self.items[index]
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
 
 
 class TestPersistence:
@@ -216,6 +234,41 @@ class TestGapRatio:
                     assert (w_strong + 1) / (w_weak + 1) >= 1.0
             assert result.ratio >= 1.0
 
+    def test_per_t_matches_oracle_on_random_traces(self):
+        rng = random.Random(4_242)
+        for _ in range(400):
+            identity = context_identity(rng.randint(1, 4))
+            acts = random_activations(rng, rng.randint(1, 30), identity)
+            stride = rng.randint(1, 4)
+            t_max = (len(acts) - 1) // stride
+            # sparse, unsorted and duplicated layer times
+            eval_indices = [rng.randint(0, t_max) for _ in range(rng.randint(1, 10))]
+            cap = rng.randint(0, len(acts) + 3)
+            expected = [
+                (t, *oracle_minimal_horizons(acts, identity, stride, t, cap))
+                for t in eval_indices
+            ]
+            if all(w_weak == INFINITE for _, w_weak, _ in expected):
+                with pytest.raises(MetricError):
+                    gap_ratio(acts, identity, stride, eval_indices, cap)
+                continue
+            assert gap_ratio(acts, identity, stride, eval_indices, cap).per_t == tuple(
+                expected
+            )
+
+    def test_reads_each_step_at_most_once(self):
+        # an unbound trace keeps every window scanning to the cap; one pass
+        # still reads each step once, whatever the cap
+        n = 600
+        acts = CountingSequence(alternating_trace(n))
+        result = gap_ratio(acts, context_identity(2), 1, range(n - 1), 256)
+        assert result.ratio == INFINITE
+        assert acts.reads <= n
+
+    def test_start_out_of_range(self):
+        with pytest.raises(OutOfRangeError, match="window start 12"):
+            gap_ratio(alternating_trace(10), context_identity(2), 4, (0, 3), 8)
+
 
 class TestIdentifiability:
     def test_identical_state(self):
@@ -282,6 +335,29 @@ class TestConsistency:
     def test_too_few_outputs(self):
         with pytest.raises(ParameterError):
             consistency(["only one"])
+
+    def test_matches_pairwise_jaccard_on_random_texts(self):
+        def reference(a, b):
+            ta, tb = set(a.casefold().split()), set(b.casefold().split())
+            return len(ta & tb) / len(ta | tb) if ta or tb else 1.0
+
+        rng = random.Random(77)
+        words = ["I", "am", "Ada", "ada", "AM", "the", "analyst", ""]
+        for _ in range(50):
+            outputs = [
+                " ".join(rng.choice(words) for _ in range(rng.randint(0, 5)))
+                for _ in range(rng.randint(2, 9))
+            ]
+            delta = rng.choice([0.0, 0.25, 0.5, 1.0])
+            pairs = [
+                reference(a, b) >= delta
+                for i, a in enumerate(outputs)
+                for b in outputs[i + 1 :]
+            ]
+            assert consistency(outputs, delta_cons=delta) == sum(pairs) / len(pairs)
+            assert [jaccard_similarity(a, b) for a in outputs for b in outputs] == [
+                reference(a, b) for a in outputs for b in outputs
+            ]
 
     def test_jaccard_properties(self):
         assert jaccard_similarity("A b C", "a B c") == 1.0
@@ -512,6 +588,13 @@ class TestRendering:
         text = render_text({"a": 0.5, "nested": {"b": INFINITE}})
         assert "a = 0.500000" in text
         assert "nested.b = inf" in text
+
+    @pytest.mark.parametrize("value", [float("nan"), -INFINITE])
+    def test_render_number_rejects_values_without_json_form(self, value):
+        with pytest.raises(MetricError, match="cannot render"):
+            render_number(value)
+        with pytest.raises(MetricError):
+            render_json({"x": value})
 
     def test_render_json_parses_back(self):
         import json

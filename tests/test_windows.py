@@ -13,6 +13,7 @@ from conftest import (
 )
 from tracebind.errors import OutOfRangeError, ParameterError, StructuralError
 from tracebind.identity import ActivationSet
+from tracebind.oracle import oracle_minimal_horizons
 from tracebind.windows import (
     INFINITE,
     WindowConfig,
@@ -22,6 +23,7 @@ from tracebind.windows import (
     minimal_horizons,
     occurs,
     window,
+    window_horizons,
 )
 
 PQ = context_identity(2, prefix="")  # ids "0", "1"
@@ -260,3 +262,81 @@ class TestMinimalHorizons:
         identity = context_identity(2)
         acts = activations_from_sets([{"g0", "g1"}, {"stray"}])
         assert minimal_horizons(acts, identity, 1, 0, 8) == (0, 0)
+
+
+class TestWindowHorizons:
+    def test_given_order_and_duplicates_kept(self):
+        acts = activations_from_sets([{"g0"}, {"g1"}, {"g0", "g1"}, {"g0"}, {"g1"}])
+        assert window_horizons(acts, context_identity(2), 1, (3, 0, 3, 2), 8) == [
+            (3, 1, INFINITE),
+            (0, 1, 2),
+            (3, 1, INFINITE),
+            (2, 0, 0),
+        ]
+
+    def test_start_out_of_range(self):
+        acts = activations_from_sets([{"g0"}] * 5)
+        with pytest.raises(OutOfRangeError, match="window start 6"):
+            window_horizons(acts, context_identity(1), 2, (0, 3), 8)
+        with pytest.raises(OutOfRangeError):
+            window_horizons(acts, context_identity(1), 1, (-1,), 8)
+
+    def test_stray_in_a_later_window_range_rejected(self):
+        # t=0 binds at once; t=1 scans steps 1..3, which holds the stray
+        identity = context_identity(2)
+        acts = activations_from_sets([{"g0", "g1"}, {"g0"}, {"g1", "stray"}, {"g0", "g1"}])
+        with pytest.raises(StructuralError, match="step 2"):
+            window_horizons(acts, identity, 1, (0, 1), 8)
+        assert window_horizons(acts, identity, 1, (0,), 8) == [(0, 0, 0)]
+
+    def test_stray_between_sparse_windows_not_scanned(self):
+        identity = context_identity(2)
+        sets = [{"g0", "g1"}] * 10
+        sets[3] = {"stray"}
+        acts = activations_from_sets(sets)
+        assert window_horizons(acts, identity, 4, (2, 0, 1), 8) == [
+            (2, 0, 0), (0, 0, 0), (1, 0, 0)
+        ]
+
+    def test_stray_beyond_the_cap_not_scanned(self):
+        identity = context_identity(2)
+        acts = activations_from_sets([{"g0"}, {"g1"}, {"g0"}, {"stray"}])
+        assert window_horizons(acts, identity, 1, (0,), 2) == [(0, 1, INFINITE)]
+        with pytest.raises(StructuralError, match="step 3"):
+            window_horizons(acts, identity, 1, (0,), 3)
+        with pytest.raises(StructuralError, match="step 3"):
+            window_horizons(acts, identity, 1, (0, 1), 2)
+
+    def test_sorted_starts_name_the_first_scanned_stray(self):
+        # a stray fails exactly when it lies in some window's scanned range
+        # s .. s + (w_strong or the cap), computed here on the trace without
+        # strays; sorted starts name the first such step
+        rng = random.Random(2_718)
+        for _ in range(400):
+            identity = context_identity(rng.randint(1, 3))
+            clean = random_activations(rng, rng.randint(1, 25), identity)
+            stray_steps = {u for u in range(len(clean)) if rng.random() < 0.08}
+            acts = [
+                ActivationSet(act.step_index, act.active | {"stray"})
+                if act.step_index in stray_steps
+                else act
+                for act in clean
+            ]
+            stride = rng.randint(1, 4)
+            t_max = (len(acts) - 1) // stride
+            eval_indices = sorted(rng.randint(0, t_max) for _ in range(rng.randint(1, 6)))
+            cap = rng.randint(0, 30)
+            expected = []
+            scanned = set()
+            for t in eval_indices:
+                w_weak, w_strong = oracle_minimal_horizons(clean, identity, stride, t, cap)
+                start = stride * t
+                reach = w_strong if w_strong != INFINITE else min(cap, len(acts) - 1 - start)
+                scanned.update(range(start, start + reach + 1))
+                expected.append((t, w_weak, w_strong))
+            hit = sorted(stray_steps & scanned)
+            if hit:
+                with pytest.raises(StructuralError, match=f"step {hit[0]} "):
+                    window_horizons(acts, identity, stride, eval_indices, cap)
+            else:
+                assert window_horizons(acts, identity, stride, eval_indices, cap) == expected
