@@ -23,12 +23,11 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     FileFormatError,
     MetricError,
-    OutOfRangeError,
     ParameterError,
     TracebindError,
 )
@@ -39,16 +38,19 @@ from .identity import (
     ScaffoldState,
     activation_sets,
     identity_to_document,
+    ingredient_bits,
     load_identity_file,
+    load_json,
+    state_matcher,
 )
 from .metrics import (
     MetricParams,
     MetricsReport,
     consistency,
-    continuity,
-    gap_ratio,
-    identifiability,
-    persistence,
+    continuity_terms,
+    identifiable_count,
+    mask_gap_ratio,
+    persistence_scores,
     recovery,
     recovery_bound,
     render_json,
@@ -60,6 +62,7 @@ from .simulator import (
     context_identity,
     probe_presets,
     probe_script,
+    probe_window,
     run,
     scenario_alternating,
     scenario_capacity_limited,
@@ -95,116 +98,184 @@ class TraceData:
             for act in self.activations:
                 stray = act.active - known
                 if stray:
-                    raise FileFormatError(
-                        f"step {act.step_index} references ingredients not in the "
-                        f"identity spec: {sorted(stray)}"
-                    )
+                    raise FileFormatError(_stray_message(act.step_index, stray))
             return list(self.activations)
-        arch = self._derived_architecture()
+        # activation reads nothing of the architecture but its flag count
+        arch = ScaffoldArchitecture(
+            n_policy_flags=len(self.states[0].policy_flags), context_capacity=1
+        )
         return activation_sets(self.states, identity, arch)
 
-    def _derived_architecture(self) -> ScaffoldArchitecture:
-        corpus: set[str] = set()
-        capacity = 1
-        for state in self.states:
-            corpus |= state.retrieved
-            capacity = max(capacity, len(state.context))
-        n_flags = len(self.states[0].policy_flags) if self.states else 0
-        return ScaffoldArchitecture(
-            n_policy_flags=n_flags,
-            context_capacity=capacity,
-            corpus=frozenset(corpus),
-        )
+
+def _stray_message(step: int, stray: Iterable[str]) -> str:
+    return (
+        f"step {step} references ingredients not in the identity spec: "
+        f"{sorted(stray)}"
+    )
 
 
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise FileFormatError(f"{where}: {message}")
+def _check_strings(value, where: str, name: str) -> None:
+    if not isinstance(value, list):
+        raise FileFormatError(f"{where}: {name} must be a list")
+    # isinstance(v, str) for every v, without a Python-level loop
+    if not all(map(str.__instancecheck__, value)):
+        raise FileFormatError(f"{where}: {name} entries must be strings")
 
 
-def _string_list(value, where: str, name: str) -> list[str]:
-    _require(isinstance(value, list), where, f"{name} must be a list")
-    _require(all(isinstance(v, str) for v in value), where, f"{name} entries must be strings")
-    return value
+def _trace_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` for each line of the file, read as it is consumed.
+
+    Lines are split as ``str.splitlines`` splits the whole text; reading
+    bytes up to each newline first keeps a decoding error on its line.
+    """
+    lineno = 0
+    with open(path, "rb") as stream:
+        for raw in stream:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"{path}:{lineno + 1}: not UTF-8 text: {exc}") from None
+            for line in text.splitlines():
+                lineno += 1
+                yield f"{path}:{lineno}", line
 
 
-def parse_trace(path: str | Path) -> TraceData:
-    """Parse a line-delimited trace file, validating form and step sequence."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    records: list[tuple[str, dict]] = []
-    for lineno, line in enumerate(lines, start=1):
-        where = f"{path}:{lineno}"
+def _trace_records(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """``(form, record)`` for each line of a trace file, in step order.
+
+    Every check on a record runs here, once, as its line is read: JSON
+    syntax and unique keys, the form (fixed by the first record), the step
+    index, and the type of every field.  A fault raises a
+    :class:`FileFormatError` located at its line.
+    """
+    form = None
+    expected_keys: set[str] = set()
+    n_flags = 0
+    for index, (where, line) in enumerate(_trace_lines(path)):
         if not line.strip():
             raise FileFormatError(f"{where}: blank line in trace")
         try:
-            obj = json.loads(line)
+            obj = load_json(line, where)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{where}: invalid JSON: {exc}") from exc
-        _require(isinstance(obj, dict), where, "record must be an object")
-        records.append((where, obj))
-    if not records:
+        if not isinstance(obj, dict):
+            raise FileFormatError(f"{where}: record must be an object")
+        if form is None:
+            if obj.keys() == _ACTIVATION_KEYS:
+                form, expected_keys = "activation", _ACTIVATION_KEYS
+            elif obj.keys() == _STATE_KEYS:
+                form, expected_keys = "state", _STATE_KEYS
+            else:
+                raise FileFormatError(
+                    f"{where}: record fields {sorted(obj)} match neither the "
+                    f"full-state nor the activation form"
+                )
+        if obj.keys() != expected_keys:
+            raise FileFormatError(
+                f"{where}: record fields {sorted(obj)} do not match the {form} "
+                f"form used by this file"
+            )
+        u = obj["u"]
+        if type(u) is not int:
+            raise FileFormatError(f"{where}: u must be an integer")
+        if u != index:
+            raise FileFormatError(
+                f"{where}: step indices must increase from 0 without gaps; "
+                f"expected u={index}, got u={u}"
+            )
+        if form == "activation":
+            _check_strings(obj["F"], where, "F")
+            yield form, obj
+            continue
+        _check_strings(obj["C"], where, "C")
+        memory, flags = obj["M"], obj["pi"]
+        if not isinstance(memory, dict):
+            raise FileFormatError(f"{where}: M must be an object")
+        # JSON object keys are always strings
+        if not all(map(str.__instancecheck__, memory.values())):
+            raise FileFormatError(f"{where}: M must map strings to strings")
+        if not isinstance(flags, list):
+            raise FileFormatError(f"{where}: pi must be a list")
+        # bool and float compare equal to 0 and 1, so the type is checked by name
+        if not all(type(flag) is int and flag in (0, 1) for flag in flags):
+            raise FileFormatError(f"{where}: pi entries must be the integers 0 or 1")
+        _check_strings(obj["D"], where, "D")
+        if index == 0:
+            n_flags = len(flags)
+        elif len(flags) != n_flags:
+            raise FileFormatError(f"{where}: pi length differs from earlier records")
+        yield form, obj
+    if form is None:
         raise FileFormatError(f"{path}: empty trace")
 
-    first_keys = set(records[0][1])
-    if first_keys == _ACTIVATION_KEYS:
-        form = "activation"
-    elif first_keys == _STATE_KEYS:
-        form = "state"
-    else:
-        raise FileFormatError(
-            f"{records[0][0]}: record fields {sorted(first_keys)} match neither the "
-            f"full-state nor the activation form"
-        )
-    expected_keys = _ACTIVATION_KEYS if form == "activation" else _STATE_KEYS
 
+def parse_trace(path: str | Path) -> TraceData:
+    """Parse a line-delimited trace file into one state or activation set per
+    step, with the per-line checks of :func:`read_masks` (which ``analyze``
+    uses instead)."""
     states = []
     activations = []
-    for index, (where, obj) in enumerate(records):
-        _require(
-            set(obj) == expected_keys,
-            where,
-            f"record fields {sorted(set(obj))} do not match the {form} form "
-            f"used by this file",
-        )
-        _require(type(obj["u"]) is int, where, "u must be an integer")
-        _require(
-            obj["u"] == index,
-            where,
-            f"step indices must increase from 0 without gaps; expected u={index}, "
-            f"got u={obj['u']}",
-        )
+    form = ""
+    for form, record in _trace_records(path):
         if form == "activation":
-            active = _string_list(obj["F"], where, "F")
-            activations.append(ActivationSet(step_index=index, active=frozenset(active)))
-            continue
-        context = _string_list(obj["C"], where, "C")
-        _require(isinstance(obj["M"], dict), where, "M must be an object")
-        _require(
-            all(isinstance(k, str) and isinstance(v, str) for k, v in obj["M"].items()),
-            where,
-            "M must map strings to strings",
-        )
-        _require(isinstance(obj["pi"], list), where, "pi must be a list")
-        _require(
-            all(type(flag) is int and flag in (0, 1) for flag in obj["pi"]),
-            where,
-            "pi entries must be the integers 0 or 1",
-        )
-        retrieved = _string_list(obj["D"], where, "D")
-        if states and len(obj["pi"]) != len(states[0].policy_flags):
-            raise FileFormatError(f"{where}: pi length differs from earlier records")
-        states.append(
-            ScaffoldState(
-                context=tuple(context),
-                memory=obj["M"],
-                policy_flags=tuple(obj["pi"]),
-                retrieved=frozenset(retrieved),
-                step_index=index,
+            activations.append(
+                ActivationSet(step_index=record["u"], active=frozenset(record["F"]))
             )
-        )
-    if form == "activation":
-        return TraceData(form="activation", activations=tuple(activations))
-    return TraceData(form="state", states=tuple(states))
+        else:
+            states.append(
+                ScaffoldState(
+                    context=tuple(record["C"]),
+                    memory=record["M"],
+                    policy_flags=tuple(record["pi"]),
+                    retrieved=frozenset(record["D"]),
+                    step_index=record["u"],
+                )
+            )
+    return TraceData(form=form, states=tuple(states), activations=tuple(activations))
+
+
+def _mask_encoder(form: str, first: dict, identity: GroundedIdentity) -> Callable[[dict], int]:
+    if form == "state":
+        match = state_matcher(identity, len(first["pi"]))
+        return lambda record: match(record["C"], record["M"], record["pi"], record["D"])
+    bits = ingredient_bits(identity)
+
+    def encode(record: dict) -> int:
+        mask = 0
+        for ingredient in record["F"]:
+            bit = bits.get(ingredient)
+            if bit is None:
+                stray = set(record["F"]) - bits.keys()
+                raise FileFormatError(_stray_message(record["u"], stray))
+            mask |= bit
+        return mask
+
+    return encode
+
+
+def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
+    """The step masks of a trace file (bit i = the i-th ingredient id in
+    sorted order), read line by line with no per-step object.
+
+    Raises what ``parse_trace(path).to_activations(identity)`` raises: a
+    fault in any line comes first, then a stray ingredient id at its first
+    step, or a policy flag index outside the first record's ``pi``.
+    """
+    masks: list[int] = []
+    encode = None
+    fault: TracebindError | None = None
+    for form, record in _trace_records(path):
+        if fault is not None:
+            continue
+        try:
+            if encode is None:
+                encode = _mask_encoder(form, record, identity)
+            masks.append(encode(record))
+        except TracebindError as exc:
+            fault = exc
+    if fault is not None:
+        raise fault
+    return masks
 
 
 def state_record(state: ScaffoldState) -> dict:
@@ -244,33 +315,26 @@ def _parse_eval_selector(value: str) -> tuple[int, ...] | None:
 
 
 def build_report(
-    activations: Sequence[ActivationSet],
-    identity: GroundedIdentity,
+    masks: Sequence[int],
+    k: int,
     cfg: WindowConfig,
     params: MetricParams,
     ref_index: int,
 ) -> MetricsReport:
-    """Protocol run over precomputed activations: persistence, gap, and the
-    trace-computable auxiliary metrics."""
-    pers = persistence(activations, identity, cfg)
-    gap = gap_ratio(activations, identity, cfg.stride, cfg.eval_indices, cfg.horizon_max)
-    _, continuity_mean = continuity(activations, identity.k)
-    if not 0 <= ref_index < len(activations):
-        raise OutOfRangeError(
-            f"reference index {ref_index} is outside the trace of length "
-            f"{len(activations)}"
-        )
-    reference = activations[ref_index]
-    indicators = [
-        identifiability(activations[cfg.stride * t], reference, identity.k, params.delta_i)
-        for t in cfg.eval_indices
-    ]
+    """Protocol run over the step masks of a trace: persistence, gap, and
+    the trace-computable auxiliary metrics."""
+    p_weak, p_strong = persistence_scores(masks, k, cfg)
+    gap = mask_gap_ratio(masks, k, cfg.stride, cfg.eval_indices, cfg.horizon_max)
+    n = len(masks)
+    continuity_mean = sum(continuity_terms(masks, k, range(1, n))) / (n - 1)
+    starts = [cfg.stride * t for t in cfg.eval_indices]
+    hits = identifiable_count(masks, ref_index, k, params.delta_i, starts)
     return MetricsReport(
-        p_weak=pers.p_weak,
-        p_strong=pers.p_strong,
+        p_weak=p_weak,
+        p_strong=p_strong,
         gap=gap,
         continuity_mean=continuity_mean,
-        identifiability_rate=sum(indicators) / len(indicators),
+        identifiability_rate=hits / len(starts),
         consistency=None,
         recovery=None,
         params=params,
@@ -290,18 +354,21 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    trace = parse_trace(args.trace)
-    identity, _layers = load_identity_file(args.identity)
-    activations = trace.to_activations(identity)
+    try:
+        identity, _layers = load_identity_file(args.identity)
+    except (TracebindError, OSError):
+        # a faulty trace is reported ahead of a faulty identity spec
+        for _ in _trace_records(args.trace):
+            pass
+        raise
+    masks = read_masks(args.trace, identity)
     explicit = _parse_eval_selector(args.eval)
     if explicit is None:
-        cfg = WindowConfig.all_valid(
-            args.delta, args.stride, len(activations), args.horizon_max
-        )
+        cfg = WindowConfig.all_valid(args.delta, args.stride, len(masks), args.horizon_max)
     else:
         cfg = WindowConfig(
             args.delta, args.stride, explicit, args.horizon_max
-        ).restrict_to(len(activations))
+        ).restrict_to(len(masks))
     if not cfg.eval_indices:
         raise ParameterError(
             "no evaluation window fits inside the trace; shrink --delta or the "
@@ -313,7 +380,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         alpha=args.alpha,
     )
-    report = build_report(activations, identity, cfg, params, args.ref_index)
+    report = build_report(masks, identity.k, cfg, params, args.ref_index)
     doc = report.to_document()
     if args.format == "json":
         _emit(render_json(doc) + "\n", args.out)
@@ -423,9 +490,11 @@ def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
             f"unknown preset {args.preset!r}; choose from {', '.join(sorted(presets))}"
         )
     states = run(presets[args.preset], probe_script(args.cycles), skip_unsupported=True)
-    cfg = WindowConfig.all_valid(1, 1, len(states), 8)
     return ScenarioFiles(
-        {"": _state_records(states)}, PROBE_IDENTITY, cfg, head={"preset": args.preset}
+        {"": _state_records(states)},
+        PROBE_IDENTITY,
+        probe_window(len(states)),
+        head={"preset": args.preset},
     )
 
 
@@ -471,11 +540,11 @@ def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
     sidecar["identity"] = identity_path.name
     sidecar["window"] = _window_doc(files.cfg)
     for suffix, path in written:
-        activations = parse_trace(path).to_activations(files.identity)
-        result = persistence(activations, files.identity, files.cfg)
+        masks = read_masks(path, files.identity)
+        p_weak, p_strong = persistence_scores(masks, files.identity.k, files.cfg)
         sidecar[f"expect{suffix}"] = {
-            "p_weak": render_number(result.p_weak),
-            "p_strong": render_number(result.p_strong),
+            "p_weak": render_number(p_weak),
+            "p_strong": render_number(p_strong),
         }
     for section, fields in files.tail.items():
         sidecar.setdefault(section, {}).update(fields)

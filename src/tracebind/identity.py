@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     FileFormatError,
@@ -84,8 +84,9 @@ class ScaffoldState:
         object.__setattr__(self, "retrieved", frozenset(self.retrieved))
         if self.step_index < 0:
             raise StructuralError("step_index must be >= 0")
-        if any(flag not in (0, 1) for flag in self.policy_flags):
-            raise StructuralError("policy flags must be 0 or 1")
+        # bool and float compare equal to 0 and 1, so the type is checked by name
+        if not all(type(flag) is int and flag in (0, 1) for flag in self.policy_flags):
+            raise StructuralError("policy flags must be the integers 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,15 @@ class IngredientSpec:
     doc_id: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise StructuralError(f"unknown ingredient kind {self.kind!r}")
+        if not isinstance(self.ingredient_id, str):
+            raise StructuralError("ingredient_id must be a string")
         if not self.ingredient_id:
             raise StructuralError("ingredient_id must be non-empty")
         if self.context_pattern is not None:
+            if not isinstance(self.context_pattern, (list, tuple)):
+                raise StructuralError("context_pattern must be a sequence of tokens")
             object.__setattr__(self, "context_pattern", tuple(self.context_pattern))
         required = set(_KIND_FIELDS[self.kind])
         actual = {
@@ -127,10 +132,21 @@ class IngredientSpec:
                 f"ingredient {self.ingredient_id!r} of kind {self.kind!r} must set "
                 f"exactly {sorted(required)}, got {sorted(actual)}"
             )
-        if self.kind == "context" and not self.context_pattern:
-            raise StructuralError("context_pattern must be non-empty")
-        if self.kind == "policy" and self.flag_index < 0:
-            raise StructuralError("flag_index must be >= 0")
+        if self.kind == "context":
+            if not self.context_pattern:
+                raise StructuralError("context_pattern must be non-empty")
+            if not all(isinstance(token, str) for token in self.context_pattern):
+                raise StructuralError("context_pattern entries must be strings")
+        elif self.kind == "memory":
+            if not (isinstance(self.memory_key, str) and isinstance(self.memory_value, str)):
+                raise StructuralError("memory_key and memory_value must be strings")
+        elif self.kind == "policy":
+            if type(self.flag_index) is not int:
+                raise StructuralError("flag_index must be an integer")
+            if self.flag_index < 0:
+                raise StructuralError("flag_index must be >= 0")
+        elif not isinstance(self.doc_id, str):
+            raise StructuralError("doc_id must be a string")
 
 
 @dataclass(frozen=True)
@@ -228,11 +244,7 @@ def evaluate_ingredient(
     if spec.kind == "memory":
         return state.memory.get(spec.memory_key) == spec.memory_value
     if spec.kind == "policy":
-        if spec.flag_index >= arch.n_policy_flags:
-            raise StructuralError(
-                f"flag_index {spec.flag_index} out of range for architecture "
-                f"with {arch.n_policy_flags} flags"
-            )
+        _check_flag_index(spec, arch.n_policy_flags)
         if spec.flag_index >= len(state.policy_flags):
             raise StructuralError(
                 f"flag_index {spec.flag_index} out of range for state with "
@@ -244,15 +256,29 @@ def evaluate_ingredient(
     raise StructuralError(f"unknown ingredient kind {spec.kind!r}")
 
 
+def _check_flag_index(spec: IngredientSpec, n_flags: int) -> None:
+    if spec.flag_index >= n_flags:
+        raise StructuralError(
+            f"flag_index {spec.flag_index} out of range for architecture "
+            f"with {n_flags} flags"
+        )
+
+
 def _contains_subsequence(tokens: Sequence[str], pattern: Sequence[str]) -> bool:
     n, m = len(tokens), len(pattern)
     if m == 0 or m > n:
         return False
+    pattern = tuple(pattern)
     first = pattern[0]
-    for i in range(n - m + 1):
-        if tokens[i] == first and tuple(tokens[i : i + m]) == tuple(pattern):
-            return True
-    return False
+    # jump between occurrences of the first token instead of testing every offset
+    i = -1
+    try:
+        while True:
+            i = tokens.index(first, i + 1, n - m + 1)
+            if tuple(tokens[i : i + m]) == pattern:
+                return True
+    except ValueError:
+        return False
 
 
 def activation_set(
@@ -281,6 +307,123 @@ def state_distance(a: ActivationSet, b: ActivationSet, k: int) -> float:
     if k < 1:
         raise StructuralError("ingredient universe size k must be >= 1")
     return len(a.active ^ b.active) / k
+
+
+# ---------------------------------------------------------------------------
+# Step masks
+# ---------------------------------------------------------------------------
+#
+# The metric folds read each objective step as one k-bit int: bit i is set
+# iff the i-th ingredient id in sorted order is active.  Co-instantiation is
+# then ``mask == full`` and the distance of two steps is the popcount of
+# their xor.
+
+
+def ingredient_bits(identity: GroundedIdentity) -> dict[str, int]:
+    """The mask bit of each ingredient id: ``1 << i`` for the i-th id in
+    sorted order."""
+    return {
+        ingredient: 1 << i for i, ingredient in enumerate(sorted(identity.ingredient_ids))
+    }
+
+
+def activation_mask(act: ActivationSet, bits: Mapping[str, int]) -> int:
+    """The step mask of one activation set; an id without a bit raises
+    :class:`StructuralError`."""
+    try:
+        # the ids of a set are distinct, so the sum of their bits is their OR
+        return sum(map(bits.__getitem__, act.active))
+    except KeyError:
+        raise StructuralError(
+            f"activation set at step {act.step_index} contains ids outside "
+            f"the identity universe"
+        ) from None
+
+
+class ActivationMasks:
+    """An activation trace read as step masks, each step encoded when read.
+
+    A stray id raises at the step read, so a fold that reads only some steps
+    checks only those.
+    """
+
+    def __init__(
+        self, activations: Sequence[ActivationSet], bits: Mapping[str, int]
+    ) -> None:
+        self._activations = activations
+        self._bits = bits
+
+    def __len__(self) -> int:
+        return len(self._activations)
+
+    def __getitem__(self, u: int) -> int:
+        return activation_mask(self._activations[u], self._bits)
+
+
+def mask_distance(a: int, b: int, k: int) -> float:
+    """:func:`state_distance` of two step masks: ``popcount(a ^ b) / k``."""
+    if k < 1:
+        raise StructuralError("ingredient universe size k must be >= 1")
+    return (a ^ b).bit_count() / k
+
+
+def state_matcher(
+    identity: GroundedIdentity, n_flags: int
+) -> Callable[[Sequence[str], Mapping[str, str], Sequence[int], Iterable[str]], int]:
+    """Compile the identity once into a function from a state's components
+    ``(context, memory, policy_flags, retrieved)`` to its step mask.
+
+    For states with ``n_flags`` policy flags it decides what
+    :func:`evaluate_ingredient` decides for every ingredient.  Single-token
+    context patterns become one token -> bits dict, longer ones keep the
+    contiguous-subsequence match, and memory, policy and retrieval
+    ingredients become direct lookups.  A flag index outside ``n_flags``
+    raises here, as :func:`evaluate_ingredient` raises on the first state.
+    """
+    bits = ingredient_bits(identity)
+    tokens: dict[str, int] = {}
+    phrases: list[tuple[int, tuple[str, ...]]] = []
+    pairs: list[tuple[int, str, str]] = []
+    flags: list[tuple[int, int]] = []
+    docs: dict[str, int] = {}
+    for spec in identity.ingredients:
+        bit = bits[spec.ingredient_id]
+        if spec.kind == "context" and len(spec.context_pattern) == 1:
+            token = spec.context_pattern[0]
+            tokens[token] = tokens.get(token, 0) | bit
+        elif spec.kind == "context":
+            phrases.append((bit, spec.context_pattern))
+        elif spec.kind == "memory":
+            pairs.append((bit, spec.memory_key, spec.memory_value))
+        elif spec.kind == "policy":
+            _check_flag_index(spec, n_flags)
+            flags.append((bit, spec.flag_index))
+        else:
+            docs[spec.doc_id] = docs.get(spec.doc_id, 0) | bit
+
+    def match(
+        context: Sequence[str],
+        memory: Mapping[str, str],
+        policy_flags: Sequence[int],
+        retrieved: Iterable[str],
+    ) -> int:
+        mask = 0
+        for token in tokens.keys() & context:
+            mask |= tokens[token]
+        for bit, pattern in phrases:
+            if _contains_subsequence(context, pattern):
+                mask |= bit
+        for bit, key, value in pairs:
+            if memory.get(key) == value:
+                mask |= bit
+        for bit, index in flags:
+            if policy_flags[index] == 1:
+                mask |= bit
+        for doc in docs.keys() & retrieved:
+            mask |= docs[doc]
+        return mask
+
+    return match
 
 
 def ground(
@@ -369,11 +512,47 @@ def detect_grounding_failures(
 # Unknown fields are rejected.
 
 
+class _RepeatedKey(Exception):
+    """A JSON object repeats a key; :func:`load_json` locates it."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
+_STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def load_json(text: str, where: str):
+    """``json.loads`` that also rejects an object with a repeated key.
+
+    A repeated key, or nesting too deep to decode, raises a
+    :class:`FileFormatError` located at ``where``; any other syntax error
+    raises ``json.JSONDecodeError`` as ``json.loads`` does.
+    """
+    if text.startswith("\ufeff"):
+        # json.loads checks this before decoding; JSONDecoder.decode does not
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        return _STRICT_JSON.decode(text)
+    except _RepeatedKey as exc:
+        raise FileFormatError(f"{where}: duplicate key {exc.args[0]!r}") from None
+    except RecursionError:
+        raise FileFormatError(f"{where}: invalid JSON: nested too deeply") from None
+
+
 def _ingredient_from_record(record: dict, where: str) -> IngredientSpec:
     if not isinstance(record, dict):
         raise FileFormatError(f"{where}: ingredient record must be an object")
     kind = record.get("kind")
-    if kind not in _KIND_FIELDS:
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise FileFormatError(f"{where}: unknown ingredient kind {kind!r}")
     allowed = {"id", "kind", *_KIND_FIELDS[kind]}
     unknown = set(record) - allowed
@@ -395,7 +574,24 @@ def _ingredient_from_record(record: dict, where: str) -> IngredientSpec:
 _LAYER_FIELDS = {"layer2", "layer1", "map_2_to_1", "map_1_to_0", "map_2_to_0"}
 
 
+def _labels(value, name: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FileFormatError(f"layers: {name} must be a list of strings")
+    return value
+
+
+def _label_map(value, name: str) -> dict[str, frozenset[str]]:
+    if not isinstance(value, dict):
+        raise FileFormatError(f"layers: {name} must be an object")
+    return {
+        label: frozenset(_labels(targets, f"{name}[{label!r}]"))
+        for label, targets in value.items()
+    }
+
+
 def _layers_from_record(record: dict, identity: GroundedIdentity) -> LayeredIdentitySpec:
+    if not isinstance(record, dict):
+        raise FileFormatError("layers must be an object")
     unknown = set(record) - _LAYER_FIELDS
     if unknown:
         raise FileFormatError(f"layers: unknown fields {sorted(unknown)}")
@@ -404,11 +600,11 @@ def _layers_from_record(record: dict, identity: GroundedIdentity) -> LayeredIden
         raise FileFormatError(f"layers: missing fields {sorted(missing)}")
     try:
         spec = LayeredIdentitySpec(
-            layer2_statements=tuple(record["layer2"]),
-            layer1_statements=tuple(record["layer1"]),
-            map_2_to_1={k: frozenset(v) for k, v in record["map_2_to_1"].items()},
-            map_1_to_0={k: frozenset(v) for k, v in record["map_1_to_0"].items()},
-            map_2_to_0={k: frozenset(v) for k, v in record["map_2_to_0"].items()},
+            layer2_statements=tuple(_labels(record["layer2"], "layer2")),
+            layer1_statements=tuple(_labels(record["layer1"], "layer1")),
+            map_2_to_1=_label_map(record["map_2_to_1"], "map_2_to_1"),
+            map_1_to_0=_label_map(record["map_1_to_0"], "map_1_to_0"),
+            map_2_to_0=_label_map(record["map_2_to_0"], "map_2_to_0"),
         )
         spec.validate_against(identity)
     except StructuralError as exc:
@@ -445,12 +641,15 @@ def load_identity_file(
     path: str | Path,
 ) -> tuple[GroundedIdentity, LayeredIdentitySpec | None]:
     """Load an identity spec from a JSON document or JSONL ingredient list."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
     stripped = text.strip()
     if not stripped:
         raise FileFormatError(f"{path}: empty identity spec")
     try:
-        doc = json.loads(stripped)
+        doc = load_json(stripped, str(path))
     except json.JSONDecodeError:
         doc = None
     if isinstance(doc, dict):
@@ -461,7 +660,7 @@ def load_identity_file(
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            records.append(load_json(line, f"{path}:{lineno}"))
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     return parse_identity_document({"ingredients": records})

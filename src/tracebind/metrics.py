@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import statistics
 import sys
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     MetricError,
@@ -25,8 +24,16 @@ from .errors import (
     StreamOrderError,
     StructuralError,
 )
-from .identity import ActivationSet, GroundedIdentity, state_distance
-from .windows import INFINITE, WindowConfig, _check_membership, window_horizons
+from .identity import (
+    ActivationMasks,
+    ActivationSet,
+    GroundedIdentity,
+    activation_mask,
+    ingredient_bits,
+    mask_distance,
+    state_distance,
+)
+from .windows import INFINITE, WindowConfig, mask_horizons, window_flags
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,13 @@ class MetricParams:
             raise ParameterError("alpha must be in [0, 1]")
 
 
+def _in_step_order(activations: Iterable[ActivationSet]) -> Iterator[ActivationSet]:
+    for expected, act in enumerate(activations):
+        if act.step_index != expected:
+            raise StreamOrderError(f"expected step {expected}, got {act.step_index}")
+        yield act
+
+
 def persistence(
     activations: Iterable[ActivationSet],
     identity: GroundedIdentity,
@@ -108,76 +122,66 @@ def persistence(
     """Window-counting persistence scores, computed in one pass.
 
     Per layer time: the occur flag checks each ingredient for presence
-    anywhere in the window, the coinst flag looks for a step whose
-    activation set has full cardinality.  Scores are counts over ``|T|``.
+    anywhere in the window, the coinst flag looks for a step that holds the
+    full conjunction.  Scores are counts over ``|T|``.
 
-    Keeps a last-seen step per ingredient and a queue of full-conjunction
-    steps inside the current window, so the cost is linear in the trace
-    length instead of ``|T| * (horizon+1) * k``.  Input must arrive in step
-    order; every step up to the last evaluated window is checked against
-    the identity universe once.
+    This is :func:`windows.window_flags` over the steps, each encoded as a
+    mask when the fold reads it, so the cost is linear in the trace length
+    instead of ``|T| * (horizon+1) * k``.  Input must arrive in step order;
+    every step up to the last evaluated window is checked against the
+    identity universe once, and later steps only for their order.
     """
-    if not cfg.eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    universe = identity.ingredient_ids
-    k = identity.k
-    stride = cfg.stride
-    horizon = cfg.horizon
-    order = {ingredient: i for i, ingredient in enumerate(sorted(universe))}
-
-    pending = deque(cfg.eval_indices)
-    per_window: list[tuple[int, bool, bool]] = []
-    n_weak = 0
-    n_strong = 0
-    last_seen = [-1] * k
-    full_steps: deque[int] = deque()
-
-    expected_u = 0
-    next_t = pending.popleft()
-    next_end = stride * next_t + horizon
-    done = False
-    for act in activations:
-        if act.step_index != expected_u:
-            raise StreamOrderError(
-                f"expected step {expected_u}, got {act.step_index}"
-            )
-        expected_u += 1
-        if done:
-            continue
-        _check_membership(act, universe)
-        u = act.step_index
-        for ingredient in act.active:
-            last_seen[order[ingredient]] = u
-        if len(act.active) == k:
-            full_steps.append(u)
-        while not done and u == next_end:
-            start = stride * next_t
-            while full_steps and full_steps[0] < start:
-                full_steps.popleft()
-            occur = min(last_seen) >= start
-            coinst = bool(full_steps)
-            n_weak += occur
-            n_strong += coinst
-            per_window.append((next_t, occur, coinst))
-            if pending:
-                next_t = pending.popleft()
-                next_end = stride * next_t + horizon
-            else:
-                done = True
-    if not done:
-        raise OutOfRangeError(
-            f"window at t={next_t} needs step {next_end}, stream ended at "
-            f"step {expected_u - 1}"
-        )
-    n_t = len(cfg.eval_indices)
+    bits = ingredient_bits(identity)
+    steps = _in_step_order(activations)
+    occur, coinst = window_flags(
+        (activation_mask(act, bits) for act in steps), identity.k, cfg
+    )
+    for _ in steps:
+        pass
     return PersistenceResult(
-        p_weak=n_weak / n_t,
-        p_strong=n_strong / n_t,
-        per_window=tuple(per_window),
+        p_weak=_share(occur),
+        p_strong=_share(coinst),
+        per_window=tuple(zip(cfg.eval_indices, map(bool, occur), map(bool, coinst))),
     )
 
 
 persistence_streaming = persistence
+
+
+def _share(flags: bytearray) -> float:
+    return sum(flags) / len(flags)
+
+
+def persistence_scores(
+    masks: Iterable[int], k: int, cfg: WindowConfig
+) -> tuple[float, float]:
+    """``(p_weak, p_strong)`` of step masks: :func:`persistence` without the
+    per-window flags."""
+    occur, coinst = window_flags(masks, k, cfg)
+    return _share(occur), _share(coinst)
+
+
+def mask_gap_ratio(
+    masks: Sequence[int],
+    k: int,
+    stride: int,
+    eval_indices: Sequence[int],
+    horizon_max: int,
+) -> GapResult:
+    """:func:`gap_ratio` of step masks."""
+    if not eval_indices:
+        raise ParameterError("evaluation index set T must be non-empty")
+    per_t = mask_horizons(masks, k, stride, eval_indices, horizon_max)
+    terms = [
+        (w_strong + 1) / (w_weak + 1)
+        for _, w_weak, w_strong in per_t
+        if w_weak != INFINITE
+    ]
+    if not terms:
+        raise MetricError(
+            "gap ratio is undefined: no evaluated window has a finite weak horizon"
+        )
+    return GapResult(per_t=tuple(per_t), ratio=statistics.median(terms))
 
 
 def gap_ratio(
@@ -192,28 +196,51 @@ def gap_ratio(
     An infinite strong horizon over a finite weak one contributes an
     infinite term.  Layer times with an infinite weak horizon are undefined
     and excluded; if every layer time is undefined the ratio itself is
-    undefined and a :class:`MetricError` is raised.
+    undefined and a :class:`MetricError` is raised.  Steps are encoded as
+    the fold reads them (see :func:`windows.window_horizons`).
     """
-    if not eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
-    terms = [
-        (w_strong + 1) / (w_weak + 1)
-        for _, w_weak, w_strong in per_t
-        if w_weak != INFINITE
-    ]
-    if not terms:
-        raise MetricError(
-            "gap ratio is undefined: no evaluated window has a finite weak horizon"
+    masks = ActivationMasks(activations, ingredient_bits(identity))
+    return mask_gap_ratio(masks, identity.k, stride, eval_indices, horizon_max)
+
+
+def identifiable_count(
+    masks: Sequence[int],
+    reference: int,
+    k: int,
+    delta_i: float,
+    steps: Iterable[int],
+) -> int:
+    """How many of ``steps`` have a mask within ``delta_i`` of the mask at
+    step ``reference``."""
+    if not 0 <= reference < len(masks):
+        raise OutOfRangeError(
+            f"reference index {reference} is outside the trace of length "
+            f"{len(masks)}"
         )
-    return GapResult(per_t=tuple(per_t), ratio=statistics.median(terms))
+    ref = masks[reference]
+    return sum(mask_distance(masks[u], ref, k) <= delta_i for u in steps)
 
 
 def identifiability(
     current: ActivationSet, reference: ActivationSet, k: int, delta_i: float
 ) -> int:
-    """1 iff the current activation set is within ``delta_i`` of the reference."""
+    """1 iff the current activation set is within ``delta_i`` of the
+    reference: one term of :func:`identifiable_count`."""
     return 1 if state_distance(current, reference, k) <= delta_i else 0
+
+
+def continuity_terms(
+    masks: Sequence[int], k: int, steps: Sequence[int]
+) -> Iterator[float]:
+    """Stepwise continuity ``1 - d(F_u, F_{u-1})`` of step masks, for each
+    step ``u`` of ``steps`` in order."""
+    if not steps:
+        raise ParameterError("continuity needs at least one step with a predecessor")
+    n = len(masks)
+    for u in steps:
+        if u < 1 or u >= n:
+            raise OutOfRangeError(f"continuity step {u} needs a predecessor in range")
+        yield 1.0 - mask_distance(masks[u], masks[u - 1], k)
 
 
 def continuity(
@@ -227,14 +254,13 @@ def continuity(
     """
     if step_range is None:
         step_range = range(1, len(activations))
-    steps = list(step_range)
-    if not steps:
-        raise ParameterError("continuity needs at least one step with a predecessor")
-    per_step = []
-    for u in steps:
-        if u < 1 or u >= len(activations):
-            raise OutOfRangeError(f"continuity step {u} needs a predecessor in range")
-        per_step.append(1.0 - state_distance(activations[u], activations[u - 1], k))
+    # any one-to-one id -> bit map keeps the distances, so no identity is needed
+    ids: set[str] = set()
+    for act in activations:
+        ids |= act.active
+    bits = {ingredient: 1 << i for i, ingredient in enumerate(ids)}
+    masks = [activation_mask(act, bits) for act in activations]
+    per_step = list(continuity_terms(masks, k, list(step_range)))
     return per_step, sum(per_step) / len(per_step)
 
 

@@ -633,6 +633,13 @@ def probe_presets() -> dict[str, ArchitecturePreset]:
     }
 
 
+def probe_window(trace_length: int) -> WindowConfig:
+    """The probe's windows: horizon 1 at every layer time, gap search to 8."""
+    return WindowConfig.all_valid(
+        horizon=1, stride=1, trace_length=trace_length, horizon_max=8
+    )
+
+
 def preset_probe(cycles: int = 6) -> dict[str, PersistenceResult]:
     """Run the fixed probe script under every preset and score persistence.
 
@@ -641,9 +648,7 @@ def preset_probe(cycles: int = 6) -> dict[str, PersistenceResult]:
     """
     script = probe_script(cycles)
     results = {}
-    cfg = WindowConfig.all_valid(
-        horizon=1, stride=1, trace_length=len(script) + 1, horizon_max=8
-    )
+    cfg = probe_window(len(script) + 1)
     for name, preset in probe_presets().items():
         states = run(preset, script, skip_unsupported=True)
         activations = activation_sets(states, PROBE_IDENTITY, preset.architecture())

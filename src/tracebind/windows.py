@@ -9,10 +9,15 @@ Windows are never truncated: a layer time whose window would overrun the
 trace is out of range.  Missing minima are reported as ``INFINITE``
 (``math.inf``), which sorts above every finite horizon.
 
-The minimal horizons of all layer times come from one forward pass
-(``window_horizons``) that reads each step at most once, so the gap search
-is linear in the trace length and does not depend on the ``horizon_max``
-cap.
+The folds behind the metrics read each step as a k-bit mask (bit i = the
+i-th ingredient id in sorted order; see ``identity.ingredient_bits``):
+a window's ingredients occur when the OR of its masks is full, and
+co-instantiate when some mask in it is full.  ``window_flags`` decides both
+predicates for every evaluated window, and ``mask_horizons`` finds the
+minimal horizons of every layer time, each in one forward pass that reads a
+step at most once.  The gap search is therefore linear in the trace length
+and does not depend on the ``horizon_max`` cap.  The functions over
+activation sets encode steps as they read them and run the same folds.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import OutOfRangeError, ParameterError, StructuralError
-from .identity import ActivationSet, GroundedIdentity
+from .identity import ActivationMasks, ActivationSet, GroundedIdentity, ingredient_bits
 
 INFINITE = math.inf
 
@@ -132,17 +137,86 @@ def diamond(segment: WindowSegment, ingredient_subset: Iterable[str]) -> bool:
     return any(subset <= act.active for act in segment.activation_sets)
 
 
-def _check_membership(act: ActivationSet, universe: frozenset[str]) -> None:
-    if not act.active <= universe:
-        raise StructuralError(
-            f"activation set at step {act.step_index} contains ids outside "
-            f"the identity universe"
-        )
+_MAX_CACHED_MASKS = 4096
 
 
-def window_horizons(
-    activations: Sequence[ActivationSet],
-    identity: GroundedIdentity,
+class _BitIndices(dict):
+    """Mask -> indices of its set bits, built the first time a mask is met.
+
+    Only masks that occur are listed, and the cache is emptied when it holds
+    ``_MAX_CACHED_MASKS`` of them, so its size is bounded whatever k is.
+    """
+
+    def __missing__(self, mask: int) -> list[int]:
+        if len(self) >= _MAX_CACHED_MASKS:
+            self.clear()
+        indices = self[mask] = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        return indices
+
+
+def window_flags(
+    masks: Iterable[int], k: int, cfg: WindowConfig
+) -> tuple[bytearray, bytearray]:
+    """The ``occurs`` and ``coinstantiated`` flag (1 or 0) of every window in
+    ``cfg.eval_indices``, in that order, from one pass over the step masks.
+
+    A window's ingredients occur when the OR of its masks is full, and
+    co-instantiate when its last full step is inside it.  The OR comes from a
+    two-stack sliding window (Tangwongsan, Hirzel and Schneider, "General
+    Incremental Sliding-Window Aggregation", PVLDB 2015): ``back`` holds the
+    masks of steps ``back_start..u`` and ``back_or`` their OR; ``front``
+    holds, for each step ``s`` of ``front_start..back_start-1``, the OR of
+    masks ``s..back_start-1``, the earliest step last.  Each step is pushed,
+    moved and dropped at most once, so the cost per step does not grow with
+    k or the horizon.  Steps are read in order and no further than the end
+    of the last window, so ``masks`` may be a stream; one that ends too
+    early raises :class:`OutOfRangeError`.
+    """
+    if not cfg.eval_indices:
+        raise ParameterError("evaluation index set T must be non-empty")
+    full = (1 << k) - 1
+    front: list[int] = []
+    front_start = 0
+    back: list[int] = []
+    back_start = 0
+    back_or = 0
+    last_full = -1
+    occur = bytearray()
+    coinst = bytearray()
+    ends = (cfg.stride * t + cfg.horizon for t in cfg.eval_indices)
+    end = next(ends)
+    u = -1
+    for u, mask in enumerate(masks):
+        back.append(mask)
+        back_or |= mask
+        if mask == full:
+            last_full = u
+        if u != end:
+            continue
+        start = end - cfg.horizon
+        if start > front_start:
+            del front[max(len(front) - (start - front_start), 0):]
+            front_start = start
+        if not front and back_start < start:
+            for earlier in reversed(back[start - back_start:]):
+                front.append(earlier | front[-1] if front else earlier)
+            back_start = u + 1
+            back.clear()
+            back_or = 0
+        occur.append(((front[-1] if front else 0) | back_or) == full)
+        coinst.append(last_full >= start)
+        end = next(ends, None)
+        if end is None:
+            return occur, coinst
+    raise OutOfRangeError(
+        f"window at t={cfg.eval_indices[len(occur)]} needs step {end}, stream "
+        f"ended at step {u}"
+    )
+
+
+def mask_horizons(
+    masks: Sequence[int],
+    k: int,
     stride: int,
     eval_indices: Sequence[int],
     horizon_max: int,
@@ -151,32 +225,32 @@ def window_horizons(
     the given order: the least horizons at which the window starting at
     ``stride*t`` first satisfies ``occurs`` and ``coinstantiated``.
 
-    One forward pass serves every start.  Each step read is checked against
-    the identity universe and folded into a last-seen step per ingredient.
-    Starts wait in two queues, one per horizon, in start order:
+    One forward pass over the step masks serves every start.  Each step read
+    is folded into a last-seen step per ingredient.  Starts wait in two
+    queues, one per horizon, in start order:
 
     - a start ``s`` gets its weak horizon at the first step ``u`` with
       ``min(last_seen) >= s``; that minimum never decreases, so weak starts
       resolve front first;
     - every start still waiting for its strong horizon gets it at the next
-      step that holds all ``k`` ingredients;
+      full step;
     - a start expires, its missing horizons ``INFINITE``, once ``u - s``
       exceeds ``horizon_max``, or at the trace end.
 
-    A step is read at most once, and only while some start is waiting, so a
-    stray id fails only inside some window's scanned range
-    ``s .. s + (w_strong or the cap)``.  The cost is O(n*k) whatever the cap.
+    A step is read at most once, and only while some start is waiting, so
+    over lazily encoded masks a stray id fails only inside some window's
+    scanned range ``s .. s + (w_strong or the cap)``.  The cost is O(n*k)
+    whatever the cap.
     """
-    n = len(activations)
+    n = len(masks)
     for t in eval_indices:
         start = stride * t
         if t < 0 or not 0 <= start < n:
             raise OutOfRangeError(
                 f"window start {start} is outside the trace of length {n}"
             )
-    universe = identity.ingredient_ids
-    k = identity.k
-    order = {ingredient: i for i, ingredient in enumerate(sorted(universe))}
+    full = (1 << k) - 1
+    bit_indices = _BitIndices()
     last_seen = [-1] * k
     horizons = {stride * t: [INFINITE, INFINITE] for t in eval_indices}
     starts = sorted(horizons)
@@ -200,21 +274,34 @@ def window_horizons(
                 break
             u = starts[next_start]
             continue
-        act = activations[u]
-        _check_membership(act, universe)
-        for ingredient in act.active:
-            last_seen[order[ingredient]] = u
+        mask = masks[u]
+        for i in bit_indices[mask]:
+            last_seen[i] = u
         if pending_weak:
             covered_from = min(last_seen)
             while pending_weak and pending_weak[0] <= covered_from:
                 s = pending_weak.popleft()
                 horizons[s][0] = u - s
-        if len(act.active) == k:
+        if mask == full:
             for s in pending_strong:
                 horizons[s][1] = u - s
             pending_strong.clear()
         u += 1
     return [(t, *horizons[stride * t]) for t in eval_indices]
+
+
+def window_horizons(
+    activations: Sequence[ActivationSet],
+    identity: GroundedIdentity,
+    stride: int,
+    eval_indices: Sequence[int],
+    horizon_max: int,
+) -> list[tuple[int, int | float, int | float]]:
+    """:func:`mask_horizons` over an activation trace.  Each step is checked
+    against the identity universe when the fold reads it, so a stray id
+    fails only inside some window's scanned range."""
+    masks = ActivationMasks(activations, ingredient_bits(identity))
+    return mask_horizons(masks, identity.k, stride, eval_indices, horizon_max)
 
 
 def minimal_horizons(

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracebind.cli import (
     activation_record,
@@ -13,8 +17,8 @@ from tracebind.cli import (
     state_record,
     write_trace,
 )
-from tracebind.errors import FileFormatError
-from tracebind.identity import identity_to_document
+from tracebind.errors import FileFormatError, StructuralError
+from tracebind.identity import ScaffoldState, identity_to_document
 from tracebind.metrics import render_json
 from tracebind.simulator import make_preset, scenario_alternating
 from conftest import context_identity
@@ -94,6 +98,33 @@ class TestParseTrace:
         write_trace(path, [state_record(s) for s in trace.states])
         assert path.read_bytes() == first
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.text(max_size=3), max_size=4),
+                st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2),
+                st.lists(st.sampled_from([0, 1, True, False, 1.0, 0.0]), min_size=2, max_size=2),
+                st.sets(st.text(max_size=2), max_size=2),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_library_built_states_round_trip(self, components):
+        # a state the library accepts is one the trace reader accepts back
+        states = []
+        for u, (context, memory, flags, retrieved) in enumerate(components):
+            try:
+                states.append(ScaffoldState(tuple(context), memory, tuple(flags), retrieved, u))
+            except StructuralError:
+                assert not all(type(flag) is int for flag in flags)
+                return
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "trace.jsonl"
+            write_trace(path, [state_record(s) for s in states])
+            assert parse_trace(path).states == tuple(states)
+
     def test_activation_round_trip(self, tmp_path):
         sets = [{"g0"}, {"g0", "g1"}, set()]
         path = tmp_path / "trace.jsonl"
@@ -135,6 +166,38 @@ class TestParseTrace:
         )
         with pytest.raises(FileFormatError, match=r"trace\.jsonl:2: pi entries"):
             parse_trace(path)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ('{"u":0,"F":["g0"],"F":["g0","g1"]}', "F"),
+            ('{"u":0,"C":[],"M":{"a":"x","a":"y"},"pi":[],"D":[]}', "a"),
+        ],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, line, key):
+        path = tmp_path / "trace.jsonl"
+        write_lines(path, [line])
+        with pytest.raises(FileFormatError, match=rf"trace\.jsonl:1: duplicate key '{key}'"):
+            parse_trace(path)
+
+    def test_invalid_utf8_is_located(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"u":0,"F":[]}\n{"u":1,"F":["\xff"]}\n')
+        with pytest.raises(FileFormatError, match=r"trace\.jsonl:2: not UTF-8"):
+            parse_trace(path)
+
+    def test_deep_nesting_is_a_format_error(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("[" * 100_000)
+        with pytest.raises(FileFormatError, match=r"trace\.jsonl:1: invalid JSON"):
+            parse_trace(path)
+
+    def test_lines_split_as_splitlines_does(self, tmp_path):
+        # a form feed or U+2028 ends a line, as it did when the whole text
+        # was split with str.splitlines
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"u":0,"F":[]}\x0c{"u":1,"F":[]}\u2028{"u":2,"F":[]}\r\n', encoding="utf-8")
+        assert len(parse_trace(path)) == 3
 
     def test_stray_ingredient_in_activation_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -304,6 +367,48 @@ class TestAnalyzeCommand:
             ]
         )
         assert code == 3
+
+    def test_duplicate_trace_key_is_usage_error(self, tmp_path, capsys):
+        # the second "F" used to win: a full step, p_strong 0.5 and exit 0
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, ['{"u":0,"F":["g0"],"F":["g0","g1"]}', '{"u":1,"F":[]}'])
+        identity_path = tmp_path / "identity.json"
+        write_identity(identity_path, context_identity(2))
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path),
+             "--delta", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "trace.jsonl:1: duplicate key 'F'" in captured.err
+
+    def test_duplicate_identity_key_is_usage_error(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, activation_lines([{"b"}, {"b"}]))
+        identity_path = tmp_path / "identity.json"
+        identity_path.write_text(
+            '{"ingredients": [{"id": "a", "id": "b", "kind": "context", '
+            '"context_pattern": ["x"]}]}'
+        )
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "duplicate key 'id'" in captured.err
+
+    def test_faulty_trace_reported_before_faulty_identity(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, ['{"u":0,"F":[]}', "{broken"])
+        identity_path = tmp_path / "identity.json"
+        identity_path.write_text("{}")
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path)]
+        )
+        assert code == 2
+        assert "trace.jsonl:2: invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "lines",

@@ -155,6 +155,33 @@ class TestIngredientSpecValidation:
         with pytest.raises(StructuralError):
             GroundedIdentity(())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ingredient_id": 5, "kind": "context", "context_pattern": ("a",)},
+            {"ingredient_id": "x", "kind": ["context"], "context_pattern": ("a",)},
+            {"ingredient_id": "x", "kind": "context", "context_pattern": "Alice"},
+            {"ingredient_id": "x", "kind": "context", "context_pattern": ("a", 1)},
+            {"ingredient_id": "x", "kind": "memory", "memory_key": ["k"], "memory_value": "v"},
+            {"ingredient_id": "x", "kind": "policy", "flag_index": True},
+            {"ingredient_id": "x", "kind": "policy", "flag_index": "0"},
+            {"ingredient_id": "x", "kind": "retrieval", "doc_id": ["d"]},
+        ],
+    )
+    def test_field_types_checked(self, fields):
+        # each of these was accepted, coerced or crashed with a TypeError
+        with pytest.raises(StructuralError):
+            IngredientSpec(**fields)
+
+
+class TestScaffoldStateValidation:
+    @pytest.mark.parametrize("flags", [(True, 1.0), (True,), (1.0,), (0, 2)])
+    def test_flags_must_be_the_integers_0_or_1(self, flags):
+        # bool and float compare equal to 0 and 1; the trace reader refuses
+        # them, so a state holding them could not round-trip through a file
+        with pytest.raises(StructuralError):
+            make_state(flags=flags)
+
 
 class TestActivationSetOp:
     def test_full_conjunction(self):
@@ -449,6 +476,62 @@ class TestIdentityFiles:
         path = tmp_path / "empty.json"
         path.write_text("")
         with pytest.raises(FileFormatError):
+            load_identity_file(path)
+
+    def test_duplicate_key_in_document_rejected(self, tmp_path):
+        # the first "id" used to be dropped silently
+        path = tmp_path / "identity.json"
+        path.write_text(
+            '{"ingredients": [{"id": "a", "id": "b", "kind": "context", '
+            '"context_pattern": ["x"]}]}'
+        )
+        with pytest.raises(FileFormatError, match=r"identity\.json: duplicate key 'id'"):
+            load_identity_file(path)
+
+    def test_duplicate_key_in_line_delimited_file_rejected(self, tmp_path):
+        path = tmp_path / "identity.jsonl"
+        path.write_text(
+            '{"id": "a", "kind": "policy", "flag_index": 0}\n'
+            '{"id": "b", "kind": "policy", "flag_index": 0, "flag_index": 1}\n'
+        )
+        with pytest.raises(FileFormatError, match=r"identity\.jsonl:2: duplicate key 'flag_index'"):
+            load_identity_file(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ingredients": [{"id": "a", "kind": "context", "context_pattern": 5}]}',
+            '{"ingredients": [{"id": 5, "kind": "context", "context_pattern": ["x"]}]}',
+            '{"ingredients": [{"id": "a", "kind": ["context"]}]}',
+            '{"ingredients": [{"id": "a", "kind": "policy", "flag_index": "1"}]}',
+            '{"ingredients": [{"id": "a", "kind": "retrieval", "doc_id": {}}]}',
+            '{"ingredients": [{"id": "a", "kind": "retrieval", "doc_id": "d"}], "layers": []}',
+            '{"ingredients": [{"id": "a", "kind": "retrieval", "doc_id": "d"}], "layers": '
+            '{"layer2": 1, "layer1": [], "map_2_to_1": {}, "map_1_to_0": {}, "map_2_to_0": {}}}',
+            '{"ingredients": [{"id": "a", "kind": "retrieval", "doc_id": "d"}], "layers": '
+            '{"layer2": [], "layer1": [], "map_2_to_1": [], "map_1_to_0": {}, "map_2_to_0": {}}}',
+            '{"ingredients": [{"id": "a", "kind": "retrieval", "doc_id": "d"}], "layers": '
+            '{"layer2": [], "layer1": [], "map_2_to_1": {}, "map_1_to_0": {"f": 1}, '
+            '"map_2_to_0": {}}}',
+            "[" * 100_000,
+        ],
+        ids=[
+            "pattern-int", "id-int", "kind-list", "flag-str", "doc-object",
+            "layers-list", "layer2-int", "map-list", "map-targets-int", "deep-nesting",
+        ],
+    )
+    def test_malformed_values_are_format_errors(self, tmp_path, text):
+        # each of these crashed with a TypeError, AttributeError or
+        # RecursionError instead of a located format error
+        path = tmp_path / "identity.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError):
+            load_identity_file(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "identity.json"
+        path.write_bytes(b'{"ingredients": ["\xff"]}')
+        with pytest.raises(FileFormatError, match="not UTF-8"):
             load_identity_file(path)
 
 

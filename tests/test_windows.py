@@ -12,17 +12,20 @@ from conftest import (
     random_activations,
 )
 from tracebind.errors import OutOfRangeError, ParameterError, StructuralError
-from tracebind.identity import ActivationSet
-from tracebind.oracle import oracle_minimal_horizons
+from tracebind.identity import ActivationSet, ingredient_bits
+from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.windows import (
+    _MAX_CACHED_MASKS,
     INFINITE,
     WindowConfig,
     WindowSegment,
     coinstantiated,
     diamond,
+    mask_horizons,
     minimal_horizons,
     occurs,
     window,
+    window_flags,
     window_horizons,
 )
 
@@ -340,3 +343,41 @@ class TestWindowHorizons:
                     window_horizons(acts, identity, stride, eval_indices, cap)
             else:
                 assert window_horizons(acts, identity, stride, eval_indices, cap) == expected
+
+
+class TestMaskFolds:
+    def test_more_distinct_masks_than_the_bit_index_cache(self):
+        # k=20 and 6,000 steps of random masks: the folds' per-mask bit lists
+        # are rebuilt after the cache is emptied, with the same results
+        rng = random.Random(5_005)
+        identity = context_identity(20)
+        full = (1 << 20) - 1
+        masks = [full if rng.random() < 0.05 else rng.getrandbits(20) for _ in range(6_000)]
+        assert len(set(masks)) > _MAX_CACHED_MASKS
+        bits = ingredient_bits(identity)
+        ids = sorted(bits, key=bits.get)
+        acts = [
+            ActivationSet(u, frozenset(ids[i] for i in range(20) if m >> i & 1))
+            for u, m in enumerate(masks)
+        ]
+        cfg = WindowConfig.all_valid(3, 1, len(masks), 12)
+        occur, coinst = window_flags(masks, identity.k, cfg)
+        oracle = oracle_persistence(acts, identity, cfg)
+        assert [(t, bool(o), bool(c)) for t, o, c in zip(cfg.eval_indices, occur, coinst)] == list(
+            oracle.per_window
+        )
+        sample = sorted(rng.sample(cfg.eval_indices, 300))
+        assert mask_horizons(masks, identity.k, 1, sample, 12) == [
+            (t, *oracle_minimal_horizons(acts, identity, 1, t, 12)) for t in sample
+        ]
+
+    def test_window_flags_stop_at_the_last_window(self):
+        # a stream is read no further than the last window's end
+        cfg = WindowConfig(1, 2, (0, 1))
+        stream = iter([1, 2, 3, 3, 0, 0])
+        assert window_flags(stream, 2, cfg) == (bytearray([1, 1]), bytearray([0, 1]))
+        assert list(stream) == [0, 0]
+
+    def test_window_flags_stream_too_short(self):
+        with pytest.raises(OutOfRangeError, match="window at t=1 needs step 3, stream ended at step 2"):
+            window_flags([3, 3, 3], 2, WindowConfig(1, 2, (0, 1)))
