@@ -114,16 +114,16 @@ def _stray_message(step: int, stray: Iterable[str]) -> str:
     )
 
 
-def _check_strings(value, where: str, name: str) -> None:
+def _check_strings(value, located: Callable[[str], FileFormatError], name: str) -> None:
     if not isinstance(value, list):
-        raise FileFormatError(f"{where}: {name} must be a list")
+        raise located(f"{name} must be a list")
     # isinstance(v, str) for every v, without a Python-level loop
     if not all(map(str.__instancecheck__, value)):
-        raise FileFormatError(f"{where}: {name} entries must be strings")
+        raise located(f"{name} entries must be strings")
 
 
-def _trace_lines(path: str | Path) -> Iterator[tuple[str, str]]:
-    """``(where, line)`` for each line of the file, read as it is consumed.
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """Each line of the file, read as it is consumed.
 
     Lines are split as ``str.splitlines`` splits the whole text; reading
     bytes up to each newline first keeps a decoding error on its line.
@@ -137,7 +137,7 @@ def _trace_lines(path: str | Path) -> Iterator[tuple[str, str]]:
                 raise FileFormatError(f"{path}:{lineno + 1}: not UTF-8 text: {exc}") from None
             for line in text.splitlines():
                 lineno += 1
-                yield f"{path}:{lineno}", line
+                yield line
 
 
 def _trace_records(path: str | Path) -> Iterator[tuple[str, dict]]:
@@ -146,64 +146,69 @@ def _trace_records(path: str | Path) -> Iterator[tuple[str, dict]]:
     Every check on a record runs here, once, as its line is read: JSON
     syntax and unique keys, the form (fixed by the first record), the step
     index, and the type of every field.  A fault raises a
-    :class:`FileFormatError` located at its line.
+    :class:`FileFormatError` located at its line; the location is built
+    only then.
     """
     form = None
     expected_keys: set[str] = set()
     n_flags = 0
-    for index, (where, line) in enumerate(_trace_lines(path)):
-        if not line.strip():
-            raise FileFormatError(f"{where}: blank line in trace")
+
+    def located(message: str) -> FileFormatError:
+        return FileFormatError(f"{path}:{index + 1}: {message}")
+
+    for index, line in enumerate(_text_lines(path)):
         try:
-            obj = load_json(line, where)
+            obj = load_json(line, path, index + 1)
         except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{where}: invalid JSON: {exc}") from exc
+            if not line.strip():
+                raise located("blank line in trace") from None
+            raise located(f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise FileFormatError(f"{where}: record must be an object")
+            raise located("record must be an object")
         if form is None:
             if obj.keys() == _ACTIVATION_KEYS:
                 form, expected_keys = "activation", _ACTIVATION_KEYS
             elif obj.keys() == _STATE_KEYS:
                 form, expected_keys = "state", _STATE_KEYS
             else:
-                raise FileFormatError(
-                    f"{where}: record fields {sorted(obj)} match neither the "
-                    f"full-state nor the activation form"
+                raise located(
+                    f"record fields {sorted(obj)} match neither the full-state "
+                    f"nor the activation form"
                 )
         if obj.keys() != expected_keys:
-            raise FileFormatError(
-                f"{where}: record fields {sorted(obj)} do not match the {form} "
-                f"form used by this file"
+            raise located(
+                f"record fields {sorted(obj)} do not match the {form} form used "
+                f"by this file"
             )
         u = obj["u"]
         if type(u) is not int:
-            raise FileFormatError(f"{where}: u must be an integer")
+            raise located("u must be an integer")
         if u != index:
-            raise FileFormatError(
-                f"{where}: step indices must increase from 0 without gaps; "
+            raise located(
+                f"step indices must increase from 0 without gaps; "
                 f"expected u={index}, got u={u}"
             )
         if form == "activation":
-            _check_strings(obj["F"], where, "F")
+            _check_strings(obj["F"], located, "F")
             yield form, obj
             continue
-        _check_strings(obj["C"], where, "C")
         memory, flags = obj["M"], obj["pi"]
+        _check_strings(obj["C"], located, "C")
         if not isinstance(memory, dict):
-            raise FileFormatError(f"{where}: M must be an object")
+            raise located("M must be an object")
         # JSON object keys are always strings
         if not all(map(str.__instancecheck__, memory.values())):
-            raise FileFormatError(f"{where}: M must map strings to strings")
+            raise located("M must map strings to strings")
         if not isinstance(flags, list):
-            raise FileFormatError(f"{where}: pi must be a list")
+            raise located("pi must be a list")
         # bool and float compare equal to 0 and 1, so the type is checked by name
         if not all(type(flag) is int and flag in (0, 1) for flag in flags):
-            raise FileFormatError(f"{where}: pi entries must be the integers 0 or 1")
-        _check_strings(obj["D"], where, "D")
+            raise located("pi entries must be the integers 0 or 1")
+        _check_strings(obj["D"], located, "D")
         if index == 0:
             n_flags = len(flags)
         elif len(flags) != n_flags:
-            raise FileFormatError(f"{where}: pi length differs from earlier records")
+            raise located("pi length differs from earlier records")
         yield form, obj
     if form is None:
         raise FileFormatError(f"{path}: empty trace")
@@ -322,19 +327,20 @@ def build_report(
     ref_index: int,
 ) -> MetricsReport:
     """Protocol run over the step masks of a trace: persistence, gap, and
-    the trace-computable auxiliary metrics."""
+    the trace-computable auxiliary metrics.  Each is a fold that keeps no
+    per-window record beyond persistence's two flags per window."""
     p_weak, p_strong = persistence_scores(masks, k, cfg)
-    gap = mask_gap_ratio(masks, k, cfg.stride, cfg.eval_indices, cfg.horizon_max)
+    gap = mask_gap_ratio(masks, k, cfg)
     n = len(masks)
     continuity_mean = sum(continuity_terms(masks, k, range(1, n))) / (n - 1)
-    starts = [cfg.stride * t for t in cfg.eval_indices]
+    starts = (cfg.stride * t for t in cfg.eval_indices)
     hits = identifiable_count(masks, ref_index, k, params.delta_i, starts)
     return MetricsReport(
         p_weak=p_weak,
         p_strong=p_strong,
         gap=gap,
         continuity_mean=continuity_mean,
-        identifiability_rate=hits / len(starts),
+        identifiability_rate=hits / len(cfg.eval_indices),
         consistency=None,
         recovery=None,
         params=params,
@@ -572,7 +578,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    lines = Path(args.outputs).read_text(encoding="utf-8").splitlines()
+    lines = list(_text_lines(args.outputs))
     if len(lines) < 2:
         raise ParameterError("consistency needs at least two recorded outputs")
     score = consistency(lines, delta_cons=args.delta_cons)

@@ -530,13 +530,24 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def load_json(text: str, where: str):
+def load_json(text: str, where: str | Path, lineno: int = 0):
     """``json.loads`` that also rejects an object with a repeated key.
 
-    A repeated key, or nesting too deep to decode, raises a
-    :class:`FileFormatError` located at ``where``; any other syntax error
-    raises ``json.JSONDecodeError`` as ``json.loads`` does.
+    A repeated key, nesting too deep to decode, or an integer literal longer
+    than Python converts raises a :class:`FileFormatError` located at
+    ``where`` (and line ``lineno``, when it is not 0); any other syntax error
+    raises ``json.JSONDecodeError`` as ``json.loads`` does.  A text that is
+    exactly one JSON value is decoded by one scan; every other text goes
+    through the full decode, so faults and their messages are the same.
     """
+    try:
+        value, end = _STRICT_JSON.scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError, _RepeatedKey):
+        pass
+    if lineno:
+        where = f"{where}:{lineno}"
     if text.startswith("\ufeff"):
         # json.loads checks this before decoding; JSONDecoder.decode does not
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -546,6 +557,11 @@ def load_json(text: str, where: str):
         raise FileFormatError(f"{where}: duplicate key {exc.args[0]!r}") from None
     except RecursionError:
         raise FileFormatError(f"{where}: invalid JSON: nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise FileFormatError(f"{where}: invalid JSON: integer literal too long") from None
 
 
 def _ingredient_from_record(record: dict, where: str) -> IngredientSpec:
@@ -660,7 +676,7 @@ def load_identity_file(
         if not line.strip():
             continue
         try:
-            records.append(load_json(line, f"{path}:{lineno}"))
+            records.append(load_json(line, path, lineno))
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
     return parse_identity_document({"ingredients": records})

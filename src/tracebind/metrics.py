@@ -12,8 +12,10 @@ distance; morphospace compresses everything into three coordinates
 from __future__ import annotations
 
 import json
-import statistics
 import sys
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +27,6 @@ from .errors import (
     StructuralError,
 )
 from .identity import (
-    ActivationMasks,
     ActivationSet,
     GroundedIdentity,
     activation_mask,
@@ -33,7 +34,13 @@ from .identity import (
     mask_distance,
     state_distance,
 )
-from .windows import INFINITE, WindowConfig, mask_horizons, window_flags
+from .windows import (
+    INFINITE,
+    WindowConfig,
+    start_horizons,
+    window_flags,
+    window_horizons,
+)
 
 
 @dataclass(frozen=True)
@@ -47,19 +54,18 @@ class PersistenceResult:
 
 @dataclass(frozen=True)
 class GapResult:
-    """Per-layer-time minimal horizons and their median ratio.
+    """The median gap ratio over layer times, and the minimal horizons behind it.
 
     Layer times whose weak horizon is already infinite carry no gap
     information; they are excluded from the median and surface only in
-    ``undefined_count``.
+    ``undefined_count``.  ``per_t`` holds ``(t, w_weak, w_strong)`` for each
+    layer time from :func:`gap_ratio`; :func:`mask_gap_ratio` keeps no
+    per-window record and leaves it empty.
     """
 
-    per_t: tuple[tuple[int, int | float, int | float], ...]
     ratio: float
-
-    @property
-    def undefined_count(self) -> int:
-        return sum(1 for _, w_weak, _ in self.per_t if w_weak == INFINITE)
+    undefined_count: int
+    per_t: tuple[tuple[int, int | float, int | float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -161,27 +167,45 @@ def persistence_scores(
     return _share(occur), _share(coinst)
 
 
-def mask_gap_ratio(
-    masks: Sequence[int],
-    k: int,
-    stride: int,
-    eval_indices: Sequence[int],
-    horizon_max: int,
-) -> GapResult:
-    """:func:`gap_ratio` of step masks."""
-    if not eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    per_t = mask_horizons(masks, k, stride, eval_indices, horizon_max)
-    terms = [
-        (w_strong + 1) / (w_weak + 1)
-        for _, w_weak, w_strong in per_t
-        if w_weak != INFINITE
-    ]
-    if not terms:
+def _gap_fold(
+    horizons: Iterable[tuple[int, int | float, int | float]],
+) -> tuple[float, int]:
+    """The median of ``(w_strong + 1) / (w_weak + 1)`` over the horizons with
+    a finite weak horizon, and the count of the others.
+
+    The terms are counted, not listed, and the median is read off the sorted
+    counts: the middle term, or the mean of the two middle terms, the same
+    float ``statistics.median`` gives.
+    """
+    counts: Counter[float] = Counter()
+    undefined = 0
+    for _, w_weak, w_strong in horizons:
+        if w_weak == INFINITE:
+            undefined += 1
+        else:
+            counts[(w_strong + 1) / (w_weak + 1)] += 1
+    total = counts.total()
+    if not total:
         raise MetricError(
             "gap ratio is undefined: no evaluated window has a finite weak horizon"
         )
-    return GapResult(per_t=tuple(per_t), ratio=statistics.median(terms))
+    terms = sorted(counts)
+    # the term at sorted position p is the first whose running count exceeds p
+    running = list(accumulate(counts[term] for term in terms))
+    lower = terms[bisect_right(running, (total - 1) // 2)]
+    upper = terms[bisect_right(running, total // 2)]
+    return (lower if total % 2 else (lower + upper) / 2), undefined
+
+
+def mask_gap_ratio(masks: Sequence[int], k: int, cfg: WindowConfig) -> GapResult:
+    """:func:`gap_ratio` of step masks over the layer times of ``cfg``, from
+    :func:`windows.start_horizons` with no per-window record: the result's
+    ``per_t`` is empty."""
+    if not cfg.eval_indices:
+        raise ParameterError("evaluation index set T must be non-empty")
+    starts = (cfg.stride * t for t in cfg.eval_indices)
+    ratio, undefined = _gap_fold(start_horizons(masks, k, starts, cfg.horizon_max))
+    return GapResult(ratio=ratio, undefined_count=undefined)
 
 
 def gap_ratio(
@@ -196,11 +220,15 @@ def gap_ratio(
     An infinite strong horizon over a finite weak one contributes an
     infinite term.  Layer times with an infinite weak horizon are undefined
     and excluded; if every layer time is undefined the ratio itself is
-    undefined and a :class:`MetricError` is raised.  Steps are encoded as
-    the fold reads them (see :func:`windows.window_horizons`).
+    undefined and a :class:`MetricError` is raised.  A repeated layer time
+    adds one term per occurrence.  Steps are encoded as the fold reads them
+    (see :func:`windows.window_horizons`).
     """
-    masks = ActivationMasks(activations, ingredient_bits(identity))
-    return mask_gap_ratio(masks, identity.k, stride, eval_indices, horizon_max)
+    if not eval_indices:
+        raise ParameterError("evaluation index set T must be non-empty")
+    per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
+    ratio, undefined = _gap_fold(per_t)
+    return GapResult(ratio=ratio, undefined_count=undefined, per_t=tuple(per_t))
 
 
 def identifiable_count(
@@ -283,7 +311,10 @@ def jaccard_similarity(a: str, b: str) -> float:
 
 def consistency(outputs: Sequence[str], delta_cons: float = 0.5) -> float:
     """Fraction of unordered output pairs whose :func:`jaccard_similarity`
-    clears the threshold.  Each output is tokenised once, not once per pair."""
+    clears the threshold ``delta_cons`` in [0, 1].  Each output is tokenised
+    once, not once per pair."""
+    if not 0.0 <= delta_cons <= 1.0:
+        raise ParameterError("delta_cons must be in [0, 1]")
     n = len(outputs)
     if n < 2:
         raise ParameterError("consistency needs at least two outputs")

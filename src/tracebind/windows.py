@@ -13,11 +13,12 @@ The folds behind the metrics read each step as a k-bit mask (bit i = the
 i-th ingredient id in sorted order; see ``identity.ingredient_bits``):
 a window's ingredients occur when the OR of its masks is full, and
 co-instantiate when some mask in it is full.  ``window_flags`` decides both
-predicates for every evaluated window, and ``mask_horizons`` finds the
-minimal horizons of every layer time, each in one forward pass that reads a
-step at most once.  The gap search is therefore linear in the trace length
-and does not depend on the ``horizon_max`` cap.  The functions over
-activation sets encode steps as they read them and run the same folds.
+predicates for every evaluated window, and ``start_horizons`` yields the
+minimal horizons of every window start, each in one forward pass that reads
+a step at most once and holds only the windows still pending.  The gap
+search is therefore linear in the trace length and does not depend on the
+``horizon_max`` cap.  The functions over activation sets encode steps as
+they read them and run the same folds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ParameterError, StructuralError
 from .identity import ActivationMasks, ActivationSet, GroundedIdentity, ingredient_bits
@@ -51,8 +52,12 @@ class WindowConfig:
             raise ParameterError("stride must be >= 1")
         if self.horizon_max < 0:
             raise ParameterError("horizon_max must be >= 0")
-        indices = tuple(sorted(set(self.eval_indices)))
-        if any(t < 0 for t in indices):
+        indices = self.eval_indices
+        if isinstance(indices, range) and indices.step > 0:
+            indices = tuple(indices)  # already sorted and distinct
+        else:
+            indices = tuple(sorted(set(indices)))
+        if indices and indices[0] < 0:
             raise ParameterError("evaluation indices must be >= 0")
         object.__setattr__(self, "eval_indices", indices)
 
@@ -66,8 +71,7 @@ class WindowConfig:
     ) -> "WindowConfig":
         """Config whose T contains every layer time with a full window in range."""
         last = trace_length - 1 - horizon
-        indices = tuple(range(0, last // stride + 1)) if last >= 0 else ()
-        return cls(horizon, stride, indices, horizon_max)
+        return cls(horizon, stride, range(last // stride + 1), horizon_max)
 
     def restrict_to(self, trace_length: int) -> "WindowConfig":
         """Drop evaluation indices whose windows overrun a trace of this length."""
@@ -214,6 +218,82 @@ def window_flags(
     )
 
 
+def start_horizons(
+    masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
+) -> Iterator[tuple[int, int | float, int | float]]:
+    """``(s, w_weak, w_strong)`` for each window start ``s`` of ``starts``
+    (increasing steps of the trace, pulled lazily), in start order, each as
+    soon as it is known: the least horizons at which the window from ``s``
+    first satisfies ``occurs`` and ``coinstantiated``.
+
+    One forward pass over the step masks serves every start.  Each step read
+    is folded into a last-seen step per ingredient.  A pending start ``s``
+    gets its weak horizon at the first step ``u`` with ``min(last_seen) >=
+    s`` (that minimum never decreases, so weak horizons come front first)
+    and its strong horizon at the next full step, which also completes
+    coverage.  It expires, its missing horizons ``INFINITE``, once ``u - s``
+    exceeds ``horizon_max``, or at the trace end.  So at most ``horizon_max
+    // stride + 1`` starts are pending at once.  A step is read at most
+    once, and only while some start is pending, so over lazily encoded masks
+    a stray id fails only inside some window's scanned range ``s .. s +
+    (w_strong or the cap)``.  The cost is O(n*k) whatever the cap.
+    """
+    n = len(masks)
+    full = (1 << k) - 1
+    bit_indices = _BitIndices()
+    last_seen = [-1] * k
+    pending: deque[int] = deque()
+    # the weak horizons of the leading pending starts; the others wait in
+    # ``pending_weak``
+    weak_found: deque[int] = deque()
+    pending_weak: deque[int] = deque()
+    upcoming = iter(starts)
+    next_start = _next_start(upcoming, -1, n)
+    u = next_start
+    while u < n:
+        if u == next_start:
+            pending.append(u)
+            pending_weak.append(u)
+            next_start = _next_start(upcoming, u, n)
+        while pending and u - pending[0] > horizon_max:
+            s = pending.popleft()
+            if weak_found:
+                yield s, weak_found.popleft(), INFINITE
+            else:
+                pending_weak.popleft()
+                yield s, INFINITE, INFINITE
+        if not pending:
+            u = next_start
+            continue
+        mask = masks[u]
+        for i in bit_indices[mask]:
+            last_seen[i] = u
+        if pending_weak:
+            covered_from = min(last_seen)
+            while pending_weak and pending_weak[0] <= covered_from:
+                weak_found.append(u - pending_weak.popleft())
+        if mask == full:
+            # coverage is complete too, so every pending start has its weak horizon
+            for s in pending:
+                yield s, weak_found.popleft(), u - s
+            pending.clear()
+        u += 1
+    for s in pending:
+        yield s, weak_found.popleft() if weak_found else INFINITE, INFINITE
+
+
+def _next_start(upcoming: Iterator[int], previous: int, n: int) -> int:
+    """The next start of ``upcoming``, or ``n`` when there is none."""
+    s = next(upcoming, None)
+    if s is None:
+        return n
+    if not previous < s < n:
+        raise OutOfRangeError(
+            f"window start {s} is out of order or outside the trace of length {n}"
+        )
+    return s
+
+
 def mask_horizons(
     masks: Sequence[int],
     k: int,
@@ -222,26 +302,9 @@ def mask_horizons(
     horizon_max: int,
 ) -> list[tuple[int, int | float, int | float]]:
     """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
-    the given order: the least horizons at which the window starting at
-    ``stride*t`` first satisfies ``occurs`` and ``coinstantiated``.
-
-    One forward pass over the step masks serves every start.  Each step read
-    is folded into a last-seen step per ingredient.  Starts wait in two
-    queues, one per horizon, in start order:
-
-    - a start ``s`` gets its weak horizon at the first step ``u`` with
-      ``min(last_seen) >= s``; that minimum never decreases, so weak starts
-      resolve front first;
-    - every start still waiting for its strong horizon gets it at the next
-      full step;
-    - a start expires, its missing horizons ``INFINITE``, once ``u - s``
-      exceeds ``horizon_max``, or at the trace end.
-
-    A step is read at most once, and only while some start is waiting, so
-    over lazily encoded masks a stray id fails only inside some window's
-    scanned range ``s .. s + (w_strong or the cap)``.  The cost is O(n*k)
-    whatever the cap.
-    """
+    the given order and with its duplicates: :func:`start_horizons` of the
+    distinct window starts ``stride*t``.  A start outside the trace raises
+    :class:`OutOfRangeError` before any step is read."""
     n = len(masks)
     for t in eval_indices:
         start = stride * t
@@ -249,45 +312,12 @@ def mask_horizons(
             raise OutOfRangeError(
                 f"window start {start} is outside the trace of length {n}"
             )
-    full = (1 << k) - 1
-    bit_indices = _BitIndices()
-    last_seen = [-1] * k
-    horizons = {stride * t: [INFINITE, INFINITE] for t in eval_indices}
-    starts = sorted(horizons)
-    next_start = 0
-    pending_weak: deque[int] = deque()
-    pending_strong: deque[int] = deque()
-    u = starts[0] if starts else n
-    while u < n:
-        if next_start < len(starts) and starts[next_start] == u:
-            pending_weak.append(u)
-            pending_strong.append(u)
-            next_start += 1
-        # a full step also completes coverage, so the weak queue is always a
-        # subset of the strong one and an empty strong queue means idle
-        while pending_strong and u - pending_strong[0] > horizon_max:
-            pending_strong.popleft()
-        while pending_weak and u - pending_weak[0] > horizon_max:
-            pending_weak.popleft()
-        if not pending_strong:
-            if next_start == len(starts):
-                break
-            u = starts[next_start]
-            continue
-        mask = masks[u]
-        for i in bit_indices[mask]:
-            last_seen[i] = u
-        if pending_weak:
-            covered_from = min(last_seen)
-            while pending_weak and pending_weak[0] <= covered_from:
-                s = pending_weak.popleft()
-                horizons[s][0] = u - s
-        if mask == full:
-            for s in pending_strong:
-                horizons[s][1] = u - s
-            pending_strong.clear()
-        u += 1
-    return [(t, *horizons[stride * t]) for t in eval_indices]
+    starts = sorted({stride * t for t in eval_indices})
+    found = {
+        s: (w_weak, w_strong)
+        for s, w_weak, w_strong in start_horizons(masks, k, starts, horizon_max)
+    }
+    return [(t, *found[stride * t]) for t in eval_indices]
 
 
 def window_horizons(

@@ -192,6 +192,17 @@ class TestParseTrace:
         with pytest.raises(FileFormatError, match=r"trace\.jsonl:1: invalid JSON"):
             parse_trace(path)
 
+    @pytest.mark.parametrize("field", ["u", "F"])
+    def test_overlong_integer_is_a_format_error(self, tmp_path, field):
+        # past Python's 4,300-digit limit int() raises ValueError, not a JSON error
+        record = {"u": 1, "F": []}
+        record[field] = "<int>"
+        line = json.dumps(record).replace('"<int>"', "1" * 4301)
+        path = tmp_path / "trace.jsonl"
+        write_lines(path, ['{"u":0,"F":[]}', line])
+        with pytest.raises(FileFormatError, match=r"trace\.jsonl:2: invalid JSON: integer literal too long"):
+            parse_trace(path)
+
     def test_lines_split_as_splitlines_does(self, tmp_path):
         # a form feed or U+2028 ends a line, as it did when the whole text
         # was split with str.splitlines
@@ -434,6 +445,44 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert "trace.jsonl:2:" in captured.err
 
+    def test_overlong_integer_in_trace_is_usage_error(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, ['{"u":0,"F":[]}', '{"u":' + "1" * 5000 + ',"F":[]}'])
+        identity_path = tmp_path / "identity.json"
+        write_identity(identity_path, context_identity(2))
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path),
+             "--delta", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "trace.jsonl:2: invalid JSON: integer literal too long" in captured.err
+
+    @pytest.mark.parametrize("jsonl", [False, True])
+    def test_overlong_integer_in_identity_is_usage_error(self, tmp_path, capsys, jsonl):
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, activation_lines([{"g0"}, {"g0"}]))
+        identity_path = tmp_path / "identity.json"
+        records = [
+            '{"id": "g0", "kind": "context", "context_pattern": ["g0"]}',
+            '{"id": "g1", "kind": "policy", "flag_index": ' + "9" * 4301 + "}",
+        ]
+        if jsonl:
+            identity_path.write_text("\n".join(records) + "\n")
+            where = "identity.json:2"
+        else:
+            identity_path.write_text('{"ingredients": [' + ", ".join(records) + "]}")
+            where = "identity.json"
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path),
+             "--delta", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{where}: invalid JSON: integer literal too long" in captured.err
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
     def test_nonfinite_epsilon_is_usage_error(self, tmp_path, capsys, epsilon):
         trace_path, identity_path = self._alternating_files(tmp_path, length=10)
@@ -617,6 +666,30 @@ class TestProbeCommand:
         path = tmp_path / "outs.txt"
         write_lines(path, ["lonely"])
         assert main(["probe", str(path)]) == 2
+
+    def test_invalid_utf8_is_located(self, tmp_path, capsys):
+        path = tmp_path / "outs.txt"
+        path.write_bytes(b"a b\na b\n\xff c\n")
+        assert main(["probe", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outs.txt:3: not UTF-8 text" in captured.err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "2", "-0.5", "1.0000001"])
+    def test_delta_cons_outside_unit_interval_is_usage_error(self, tmp_path, capsys, delta):
+        path = tmp_path / "outs.txt"
+        write_lines(path, ["a b", "a b"])
+        assert main(["probe", str(path), f"--delta-cons={delta}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta_cons must be in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("delta", ["0", "1"])
+    def test_delta_cons_bounds_are_valid(self, tmp_path, capsys, delta):
+        path = tmp_path / "outs.txt"
+        write_lines(path, ["a b", "a b"])
+        assert main(["probe", str(path), f"--delta-cons={delta}"]) == 0
+        assert "consistency = 1.000000" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "outs.txt"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+import statistics
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -25,12 +26,13 @@ from tracebind.errors import (
     StreamOrderError,
     StructuralError,
 )
-from tracebind.identity import ActivationSet, state_distance
+from tracebind.identity import ActivationSet, activation_mask, ingredient_bits, state_distance
 from tracebind.metrics import (
     MetricParams,
     consistency,
     continuity,
     gap_ratio,
+    mask_gap_ratio,
     identifiability,
     jaccard_similarity,
     morphospace,
@@ -256,6 +258,69 @@ class TestGapRatio:
                 expected
             )
 
+    def test_median_of_counts_equals_statistics_median(self):
+        # the counted median against statistics.median over the oracle's
+        # terms: odd and even counts, ties across the middle, inf terms, and
+        # sparse, unsorted and duplicated eval lists
+        rng = random.Random(5_151)
+        seen = set()
+        for _ in range(600):
+            identity = context_identity(rng.randint(1, 3))
+            acts = random_activations(rng, rng.randint(1, 30), identity)
+            stride = rng.randint(1, 3)
+            t_max = (len(acts) - 1) // stride
+            eval_indices = [rng.randint(0, t_max) for _ in range(rng.randint(1, 12))]
+            cap = rng.randint(0, 12)
+            horizons = [oracle_minimal_horizons(acts, identity, stride, t, cap) for t in eval_indices]
+            terms = [(ws + 1) / (wi + 1) for wi, ws in horizons if wi != INFINITE]
+            undefined = len(horizons) - len(terms)
+            if not terms:
+                with pytest.raises(MetricError):
+                    gap_ratio(acts, identity, stride, eval_indices, cap)
+                continue
+            result = gap_ratio(acts, identity, stride, eval_indices, cap)
+            assert (result.ratio, result.undefined_count) == (statistics.median(terms), undefined)
+
+            # the CLI's fold: the distinct layer times of a WindowConfig
+            cfg = WindowConfig(0, stride, eval_indices, cap)
+            distinct = []
+            for t in cfg.eval_indices:
+                wi, ws = oracle_minimal_horizons(acts, identity, stride, t, cap)
+                if wi != INFINITE:
+                    distinct.append((ws + 1) / (wi + 1))
+            bits = ingredient_bits(identity)
+            masks = [activation_mask(act, bits) for act in acts]
+            if not distinct:
+                with pytest.raises(MetricError):
+                    mask_gap_ratio(masks, identity.k, cfg)
+                continue
+            gap = mask_gap_ratio(masks, identity.k, cfg)
+            assert gap.ratio == statistics.median(distinct)
+            assert gap.undefined_count == len(cfg.eval_indices) - len(distinct)
+            assert gap.per_t == ()
+
+            ordered = sorted(terms)
+            middle = ordered[(len(terms) - 1) // 2 : len(terms) // 2 + 1]
+            seen.add("even" if len(terms) % 2 == 0 else "odd")
+            if len(terms) % 2 == 0 and middle[0] == middle[1]:
+                seen.add("tie across the middle")
+            if len(terms) % 2 == 0 and middle[0] != middle[1]:
+                seen.add("mean of two middle terms")
+            if INFINITE in terms:
+                seen.add("inf term")
+            if result.ratio == INFINITE:
+                seen.add("inf median")
+            if undefined:
+                seen.add("undefined terms")
+            if len(set(eval_indices)) < len(eval_indices):
+                seen.add("duplicates")
+            if eval_indices != sorted(eval_indices):
+                seen.add("unsorted")
+        assert seen == {
+            "even", "odd", "tie across the middle", "mean of two middle terms", "inf term",
+            "inf median", "undefined terms", "duplicates", "unsorted",
+        }
+
     def test_reads_each_step_at_most_once(self):
         # an unbound trace keeps every window scanning to the cap; one pass
         # still reads each step once, whatever the cap
@@ -335,6 +400,14 @@ class TestConsistency:
     def test_too_few_outputs(self):
         with pytest.raises(ParameterError):
             consistency(["only one"])
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), -0.01, 1.01])
+    def test_threshold_outside_unit_interval_rejected(self, delta):
+        # the rule MetricParams applies to delta_cons
+        with pytest.raises(ParameterError, match=r"delta_cons must be in \[0, 1\]"):
+            consistency(["a b", "a b"], delta_cons=delta)
+        with pytest.raises(ParameterError, match=r"delta_cons must be in \[0, 1\]"):
+            MetricParams(delta_cons=delta)
 
     def test_matches_pairwise_jaccard_on_random_texts(self):
         def reference(a, b):

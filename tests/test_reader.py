@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,13 +23,14 @@ from hypothesis import strategies as st
 
 from tracebind.cli import (
     activation_record,
+    build_report,
     main,
     parse_trace,
     read_masks,
     state_record,
     write_trace,
 )
-from tracebind.errors import TracebindError
+from tracebind.errors import FileFormatError, TracebindError
 from tracebind.identity import (
     ActivationSet,
     GroundedIdentity,
@@ -37,8 +39,10 @@ from tracebind.identity import (
     activation_mask,
     ingredient_bits,
     load_identity_file,
+    load_json,
 )
 from tracebind.metrics import (
+    MetricParams,
     continuity,
     continuity_terms,
     identifiability,
@@ -46,7 +50,7 @@ from tracebind.metrics import (
     persistence_scores,
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
-from tracebind.windows import mask_horizons
+from tracebind.windows import WindowConfig, mask_horizons
 from conftest import random_window_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -215,6 +219,71 @@ class TestSameErrorsAsObjectPath:
         assert "flag_index 2 out of range for architecture with 2 flags" in got[1]
 
 
+class _Repeated(Exception):
+    pass
+
+
+def _refuse_repeats(pairs):
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise _Repeated(key)
+    return dict(pairs)
+
+
+def full_decode(text: str, where: str) -> tuple:
+    """``json.loads`` with a repeated-key check, mapped to the faults
+    ``load_json`` locates: the decode its one-scan path must agree with."""
+    try:
+        return "ok", json.loads(text, object_pairs_hook=_refuse_repeats)
+    except _Repeated as exc:
+        return FileFormatError, f"{where}: duplicate key {exc.args[0]!r}"
+    except RecursionError:
+        return FileFormatError, f"{where}: invalid JSON: nested too deeply"
+    except json.JSONDecodeError as exc:
+        return json.JSONDecodeError, str(exc)
+    except ValueError:
+        return FileFormatError, f"{where}: invalid JSON: integer literal too long"
+
+
+def loaded(text: str, where: str, lineno: int) -> tuple:
+    try:
+        return "ok", load_json(text, where, lineno)
+    except (TracebindError, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneScanDecode:
+    def test_same_outcome_as_the_full_decode(self, tmp_path):
+        rng = random.Random(4_006)
+        path = tmp_path / "trace.jsonl"
+        kinds = set()
+        for _ in range(200):
+            records, _ = random_trace(rng, path)
+            u = rng.randrange(len(records))
+            line = json.dumps(records[u], separators=(",", ":"))
+            variants = [fault(u, records[u]) for fault in FAULTS] + [
+                line,
+                " " + line,
+                line + " \t",
+                "\ufeff" + line,
+                line + "x",
+                line + "}",
+                line + " 1",
+                line[:-1],
+                '{"u":' + "1" * 4300 + ',"F":[]}',
+                '{"u":' + "1" * 4301 + ',"F":[]}',
+                '{"u":0,"F":[' + "9" * 5000 + "]}",
+            ]
+            for text in variants:
+                got = loaded(text, "trace.jsonl", u + 1)
+                assert got == full_decode(text, f"trace.jsonl:{u + 1}")
+                kinds.add(got[0])
+        assert kinds == {"ok", json.JSONDecodeError, FileFormatError}
+        deep = "[" * 100_000
+        assert loaded(deep, "trace.jsonl", 0) == full_decode(deep, "trace.jsonl")
+
+
 class TestNoPerStepObjects:
     @pytest.mark.parametrize("case", ["capacity", "drift-recover", "preset-probe-controller"])
     def test_analyze_builds_no_state_or_activation_set(self, case, monkeypatch, capsys):
@@ -242,12 +311,55 @@ class TestNoPerStepObjects:
         assert capsys.readouterr().out == golden
 
 
+class TestNoPerWindowObjects:
+    @pytest.mark.parametrize("shape", ["activation-k8", "alternating"])
+    def test_build_report_memory_does_not_grow_with_the_windows(self, shape):
+        # 80,000 windows; the masks and T exist before the report is built,
+        # which then holds persistence's two flags per window and nothing
+        # else per window
+        rng = random.Random(8_008)
+        windows = 80_000
+        if shape == "activation-k8":
+            k, delta = 8, 32
+            masks = [255] + [
+                255 if rng.random() < 0.15 else rng.getrandbits(8) for _ in range(windows + delta - 1)
+            ]
+        else:
+            k, delta = 2, 1
+            masks = [1 + u % 2 for u in range(windows + delta)]
+        cfg = WindowConfig.all_valid(delta, 1, len(masks), 256)
+        assert len(cfg.eval_indices) == windows
+        tracemalloc.start()
+        try:
+            build_report(masks, k, cfg, MetricParams(), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024
+
+
 # ---------------------------------------------------------------------------
 # Fuzz: readers and the CLI raise nothing but TracebindError
 # ---------------------------------------------------------------------------
 
+# Integer literals around Python's 4,300-digit conversion limit, which
+# json.dumps cannot write: placeholders are swapped for the digits.
+LONG_INTS = {'"<int 4300>"': "9" * 4300, '"<int 4301>"': "1" * 4301, '"<int -5000>"': "-" + "7" * 5000}
+
+
+def with_long_ints(text: str) -> str:
+    for placeholder, digits in LONG_INTS.items():
+        text = text.replace(placeholder, digits)
+    return text
+
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False) | st.text(max_size=4),
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from([json.loads(placeholder) for placeholder in LONG_INTS]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
@@ -272,7 +384,7 @@ def trace_lines(draw) -> list[str]:
             record = {"u": u, "F": draw(st.lists(tokens, max_size=3))}
         if draw(st.integers(0, 3)) == 0:
             record[draw(st.sampled_from(sorted(record) + ["extra"]))] = draw(json_values)
-        lines.append(json.dumps(record))
+        lines.append(with_long_ints(json.dumps(record)))
     if lines and draw(st.booleans()):
         lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=12))
     return lines
@@ -298,7 +410,7 @@ def identity_texts(draw) -> str:
             record[draw(st.sampled_from(sorted(record) + ["extra"]))] = draw(json_values)
         records.append(record)
     if draw(st.booleans()):
-        return "\n".join(json.dumps(record) for record in records)
+        return "\n".join(with_long_ints(json.dumps(record)) for record in records)
     doc: dict = {"ingredients": records}
     if draw(st.booleans()):
         doc["layers"] = draw(
@@ -312,7 +424,7 @@ def identity_texts(draw) -> str:
                 }
             )
         )
-    return json.dumps(doc)
+    return with_long_ints(json.dumps(doc))
 
 
 FUZZ = settings(
@@ -362,3 +474,22 @@ class TestFuzz:
         else:
             json.loads(out.getvalue())
 
+
+    @FUZZ
+    @given(
+        data=st.binary(max_size=40)
+        | st.lists(st.text(max_size=8), max_size=4).map(lambda texts: "\n".join(texts).encode("utf-8")),
+        delta=st.floats() | st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_probe_exits_cleanly(self, tmp_path, data, delta):
+        path = tmp_path / "outputs.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["probe", str(path), f"--delta-cons={delta!r}", "--format", "json"])
+        assert code in (0, 2)
+        if code:
+            assert out.getvalue() == "" and err.getvalue().startswith("tracebind: ")
+        else:
+            assert 0.0 <= delta <= 1.0
+            json.loads(out.getvalue())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -24,6 +25,7 @@ from tracebind.windows import (
     mask_horizons,
     minimal_horizons,
     occurs,
+    start_horizons,
     window,
     window_flags,
     window_horizons,
@@ -381,3 +383,76 @@ class TestMaskFolds:
     def test_window_flags_stream_too_short(self):
         with pytest.raises(OutOfRangeError, match="window at t=1 needs step 3, stream ended at step 2"):
             window_flags([3, 3, 3], 2, WindowConfig(1, 2, (0, 1)))
+
+
+class Watched(Sequence):
+    """Step masks that record, at each read, how many of the starts pulled so
+    far are at or before the step read and not yet answered."""
+
+    def __init__(self, masks, starts):
+        self.masks = masks
+        self.starts = starts
+        self.pulled = []
+        self.answered = 0
+        self.most_pending = 0
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, u):
+        pending = sum(1 for s in self.pulled if s <= u) - self.answered
+        self.most_pending = max(self.most_pending, pending)
+        return self.masks[u]
+
+    def pull(self):
+        for s in self.starts:
+            self.pulled.append(s)
+            yield s
+
+
+def run_watched(masks, k, starts, cap):
+    watched = Watched(masks, starts)
+    results = []
+    for result in start_horizons(watched, k, watched.pull(), cap):
+        results.append(result)
+        watched.answered += 1
+    return results, watched.most_pending
+
+
+class TestStartHorizons:
+    def test_pending_starts_stay_within_the_cap(self):
+        rng = random.Random(6_006)
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            full = (1 << k) - 1
+            n = rng.randint(1, 200)
+            # rare full steps keep starts pending up to the cap
+            masks = [full if rng.random() < 0.02 else rng.getrandbits(k) for _ in range(n)]
+            stride = rng.randint(1, 4)
+            cap = rng.randint(0, 40)
+            ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
+            results, most = run_watched(masks, k, [stride * t for t in ts], cap)
+            assert most <= cap // stride + 1
+            assert results == [
+                (stride * t, *horizons[1:])
+                for t, horizons in zip(ts, mask_horizons(masks, k, stride, ts, cap))
+            ]
+
+    def test_pending_bound_is_reached_on_an_unbound_trace(self):
+        results, most = run_watched([1, 2] * 50, 2, range(0, 100, 2), 10)
+        assert most == 10 // 2 + 1
+        assert results == [(s, 1, INFINITE) for s in range(0, 100, 2)]
+
+    def test_results_come_in_start_order_as_they_resolve(self):
+        # the start at 0 is covered at step 2 and expires at step 3, where
+        # the starts at 1 and 2 are covered and bind; 4 meets the trace end
+        masks = [1, 0, 2, 3, 0]
+        stream = start_horizons(masks, 2, iter([0, 1, 2, 4]), 2)
+        assert next(stream) == (0, 2, INFINITE)
+        assert list(stream) == [(1, 2, 2), (2, 1, 1), (4, INFINITE, INFINITE)]
+
+    def test_starts_checked_as_they_are_pulled(self):
+        for starts, bad in [([0, 2, 1], 1), ([0, 0], 0), ([-1], -1), ([0, 3], 3)]:
+            message = f"window start {bad} is out of order or outside the trace of length 3"
+            with pytest.raises(OutOfRangeError, match=message):
+                list(start_horizons([3, 3, 3], 2, iter(starts), 4))
