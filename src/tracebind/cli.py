@@ -19,11 +19,12 @@ Exit codes: 0 success, 2 input/usage errors, 3 metric errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .errors import (
     FileFormatError,
@@ -122,41 +123,50 @@ def _check_strings(value, located: Callable[[str], FileFormatError], name: str) 
         raise located(f"{name} entries must be strings")
 
 
-def _text_lines(path: str | Path) -> Iterator[str]:
-    """Each line of the file, read as it is consumed.
+_BLOCK_BYTES = 16 * 1024
+_MAX_CACHED_TAILS = 1024
 
-    Lines are split as ``str.splitlines`` splits the whole text; reading
-    bytes up to each newline first keeps a decoding error on its line.
-    """
+
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """Each line of the file, split as ``str.splitlines`` splits the whole
+    text.  A block of bytes, read on to the end of its last line so that no
+    character and no CR LF pair straddles a cut, is decoded at once; one
+    that is not UTF-8 is decoded again newline by newline, so the error
+    names its line."""
     lineno = 0
     with open(path, "rb") as stream:
-        for raw in stream:
+        while data := stream.read(_BLOCK_BYTES) + stream.readline():
             try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno + 1}: not UTF-8 text: {exc}") from None
-            for line in text.splitlines():
-                lineno += 1
-                yield line
+                lines = data.decode("utf-8").splitlines()
+            except UnicodeDecodeError:
+                lines = []
+                for raw in io.BytesIO(data):
+                    try:
+                        lines += raw.decode("utf-8").splitlines()
+                    except UnicodeDecodeError as exc:
+                        yield from lines
+                        where = f"{path}:{lineno + len(lines) + 1}"
+                        raise FileFormatError(f"{where}: not UTF-8 text: {exc}") from None
+            lineno += len(lines)
+            yield from lines
 
 
-def _trace_records(path: str | Path) -> Iterator[tuple[str, dict]]:
-    """``(form, record)`` for each line of a trace file, in step order.
-
-    Every check on a record runs here, once, as its line is read: JSON
-    syntax and unique keys, the form (fixed by the first record), the step
-    index, and the type of every field.  A fault raises a
-    :class:`FileFormatError` located at its line; the location is built
-    only then.
-    """
+def _line_checks(path: str | Path) -> Generator[tuple, tuple[int, str], None]:
+    """Every check on a trace line, in a coroutine that holds the form and
+    the flag count: sent ``(index, line)``, it answers ``(form, record)``
+    once JSON syntax and unique keys, the form (fixed by the first record),
+    the step index and the type of every field have passed.  A fault raises
+    a :class:`FileFormatError` located at its line, built only then."""
     form = None
     expected_keys: set[str] = set()
     n_flags = 0
+    obj = None
 
     def located(message: str) -> FileFormatError:
         return FileFormatError(f"{path}:{index + 1}: {message}")
 
-    for index, line in enumerate(_text_lines(path)):
+    while True:
+        index, line = yield form, obj
         try:
             obj = load_json(line, path, index + 1)
         except json.JSONDecodeError as exc:
@@ -190,7 +200,6 @@ def _trace_records(path: str | Path) -> Iterator[tuple[str, dict]]:
             )
         if form == "activation":
             _check_strings(obj["F"], located, "F")
-            yield form, obj
             continue
         memory, flags = obj["M"], obj["pi"]
         _check_strings(obj["C"], located, "C")
@@ -209,19 +218,18 @@ def _trace_records(path: str | Path) -> Iterator[tuple[str, dict]]:
             n_flags = len(flags)
         elif len(flags) != n_flags:
             raise located("pi length differs from earlier records")
-        yield form, obj
-    if form is None:
-        raise FileFormatError(f"{path}: empty trace")
 
 
 def parse_trace(path: str | Path) -> TraceData:
     """Parse a line-delimited trace file into one state or activation set per
     step, with the per-line checks of :func:`read_masks` (which ``analyze``
-    uses instead)."""
+    uses instead), each line fully decoded."""
     states = []
     activations = []
     form = ""
-    for form, record in _trace_records(path):
+    check = _line_checks(path)
+    next(check)
+    for form, record in map(check.send, enumerate(_text_lines(path))):
         if form == "activation":
             activations.append(
                 ActivationSet(step_index=record["u"], active=frozenset(record["F"]))
@@ -236,6 +244,8 @@ def parse_trace(path: str | Path) -> TraceData:
                     step_index=record["u"],
                 )
             )
+    if not form:
+        raise FileFormatError(f"{path}: empty trace")
     return TraceData(form=form, states=tuple(states), activations=tuple(activations))
 
 
@@ -262,22 +272,53 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     """The step masks of a trace file (bit i = the i-th ingredient id in
     sorted order), read line by line with no per-step object.
 
+    A line spelled exactly ``{"u":<step>,"F":<tail>}``, as ``write_trace``
+    writes it, is looked up by its tail: a tail that passed every check
+    once gives its mask again.  Any other line, a stray id included, gets
+    the full decode, so every message is the same.  A full memo is emptied,
+    or dropped if it was hit less often than it holds tails.
+
     Raises what ``parse_trace(path).to_activations(identity)`` raises: a
     fault in any line comes first, then a stray ingredient id at its first
     step, or a policy flag index outside the first record's ``pi``.
     """
+    check = _line_checks(path)
+    next(check)
+    form = None
     masks: list[int] = []
+    tails: dict[str, int] | None = None
+    hits = 0
     encode = None
     fault: TracebindError | None = None
-    for form, record in _trace_records(path):
+    for index, line in enumerate(_text_lines(path)):
+        # the text after the head, closing brace included, decodes the same
+        # way after any step's head
+        head = f'{{"u":{index},"F":' if tails is not None else None
+        tail = line[len(head):] if head and line.startswith(head) else None
+        if tail is not None and (mask := tails.get(tail)) is not None:
+            hits += 1
+            masks.append(mask)
+            continue
+        form, record = check.send((index, line))
         if fault is not None:
             continue
         try:
             if encode is None:
                 encode = _mask_encoder(form, record, identity)
-            masks.append(encode(record))
+                tails = {} if form == "activation" else None
+            mask = encode(record)
         except TracebindError as exc:
             fault = exc
+            continue
+        masks.append(mask)
+        if tail is not None:
+            if len(tails) < _MAX_CACHED_TAILS:
+                tails[tail] = mask
+            else:
+                tails = {} if hits >= len(tails) else None
+                hits = 0
+    if form is None:
+        raise FileFormatError(f"{path}: empty trace")
     if fault is not None:
         raise fault
     return masks
@@ -328,7 +369,7 @@ def build_report(
 ) -> MetricsReport:
     """Protocol run over the step masks of a trace: persistence, gap, and
     the trace-computable auxiliary metrics.  Each is a fold that keeps no
-    per-window record beyond persistence's two flags per window."""
+    per-window record."""
     p_weak, p_strong = persistence_scores(masks, k, cfg)
     gap = mask_gap_ratio(masks, k, cfg)
     n = len(masks)
@@ -364,8 +405,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         identity, _layers = load_identity_file(args.identity)
     except (TracebindError, OSError):
         # a faulty trace is reported ahead of a faulty identity spec
-        for _ in _trace_records(args.trace):
-            pass
+        parse_trace(args.trace)
         raise
     masks = read_masks(args.trace, identity)
     explicit = _parse_eval_selector(args.eval)

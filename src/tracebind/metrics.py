@@ -38,7 +38,7 @@ from .windows import (
     INFINITE,
     WindowConfig,
     start_horizons,
-    window_flags,
+    window_flag_counts,
     window_horizons,
 )
 
@@ -131,40 +131,37 @@ def persistence(
     anywhere in the window, the coinst flag looks for a step that holds the
     full conjunction.  Scores are counts over ``|T|``.
 
-    This is :func:`windows.window_flags` over the steps, each encoded as a
-    mask when the fold reads it, so the cost is linear in the trace length
-    instead of ``|T| * (horizon+1) * k``.  Input must arrive in step order;
-    every step up to the last evaluated window is checked against the
-    identity universe once, and later steps only for their order.
+    This is :func:`windows.window_flag_counts` over the steps, each encoded
+    as a mask when the fold reads it, so the cost is linear in the trace
+    length instead of ``|T| * (horizon+1) * k``.  Input must arrive in step
+    order; every step up to the last evaluated window is checked against
+    the identity universe once, and later steps only for their order.
     """
     bits = ingredient_bits(identity)
     steps = _in_step_order(activations)
-    occur, coinst = window_flags(
-        (activation_mask(act, bits) for act in steps), identity.k, cfg
+    per_window: list[tuple[int, bool, bool]] = []
+    weak, strong = window_flag_counts(
+        (activation_mask(act, bits) for act in steps), identity.k, cfg, per_window
     )
     for _ in steps:
         pass
     return PersistenceResult(
-        p_weak=_share(occur),
-        p_strong=_share(coinst),
-        per_window=tuple(zip(cfg.eval_indices, map(bool, occur), map(bool, coinst))),
+        p_weak=weak / len(per_window),
+        p_strong=strong / len(per_window),
+        per_window=tuple(per_window),
     )
 
 
 persistence_streaming = persistence
 
 
-def _share(flags: bytearray) -> float:
-    return sum(flags) / len(flags)
-
-
 def persistence_scores(
     masks: Iterable[int], k: int, cfg: WindowConfig
 ) -> tuple[float, float]:
-    """``(p_weak, p_strong)`` of step masks: :func:`persistence` without the
-    per-window flags."""
-    occur, coinst = window_flags(masks, k, cfg)
-    return _share(occur), _share(coinst)
+    """``(p_weak, p_strong)`` of step masks: :func:`persistence` counting the
+    windows instead of listing them."""
+    weak, strong = window_flag_counts(masks, k, cfg)
+    return weak / len(cfg.eval_indices), strong / len(cfg.eval_indices)
 
 
 def _gap_fold(

@@ -12,8 +12,8 @@ trace is out of range.  Missing minima are reported as ``INFINITE``
 The folds behind the metrics read each step as a k-bit mask (bit i = the
 i-th ingredient id in sorted order; see ``identity.ingredient_bits``):
 a window's ingredients occur when the OR of its masks is full, and
-co-instantiate when some mask in it is full.  ``window_flags`` decides both
-predicates for every evaluated window, and ``start_horizons`` yields the
+co-instantiate when some mask in it is full.  ``window_flag_counts`` decides
+both predicates for every evaluated window, and ``start_horizons`` yields the
 minimal horizons of every window start, each in one forward pass that reads
 a step at most once and holds only the windows still pending.  The gap
 search is therefore linear in the trace length and does not depend on the
@@ -158,11 +158,19 @@ class _BitIndices(dict):
         return indices
 
 
-def window_flags(
-    masks: Iterable[int], k: int, cfg: WindowConfig
-) -> tuple[bytearray, bytearray]:
-    """The ``occurs`` and ``coinstantiated`` flag (1 or 0) of every window in
-    ``cfg.eval_indices``, in that order, from one pass over the step masks.
+def window_flags(masks: Iterable[int], k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
+    """The flags of :func:`window_flag_counts`, one byte per window."""
+    flags: list[tuple[int, bool, bool]] = []
+    window_flag_counts(masks, k, cfg, flags)
+    return bytearray(f[1] for f in flags), bytearray(f[2] for f in flags)
+
+
+def window_flag_counts(
+    masks: Iterable[int], k: int, cfg: WindowConfig, per_window: list | None = None
+) -> tuple[int, int]:
+    """How many windows of ``cfg.eval_indices`` occur and how many
+    co-instantiate, from one pass over the step masks; ``(t, occurs,
+    coinstantiated)`` of each window is appended to ``per_window``, if given.
 
     A window's ingredients occur when the OR of its masks is full, and
     co-instantiate when its last full step is inside it.  The OR comes from a
@@ -185,10 +193,10 @@ def window_flags(
     back_start = 0
     back_or = 0
     last_full = -1
-    occur = bytearray()
-    coinst = bytearray()
-    ends = (cfg.stride * t + cfg.horizon for t in cfg.eval_indices)
-    end = next(ends)
+    weak = strong = 0
+    windows = iter(cfg.eval_indices)
+    t = next(windows)
+    end = cfg.stride * t + cfg.horizon
     u = -1
     for u, mask in enumerate(masks):
         back.append(mask)
@@ -207,15 +215,17 @@ def window_flags(
             back_start = u + 1
             back.clear()
             back_or = 0
-        occur.append(((front[-1] if front else 0) | back_or) == full)
-        coinst.append(last_full >= start)
-        end = next(ends, None)
-        if end is None:
-            return occur, coinst
-    raise OutOfRangeError(
-        f"window at t={cfg.eval_indices[len(occur)]} needs step {end}, stream "
-        f"ended at step {u}"
-    )
+        occurs = ((front[-1] if front else 0) | back_or) == full
+        coinst = last_full >= start
+        weak += occurs
+        strong += coinst
+        if per_window is not None:
+            per_window.append((t, occurs, coinst))
+        t = next(windows, None)
+        if t is None:
+            return weak, strong
+        end = cfg.stride * t + cfg.horizon
+    raise OutOfRangeError(f"window at t={t} needs step {end}, stream ended at step {u}")
 
 
 def start_horizons(

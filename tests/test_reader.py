@@ -21,7 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tracebind.cli as cli
 from tracebind.cli import (
+    _BLOCK_BYTES,
+    _MAX_CACHED_TAILS,
+    _text_lines,
     activation_record,
     build_report,
     main,
@@ -51,7 +55,7 @@ from tracebind.metrics import (
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.windows import WindowConfig, mask_horizons
-from conftest import random_window_config
+from conftest import context_identity, random_window_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -284,6 +288,253 @@ class TestOneScanDecode:
         assert loaded(deep, "trace.jsonl", 0) == full_decode(deep, "trace.jsonl")
 
 
+def compact(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":"))
+
+
+class TestTailMemo:
+    """``read_masks`` reuses the mask of a compact line's ``F`` text; every
+    other line takes the full decode.  Each case warms the memo first, so the
+    faulty line's tail is cached when it is read."""
+
+    def warm_lines(self, rng: random.Random, identity: GroundedIdentity, length: int) -> list[dict]:
+        ids = sorted(identity.ingredient_ids)
+        pool = [sorted(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(4)]
+        return [{"u": u, "F": rng.choice(pool)} for u in range(length)]
+
+    def test_faults_after_a_warm_memo(self, tmp_path):
+        rng = random.Random(6_006)
+        path = tmp_path / "trace.jsonl"
+        identity = context_identity(3)
+        kinds = set()
+        for fault in FAULTS:
+            for _ in range(12):
+                records = self.warm_lines(rng, identity, 12)
+                lines = [compact(rec) for rec in records]
+                u = rng.randrange(4, 12)
+                text = fault(u, records[u])
+                # the fault as written, and compact where it is an object
+                try:
+                    spellings = [text, compact(json.loads(text))]
+                except (ValueError, TypeError):
+                    spellings = [text]
+                for lines[u] in spellings:
+                    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                    kinds.add(assert_same_outcome(path, identity)[0])
+        assert kinds == {"ok", FileFormatError}
+
+    def test_other_spellings_of_a_cached_line(self, tmp_path):
+        rng = random.Random(6_007)
+        path = tmp_path / "trace.jsonl"
+        identity = context_identity(3)
+        for _ in range(40):
+            records = self.warm_lines(rng, identity, 10)
+            lines = [compact(rec) for rec in records]
+            u = rng.randrange(5, 10)
+            line = lines[u]
+            tail = line[len('{"u":%d,"F":' % u):]
+            # the tail of the line before, so it is in the memo
+            cached = lines[u - 1][len('{"u":%d,"F":' % (u - 1)):]
+            variants = [
+                " " + line,
+                line + " ",
+                line + "\t",
+                "\ufeff" + line,
+                line + "x",
+                line + "}",
+                line[:-1],
+                line[:-1] + " ",
+                line[:-1] + "]",
+                '{"u":%d,"F":%s' % (u + 1, cached),
+                '{"u":%d,"F":%s' % (u - 1, cached),
+                '{"u":0%d,"F":%s' % (u, cached),
+                '{"u":%d.0,"F":%s' % (u, cached),
+                '{"u":%d, "F":%s' % (u, cached),
+                '{"\\u0075":%d,"F":%s' % (u, cached),
+                '{"F":%s,"u":%d}' % (cached[:-1], u),
+                '{"u":%d,"F":%s,"F":[]}' % (u, cached[:-1]),
+                '{"u":%d,"F":%s' % (u, tail.replace("]", ",1]", 1)),
+            ]
+            got = set()
+            for text in variants:
+                lines[u] = text
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                got.add(assert_same_outcome(path, identity)[0])
+            assert got == {"ok", FileFormatError}
+
+    def test_stray_tail_repeated_after_a_fault(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        identity = context_identity(2)
+        stray = ["g0", "ghost"]
+        records = [{"u": u, "F": ["g0"] if u < 3 else stray} for u in range(10)]
+        lines = [compact(rec) for rec in records]
+        write_lines = lambda: path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines()
+        # the first stray step is named, however often its tail repeats
+        assert assert_same_outcome(path, identity)[1].startswith("step 3 references")
+        lines[7] = "{broken"
+        write_lines()
+        assert "trace.jsonl:8: invalid JSON" in assert_same_outcome(path, identity)[1]
+        lines[7] = compact({"u": 7, "F": ["g1"]})
+        lines[2] = compact({"u": 2, "F": ["ghost"]})
+        write_lines()
+        assert assert_same_outcome(path, identity)[1].startswith("step 2 references")
+
+    def test_state_form_then_compact_activation_lines(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        identity = context_identity(2)
+        state = compact({"u": 0, "C": ["g0"], "M": {}, "pi": [], "D": []})
+        lines = [state] + [compact({"u": u, "F": ["g0"]}) for u in range(1, 6)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = assert_same_outcome(path, identity)
+        assert "do not match the state form used by this file" in got[1]
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_more_distinct_tails_than_the_memo_holds(self, tmp_path, monkeypatch, repeats):
+        # 3,072 distinct tails: met once each they drop the memo; met three
+        # times in a row they keep it, emptied each time it fills
+        rng = random.Random(6_008)
+        path = tmp_path / "trace.jsonl"
+        identity = context_identity(16)
+        ids = sorted(identity.ingredient_ids)
+        distinct = [sorted(rng.sample(ids, rng.randint(0, 16))) for _ in range(3 * _MAX_CACHED_TAILS)]
+        lines = [compact({"u": u, "F": distinct[u // repeats]}) for u in range(repeats * len(distinct))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "load_json", lambda *args: calls.append(1) or load_json(*args))
+        assert assert_same_outcome(path, identity)[0] == "ok"
+        decoded_by_read_masks = len(calls) - len(lines)
+        if repeats > 1:
+            assert decoded_by_read_masks < len(lines) // 2
+        u = len(lines) - 5
+        lines[u] = '{"u":%d,"F":%s' % (u + 1, lines[u - 1][len('{"u":%d,"F":' % (u - 1)):])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert "expected u=%d, got u=%d" % (u, u + 1) in assert_same_outcome(path, identity)[1]
+
+    def test_each_distinct_tail_is_decoded_once(self, tmp_path, monkeypatch):
+        rng = random.Random(6_009)
+        path = tmp_path / "trace.jsonl"
+        identity = context_identity(8)
+        ids = sorted(identity.ingredient_ids)
+        records = [
+            activation_record(ActivationSet(u, frozenset(rng.sample(ids, rng.randint(0, 8)))))
+            for u in range(20_000)
+        ]
+        write_trace(path, records)
+        tails = {json.dumps(rec["F"], separators=(",", ":")) for rec in records}
+        expected = object_path_masks(path, identity)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return load_json(*args)
+
+        monkeypatch.setattr(cli, "load_json", counted)
+        assert read_masks(path, identity) == expected
+        assert len(calls) <= len(tails) + 1
+
+
+def reference_lines(path: Path) -> tuple:
+    """The lines of a file as a newline-at-a-time reader gives them: each
+    run of bytes up to a ``\n`` decoded alone, then split as
+    ``str.splitlines`` splits it; or the message of the first line that is
+    not UTF-8."""
+    lines: list[str] = []
+    with open(path, "rb") as stream:
+        for raw in stream:
+            try:
+                lines += raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                return "error", f"{path}:{len(lines) + 1}: not UTF-8 text: {exc}", lines
+    return "ok", lines
+
+
+def block_lines(path: Path) -> tuple:
+    lines: list[str] = []
+    try:
+        for line in _text_lines(path):
+            lines.append(line)
+    except FileFormatError as exc:
+        return "error", str(exc), lines
+    return "ok", lines
+
+
+class TestBlockReader:
+    """``_text_lines`` decodes ``_BLOCK_BYTES`` at a time, read on to the end
+    of a line; each case puts its feature across a block boundary."""
+
+    def filler(self, size: int) -> bytes:
+        # whole lines of 16 bytes, so the offset of what follows is exact
+        assert size % 16 == 0
+        return b'{"u":0,"F":[ ]}\n' * (size // 16)
+
+    def check(self, tmp_path, data: bytes) -> tuple:
+        path = tmp_path / "lines.txt"
+        path.write_bytes(data)
+        got = block_lines(path)
+        assert got == reference_lines(path)
+        return got
+
+    def test_invalid_byte_after_the_first_block(self, tmp_path):
+        before = self.filler(2 * _BLOCK_BYTES)
+        got = self.check(tmp_path, before + b"ok\nab\xffcd\nlater\n")
+        line = 2 * _BLOCK_BYTES // 16 + 2
+        assert got[1] == (
+            f"{tmp_path / 'lines.txt'}:{line}: not UTF-8 text: 'utf-8' codec can't decode "
+            "byte 0xff in position 2: invalid start byte"
+        )
+        # lines before the bad one, in the same block, still come first
+        assert got[2][-1] == "ok"
+
+    @pytest.mark.parametrize("at", [-3, -2, -1, 0, 1])
+    def test_invalid_byte_near_a_block_boundary(self, tmp_path, at):
+        before = self.filler(_BLOCK_BYTES - 16)
+        line = b"x" * (16 + at - 1) + b"\xc3(" + b"y" * 20
+        got = self.check(tmp_path, before + line + b"\n\r\x85\n")
+        assert got[0] == "error" and "invalid continuation byte" in got[1]
+
+    def test_invalid_trace_line_after_the_first_block(self, tmp_path):
+        lines = [compact({"u": u, "F": ["g0"]}) for u in range(2 * _BLOCK_BYTES // 16)]
+        data = "\n".join(lines).encode() + b'\n{"u":%d,"F":["\xff"]}\n' % len(lines)
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(data)
+        expected = f"{path}:{len(lines) + 1}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position"
+        got = assert_same_outcome(path, context_identity(1))
+        assert got[0] is FileFormatError and got[1].startswith(expected)
+        # a fault earlier in the same block is reported first
+        lines[-2] = "{broken"
+        path.write_bytes("\n".join(lines).encode() + b'\n{"u":%d,"F":["\xff"]}\n' % len(lines))
+        assert f"trace.jsonl:{len(lines) - 1}: invalid JSON" in assert_same_outcome(path, context_identity(1))[1]
+
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_character_split_between_two_reads(self, tmp_path, at):
+        # a 4-byte character whose first `at` bytes end the first read
+        before = self.filler(_BLOCK_BYTES - 16)
+        line = "x" * (16 - at) + "\U0001f600" + "\u00e9" * 3
+        got = self.check(tmp_path, before + line.encode("utf-8") + b"\nafter\n")
+        assert got[1][-2:] == [line, "after"]
+
+    def test_line_longer_than_a_block(self, tmp_path):
+        line = "\u00e9" * (3 * _BLOCK_BYTES // 2 + 1)
+        got = self.check(tmp_path, b"first\n" + line.encode("utf-8") + b"\nlast\n")
+        assert got[1] == ["first", line, "last"]
+
+    def test_carriage_return_ends_a_block(self, tmp_path):
+        before = self.filler(_BLOCK_BYTES - 16)
+        got = self.check(tmp_path, before + b"a" * 15 + b"\r\nb\r\rc\n")
+        assert got[1][-4:] == ["a" * 15, "b", "", "c"]
+
+    @pytest.mark.parametrize("tail", [b"", b"x" * 40, b"\r", b"\xe2\x80\xa8"])
+    def test_no_trailing_newline(self, tmp_path, tail):
+        before = self.filler(_BLOCK_BYTES - 16)
+        got = self.check(tmp_path, before + b"a" * 10 + tail)
+        assert got[0] == "ok" and got[1][-1].startswith("a" * 10)
+
+    def test_truncated_character_at_the_end(self, tmp_path):
+        got = self.check(tmp_path, self.filler(_BLOCK_BYTES) + b"abc\xe2\x80")
+        assert got[0] == "error" and "unexpected end of data" in got[1]
+
+
 class TestNoPerStepObjects:
     @pytest.mark.parametrize("case", ["capacity", "drift-recover", "preset-probe-controller"])
     def test_analyze_builds_no_state_or_activation_set(self, case, monkeypatch, capsys):
@@ -364,14 +615,32 @@ json_values = st.recursive(
     max_leaves=8,
 )
 tokens = st.sampled_from(["g0", "g1", "Ada", "x"])
+# Ids for F texts: the tokens, g0 and g1 spelled with escapes ("<esc g0>" is
+# written as "\u0067\u0030"), and strays whose text holds a bracket, a brace,
+# a quote, a non-ASCII letter or a line separator.
+F_TOKENS = {'"<esc g0>"': '"\\u0067\\u0030"', '"<esc g1>"': '"\\u0067\\u0031"'}
+f_tokens = tokens | st.sampled_from([*(json.loads(t) for t in F_TOKENS), "g]", "}", 'g"0', "\u00e9", "\u2028"])
+
+
+def with_escapes(text: str) -> str:
+    for placeholder, escaped in F_TOKENS.items():
+        text = text.replace(placeholder, escaped)
+    return text
 
 
 @st.composite
 def trace_lines(draw) -> list[str]:
-    """Near-valid records of either form, some fields replaced by any JSON."""
+    """Near-valid records of either form, some fields replaced by any JSON.
+
+    Half the traces are written compact, as ``write_trace`` writes them, so
+    ``read_masks`` looks their ``F`` texts up; those texts come from a small
+    pool, so they repeat, duplicate ids and strays included."""
     state = draw(st.booleans())
+    separators = draw(st.sampled_from([None, (",", ":")]))
+    ascii_only = draw(st.booleans())
+    pool = draw(st.lists(st.lists(f_tokens, max_size=3), min_size=1, max_size=3))
     lines = []
-    for u in range(draw(st.integers(0, 5))):
+    for u in range(draw(st.integers(0, 8))):
         if state:
             record = {
                 "u": u,
@@ -381,10 +650,11 @@ def trace_lines(draw) -> list[str]:
                 "D": draw(st.lists(st.sampled_from(["charter"]), max_size=1)),
             }
         else:
-            record = {"u": u, "F": draw(st.lists(tokens, max_size=3))}
+            record = {"u": u, "F": draw(st.sampled_from(pool))}
         if draw(st.integers(0, 3)) == 0:
             record[draw(st.sampled_from(sorted(record) + ["extra"]))] = draw(json_values)
-        lines.append(with_long_ints(json.dumps(record)))
+        text = json.dumps(record, separators=separators, ensure_ascii=ascii_only)
+        lines.append(with_escapes(with_long_ints(text)))
     if lines and draw(st.booleans()):
         lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=12))
     return lines
