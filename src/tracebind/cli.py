@@ -38,6 +38,7 @@ from .identity import (
     ScaffoldArchitecture,
     ScaffoldState,
     activation_sets,
+    context_text_matcher,
     identity_to_document,
     ingredient_bits,
     load_identity_file,
@@ -272,11 +273,14 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     """The step masks of a trace file (bit i = the i-th ingredient id in
     sorted order), read line by line with no per-step object.
 
-    A line spelled exactly ``{"u":<step>,"F":<tail>}``, as ``write_trace``
-    writes it, is looked up by its tail: a tail that passed every check
-    once gives its mask again.  Any other line, a stray id included, gets
+    A line spelled as ``write_trace`` writes it is looked up by its texts
+    after ``{"u":<step>,``: ``F``, or, on a state line with no backslash,
+    ``M``, ``pi`` and ``D`` after a ``C`` of plain strings (see
+    ``identity.context_text_matcher``), each text with the separator before
+    it and the last with the closing brace.  A text that passed every check
+    once gives its bits again.  Any other line, a stray id included, gets
     the full decode, so every message is the same.  A full memo is emptied,
-    or dropped if it was hit less often than it holds tails.
+    or dropped if it was hit less often than it holds texts.
 
     Raises what ``parse_trace(path).to_activations(identity)`` raises: a
     fault in any line comes first, then a stray ingredient id at its first
@@ -286,37 +290,55 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     next(check)
     form = None
     masks: list[int] = []
-    tails: dict[str, int] | None = None
+    memo: dict[str, int] | None = None
     hits = 0
-    encode = None
+    encode = context = parts = None
     fault: TracebindError | None = None
     for index, line in enumerate(_text_lines(path)):
-        # the text after the head, closing brace included, decodes the same
-        # way after any step's head
-        head = f'{{"u":{index},"F":' if tails is not None else None
-        tail = line[len(head):] if head and line.startswith(head) else None
-        if tail is not None and (mask := tails.get(tail)) is not None:
-            hits += 1
-            masks.append(mask)
-            continue
+        texts: tuple[str, ...] = ()
+        if memo is not None and form == "activation":
+            # the text after the head decodes the same way after any head
+            if line.startswith(head := f'{{"u":{index},"F":'):
+                if (mask := memo.get(tail := line[len(head):])) is not None:
+                    hits += 1
+                    masks.append(mask)
+                    continue
+                texts = (tail,)
+        elif memo is not None and "\\" not in line and line.startswith(head := f'{{"u":{index},"C":['):
+            # each text keeps its separator, so no two fields share a text; no
+            # string of a valid record holds a separator's quote unescaped, so
+            # on a valid record this split is the true one
+            c_end = line.find('],"M":{', len(head))
+            m_end = line.find('},"pi":[', c_end)
+            if (d_end := line.find('],"D":[', m_end)) > 0:
+                texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
+                cached = memo.get(texts[0]), memo.get(texts[1]), memo.get(texts[2])
+                if None not in cached and (plain := context(line[len(head) : c_end])) is not None:
+                    hits += 1
+                    masks.append(plain + sum(cached))  # disjoint bits
+                    continue
         form, record = check.send((index, line))
         if fault is not None:
             continue
         try:
             if encode is None:
                 encode = _mask_encoder(form, record, identity)
-                tails = {} if form == "activation" else None
+                context = context_text_matcher(identity)
+                memo = {} if context or form == "activation" else None
+                # the bits each memo text decides: all, or those of M, pi and D
+                bits = ingredient_bits(identity)
+                parts = [sum(bits[s.ingredient_id] for s in identity.ingredients if s.kind == kind)
+                         for kind in ("memory", "policy", "retrieval")] if form == "state" else [-1]
             mask = encode(record)
         except TracebindError as exc:
             fault = exc
             continue
         masks.append(mask)
-        if tail is not None:
-            if len(tails) < _MAX_CACHED_TAILS:
-                tails[tail] = mask
-            else:
-                tails = {} if hits >= len(tails) else None
-                hits = 0
+        if texts and len(memo) + len(texts) <= _MAX_CACHED_TAILS:
+            memo.update(zip(texts, [mask & part for part in parts]))
+        elif texts:
+            memo = {} if hits >= len(memo) else None
+            hits = 0
     if form is None:
         raise FileFormatError(f"{path}: empty trace")
     if fault is not None:
@@ -408,13 +430,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         parse_trace(args.trace)
         raise
     masks = read_masks(args.trace, identity)
-    explicit = _parse_eval_selector(args.eval)
-    if explicit is None:
-        cfg = WindowConfig.all_valid(args.delta, args.stride, len(masks), args.horizon_max)
-    else:
-        cfg = WindowConfig(
-            args.delta, args.stride, explicit, args.horizon_max
-        ).restrict_to(len(masks))
+    # with --eval all, T stays a range, which holds no int per layer time
+    times = _parse_eval_selector(args.eval) or range(len(masks))
+    cfg = WindowConfig(args.delta, args.stride, times, args.horizon_max).restrict_to(len(masks))
     if not cfg.eval_indices:
         raise ParameterError(
             "no evaluation window fits inside the trace; shrink --delta or the "

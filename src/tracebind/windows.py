@@ -24,6 +24,7 @@ they read them and run the same folds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -42,7 +43,7 @@ class WindowConfig:
 
     horizon: int
     stride: int
-    eval_indices: tuple[int, ...]
+    eval_indices: Sequence[int]
     horizon_max: int = DEFAULT_HORIZON_MAX
 
     def __post_init__(self) -> None:
@@ -53,9 +54,8 @@ class WindowConfig:
         if self.horizon_max < 0:
             raise ParameterError("horizon_max must be >= 0")
         indices = self.eval_indices
-        if isinstance(indices, range) and indices.step > 0:
-            indices = tuple(indices)  # already sorted and distinct
-        else:
+        # a range with a positive step is sorted and distinct, in O(1) memory
+        if not (isinstance(indices, range) and indices.step > 0):
             indices = tuple(sorted(set(indices)))
         if indices and indices[0] < 0:
             raise ParameterError("evaluation indices must be >= 0")
@@ -71,14 +71,13 @@ class WindowConfig:
     ) -> "WindowConfig":
         """Config whose T contains every layer time with a full window in range."""
         last = trace_length - 1 - horizon
-        return cls(horizon, stride, range(last // stride + 1), horizon_max)
+        return cls(horizon, stride, tuple(range(last // stride + 1)), horizon_max)
 
     def restrict_to(self, trace_length: int) -> "WindowConfig":
-        """Drop evaluation indices whose windows overrun a trace of this length."""
-        kept = tuple(
-            t for t in self.eval_indices
-            if self.stride * t + self.horizon < trace_length
-        )
+        """Drop evaluation indices whose windows overrun a trace of this
+        length, a suffix of the sorted T; a range stays a range."""
+        last = (trace_length - 1 - self.horizon) // self.stride
+        kept = self.eval_indices[: bisect_right(self.eval_indices, last)]
         return WindowConfig(self.horizon, self.stride, kept, self.horizon_max)
 
 
@@ -156,13 +155,6 @@ class _BitIndices(dict):
             self.clear()
         indices = self[mask] = [i for i in range(mask.bit_length()) if mask >> i & 1]
         return indices
-
-
-def window_flags(masks: Iterable[int], k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
-    """The flags of :func:`window_flag_counts`, one byte per window."""
-    flags: list[tuple[int, bool, bool]] = []
-    window_flag_counts(masks, k, cfg, flags)
-    return bytearray(f[1] for f in flags), bytearray(f[2] for f in flags)
 
 
 def window_flag_counts(

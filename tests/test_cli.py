@@ -324,6 +324,26 @@ class TestAnalyzeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["window"]["t_count"] == 1
 
+    @pytest.mark.parametrize(
+        "flags, t_count",
+        [(["--delta", "1", "--stride", "3"], 3), (["--delta", "0", "--stride", "3"], 4), (["--delta", "9"], 1)],
+    )
+    def test_every_layer_time_that_fits(self, tmp_path, capsys, flags, t_count):
+        # with --eval all, T is every t whose window s*t .. s*t + delta ends
+        # inside the 10 steps
+        trace_path, identity_path = self._alternating_files(tmp_path, length=10)
+        code = main(["analyze", "--trace", str(trace_path), "--identity", str(identity_path), *flags])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["window"]["t_count"] == t_count
+
+    @pytest.mark.parametrize("flags", [["--delta", "10"], ["--delta", "1", "--eval", "9,500"]])
+    def test_no_window_fits_is_usage_error(self, tmp_path, capsys, flags):
+        trace_path, identity_path = self._alternating_files(tmp_path, length=10)
+        code = main(["analyze", "--trace", str(trace_path), "--identity", str(identity_path), *flags])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "no evaluation window fits inside the trace" in out.err
+
     def test_report_written_to_file(self, tmp_path):
         trace_path, identity_path = self._alternating_files(tmp_path, length=12)
         out = tmp_path / "report.json"

@@ -41,9 +41,11 @@ from tracebind.identity import (
     IngredientSpec,
     ScaffoldState,
     activation_mask,
+    context_text_matcher,
     ingredient_bits,
     load_identity_file,
     load_json,
+    state_matcher,
 )
 from tracebind.metrics import (
     MetricParams,
@@ -434,6 +436,249 @@ class TestTailMemo:
         assert len(calls) <= len(tails) + 1
 
 
+# A state identity with every ingredient kind, and the per-file pools its
+# warm traces draw their M, pi and D values from.
+STATE_IDENTITY = GroundedIdentity(
+    (
+        IngredientSpec(ingredient_id="name", kind="context", context_pattern=("I", "am", "Ada")),
+        IngredientSpec(ingredient_id="role", kind="context", context_pattern=("x",)),
+        IngredientSpec(ingredient_id="team", kind="memory", memory_key="team", memory_value="audit"),
+        IngredientSpec(ingredient_id="guard", kind="policy", flag_index=1),
+        IngredientSpec(ingredient_id="charter", kind="retrieval", doc_id="charter"),
+    )
+)
+STATE_POOLS = {
+    "M": [{}, {"team": "audit"}, {"team": "ops", "topic": "audit"}],
+    "pi": [[0, 1], [1, 0], [1, 1]],
+    "D": [[], ["charter"], ["charter", "faq"]],
+}
+
+
+def counted_decodes(monkeypatch) -> list:
+    """Patch the reader's strict decoder to record each call."""
+    calls: list = []
+    monkeypatch.setattr(cli, "load_json", lambda *args: calls.append(args[0]) or load_json(*args))
+    return calls
+
+
+class TestStateMemo:
+    """``read_masks`` reuses the bits of a compact state line's ``M``, ``pi``
+    and ``D`` texts and reads its context bits off a ``C`` of plain strings;
+    every other line takes the full decode.  Each case warms the memo first,
+    so the field texts of the line under test are cached when it is read."""
+
+    def warm(self, rng: random.Random, length: int = 10) -> tuple[list[dict], int]:
+        """Records of ``STATE_IDENTITY``, and a step ``u`` whose M, pi and D
+        the step before repeats."""
+        records = [
+            {"u": u, "C": rng.choices(VOCAB, k=rng.randint(0, 8)),
+             **{name: rng.choice(pool) for name, pool in STATE_POOLS.items()}}
+            for u in range(length)
+        ]
+        u = rng.randrange(4, length)
+        records[u - 1].update({name: records[u][name] for name in STATE_POOLS})
+        return records, u
+
+    def check(self, path: Path, lines: list[str], identity: GroundedIdentity = STATE_IDENTITY) -> tuple:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return assert_same_outcome(path, identity)
+
+    def test_faults_after_a_warm_memo(self, tmp_path):
+        rng = random.Random(7_007)
+        path = tmp_path / "trace.jsonl"
+        kinds = set()
+        for fault in FAULTS:
+            for _ in range(12):
+                records, u = self.warm(rng)
+                lines = [compact(rec) for rec in records]
+                text = fault(u, records[u])
+                # the fault as written, and compact where it is an object
+                try:
+                    spellings = [text, compact(json.loads(text))]
+                except (ValueError, TypeError):
+                    spellings = [text]
+                for lines[u] in spellings:
+                    kinds.add(self.check(path, lines)[0])
+        assert kinds == {"ok", FileFormatError}
+
+    def test_field_texts_next_to_cached_ones(self, tmp_path):
+        # a repeated key in an M whose text without it is cached, pi of
+        # another length or with true or 1.0, and near misses of each field
+        path = tmp_path / "trace.jsonl"
+        cached = {"M": '{"team":"audit"}', "pi": "[0,1]", "D": '["charter"]'}
+        variants = {
+            "M": ['{"team":"audit","team":"audit"}', '{"team":"ops","team":"audit"}',
+                  '{"team":"audit","topic":"x","team":"ops"}', '{"team":"audit"', '{"team":1}',
+                  '{"team":"audit"}}', '{"team":"audit","topic":"x"}', '{}', '[]'],
+            "pi": ["[0,1,0]", "[0]", "[]", "[true,1]", "[1.0,1]", "[0,1.0]", "[0,2]", "[0,-1]",
+                   "[0,1]]", "[0,01]", "[1,1]", "[0,false]"],
+            "D": ['["charter","charter"]', '["charter",1]', '"charter"', '["charter"]]',
+                  '["charter"', '[]', '["faq"]', '{"charter":1}'],
+        }
+        kinds = set()
+        for name, texts in variants.items():
+            for text in texts:
+                fields = {**cached, name: text}
+                lines = ['{"u":%d,"C":["I","am","Ada"],"M":%s,"pi":%s,"D":%s}' % (u, *cached.values())
+                         for u in range(6)]
+                lines[4] = '{"u":4,"C":["x"],"M":%s,"pi":%s,"D":%s}' % tuple(fields.values())
+                kinds.add(self.check(path, lines)[0])
+        # a D text that, without the closing brace, spells a cached pi text
+        lines[4] = '{"u":4,"C":["x"],"M":{"team":"audit"},"pi":[0,1],"D":[0,1]'
+        kinds.add(self.check(path, lines)[0])
+        assert kinds == {"ok", FileFormatError}
+
+    def test_other_spellings_of_a_cached_line(self, tmp_path):
+        rng = random.Random(7_008)
+        path = tmp_path / "trace.jsonl"
+        for _ in range(30):
+            records, u = self.warm(rng)
+            lines = [compact(rec) for rec in records]
+            line = lines[u]
+            c = compact(records[u]["C"])
+            m, pi, d = (compact(records[u][name]) for name in ("M", "pi", "D"))
+            fields = line[line.index(',"M":'):]
+            variants = [
+                '{"u":%d,"C":%s%s' % (u + 1, c, fields),
+                '{"u":%d,"C":%s%s' % (u - 1, c, fields),
+                '{"u":0%d,"C":%s%s' % (u, c, fields),
+                '{"u":%d.0,"C":%s%s' % (u, c, fields),
+                '{"u":%d, "C":%s%s' % (u, c, fields),
+                '{"u":%d,"C": %s%s' % (u, c, fields),
+                '{"u":%d,"C":%s %s' % (u, c, fields),
+                '{"u":%d,"C":%s,"M": %s,"pi":%s,"D":%s}' % (u, c, m, pi, d),
+                '{"u":%d,"C":%s,"M":%s, "pi":%s,"D":%s}' % (u, c, m, pi, d),
+                '{"u":%d,"C":%s,"M":%s,"pi":%s,"D": %s}' % (u, c, m, pi, d),
+                '{"u":%d,"M":%s,"C":%s,"pi":%s,"D":%s}' % (u, m, c, pi, d),
+                '{"u":%d,"C":%s,"pi":%s,"M":%s,"D":%s}' % (u, c, pi, m, d),
+                '{"u":%d,"C":%s,"M":%s,"D":%s,"pi":%s}' % (u, c, m, d, pi),
+                '{"C":%s,"u":%d%s' % (c, u, fields),
+                '{"\\u0075":%d,"C":%s%s' % (u, c, fields),
+                '{"u":%d,"\\u0043":%s%s' % (u, c, fields),
+                '{"u":%d,"C":%s,"C":%s%s' % (u, c, c, fields),
+                '{"u":%d,"C":%s,"M":%s,"pi":%s,"D":%s,"D":[]}' % (u, c, m, pi, d),
+                " " + line,
+                "\ufeff" + line,
+                line + " ",
+                line + "\t",
+                line + "x",
+                line + "}",
+                line[:-1],
+                line[:-1] + "]",
+            ]
+            got = set()
+            for lines[u] in variants:
+                got.add(self.check(path, lines)[0])
+            assert got == {"ok", FileFormatError}
+
+    # Context lists, each around the cached fields of the line before:
+    # escaped texts, texts with structure inside their strings, and
+    # hand-written lists that are not lists of strings.
+    CONTEXTS = [
+        ["I", "am", "Ada"], ["I", "am", "Ada", ""], ["", "", ""], [""], [],
+        ["I", '","', "am", "Ada"], ["I","am", "Ada", '],"M":{'], ['I","am","Ada'],
+        ["I", 'am"', "Ada"], ["x\\"], ["\\u0041"], ["I", "am", "Ada\u0001"], ["\u007f", "x"],
+        ["\u00e9", "I", "am", "Ada"], ["\u65e5\u672c", "x"], ["\u00a0", " ", "x"], [",", "]", "[", "{", "}", ":"],
+        ["I", "am", "Ada", "],"], ['"M":{'], ["x", " x", "x "],
+    ]
+    C_TEXTS = [
+        '["a"b"]', '["a",]', '[,"a"]', '["a""b"]', '["a" ,"b"]', '["]', '[""]', '["",""]',
+        '["I","am","Ada",]', '["I",am"]', "[1]", '["a",1]', "[null]", '["\x01"]', '["a\tb"]',
+        '["\x7f"]', '["\u00a0x"]', '[" x"]', '[ "x"]', '["x" ]', '["x"', '"x"]', '["x\\""]', '["\\u0078"]',
+        '["x"],"C":["x"]', '["I","am","Ada"]]', '[["x"]]', '["x",{}]', '[x","y]', '["x","y]',
+        '[x","y"]', '["x""]',
+    ]
+
+    def test_context_texts(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.jsonl"
+        fields = ',"M":{"team":"audit"},"pi":[0,1],"D":["charter"]}'
+        texts = [compact(c) for c in self.CONTEXTS]
+        texts += [json.dumps(c, ensure_ascii=False, separators=(",", ":")) for c in self.CONTEXTS]
+        kinds = set()
+        for text in texts + self.C_TEXTS:
+            lines = ['{"u":%d,"C":%s%s' % (u, text if u > 1 else "[]", fields) for u in range(5)]
+            kinds.add(kind := self.check(path, lines)[0])
+            calls = counted_decodes(monkeypatch)
+            outcome(read_masks, path, STATE_IDENTITY)
+            # the two lines that warm the memo, then none if the list is
+            # compact, of strings, and free of escapes and unprintables; a fault stops the read
+            try:
+                value = json.loads(text)
+            except ValueError:
+                value = None
+            plain = (
+                isinstance(value, list) and all(isinstance(token, str) for token in value)
+                and json.dumps(value, ensure_ascii=False, separators=(",", ":")) == text
+                and "\\" not in text and text.isprintable()
+            )
+            assert len(calls) == (2 if plain else 5 if kind == "ok" else 3), text
+            monkeypatch.undo()
+        assert kinds == {"ok", FileFormatError}
+
+    @pytest.mark.parametrize(
+        "pattern", [("a,b",), ('a"b',), ("a]",), ("[a",), ("a\\b",), ("",), ("I", ""), ("a\u0001",), ("\u00a0",)]
+    )
+    def test_patterns_without_a_needle_turn_the_fast_path_off(self, tmp_path, monkeypatch, pattern):
+        path = tmp_path / "trace.jsonl"
+        identity = GroundedIdentity(
+            (
+                IngredientSpec(ingredient_id="p", kind="context", context_pattern=pattern),
+                IngredientSpec(ingredient_id="i", kind="context", context_pattern=("I",)),
+            )
+        )
+        assert context_text_matcher(identity) is None
+        context = ["I", *pattern, "x"]
+        lines = [json.dumps({"u": u, "C": context[u % 2:], "M": {}, "pi": [], "D": []},
+                            separators=(",", ":"), ensure_ascii=False) for u in range(6)]
+        assert self.check(path, lines, identity) [0] == "ok"
+        calls = counted_decodes(monkeypatch)
+        read_masks(path, identity)
+        assert len(calls) == len(lines)
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_more_distinct_texts_than_the_memo_holds(self, tmp_path, monkeypatch, repeats):
+        # 3,072 distinct M texts: met once each they drop the memo; met three
+        # times in a row they keep it, emptied each time it fills
+        path = tmp_path / "trace.jsonl"
+        lines = [
+            compact({"u": u, "C": ["I", "am", "Ada"], "M": {"team": "audit", "n": str(u // repeats)},
+                     "pi": [u % 2, 1], "D": ["charter"]})
+            for u in range(repeats * 3 * _MAX_CACHED_TAILS)
+        ]
+        calls = counted_decodes(monkeypatch)
+        assert self.check(path, lines)[0] == "ok"
+        decoded_by_read_masks = len(calls) - len(lines)
+        if repeats > 1:
+            assert decoded_by_read_masks < len(lines) // 2
+        u = len(lines) - 5
+        lines[u] = lines[u].replace('{"u":%d,' % u, '{"u":%d,' % (u + 1))
+        assert "expected u=%d, got u=%d" % (u, u + 1) in self.check(path, lines)[1]
+
+    def test_each_distinct_field_text_is_decoded_once(self, tmp_path, monkeypatch):
+        # a 10,000-step trace shaped like the benchmark's state-session: 28
+        # context tokens, two memory keys, four flags and a few documents
+        rng = random.Random(7_010)
+        path = tmp_path / "trace.jsonl"
+        filler = ["in", "from", "report", "status", "may", "Bo", "I", "am"]
+        records = []
+        for u in range(10_000):
+            context = rng.choices(filler, k=24) + rng.choice([["I", "am", "Ada"], ["x"], []])
+            rng.shuffle(context)
+            records.append({
+                "u": u,
+                "C": context,
+                "M": {"team": rng.choice(["audit", "ops", "support"]), "topic": rng.choice(["a", "b", "c"])},
+                "pi": [rng.getrandbits(1) for _ in range(4)],
+                "D": sorted(rng.sample(["charter", "faq", "notes", "policy"], rng.randint(0, 3))),
+            })
+        write_trace(path, records)
+        distinct = sum(len({compact(rec[name]) for rec in records}) for name in STATE_POOLS)
+        expected = object_path_masks(path, STATE_IDENTITY)
+        calls = counted_decodes(monkeypatch)
+        assert read_masks(path, STATE_IDENTITY) == expected
+        assert len(calls) <= 1 + distinct
+
+
 def reference_lines(path: Path) -> tuple:
     """The lines of a file as a newline-at-a-time reader gives them: each
     run of bytes up to a ``\n`` decoded alone, then split as
@@ -622,6 +867,14 @@ F_TOKENS = {'"<esc g0>"': '"\\u0067\\u0030"', '"<esc g1>"': '"\\u0067\\u0031"'}
 f_tokens = tokens | st.sampled_from([*(json.loads(t) for t in F_TOKENS), "g]", "}", 'g"0', "\u00e9", "\u2028"])
 
 
+# Context tokens for state lines: the tokens, and strings that hold the
+# separators of a compact state line, a quote, a backslash, a control
+# character, a non-ASCII letter, list punctuation, or nothing.
+c_tokens = tokens | st.sampled_from(
+    ['","', '],"M":{', '},"pi":[', '],"D":[', '"', "\\", "\x01", "\u00e9", "", ",", "]", "{"]
+)
+
+
 def with_escapes(text: str) -> str:
     for placeholder, escaped in F_TOKENS.items():
         text = text.replace(placeholder, escaped)
@@ -633,22 +886,24 @@ def trace_lines(draw) -> list[str]:
     """Near-valid records of either form, some fields replaced by any JSON.
 
     Half the traces are written compact, as ``write_trace`` writes them, so
-    ``read_masks`` looks their ``F`` texts up; those texts come from a small
-    pool, so they repeat, duplicate ids and strays included."""
+    ``read_masks`` looks their ``F`` texts, or their ``M``, ``pi`` and ``D``
+    texts, up; those come from small per-trace pools, so they repeat,
+    duplicate ids, strays and ``pi`` of another length included."""
     state = draw(st.booleans())
     separators = draw(st.sampled_from([None, (",", ":")]))
     ascii_only = draw(st.booleans())
     pool = draw(st.lists(st.lists(f_tokens, max_size=3), min_size=1, max_size=3))
+    pools = {
+        "M": st.dictionaries(st.sampled_from(["team", "topic"]), st.sampled_from(["audit", "ops"])),
+        "pi": st.lists(st.integers(0, 1), min_size=1, max_size=2),
+        "D": st.lists(st.sampled_from(["charter", "faq"]), max_size=2),
+    }
+    fields = {name: draw(st.lists(values, min_size=1, max_size=3)) for name, values in pools.items()}
     lines = []
     for u in range(draw(st.integers(0, 8))):
         if state:
-            record = {
-                "u": u,
-                "C": draw(st.lists(tokens, max_size=4)),
-                "M": draw(st.dictionaries(st.sampled_from(["team"]), st.sampled_from(["audit"]))),
-                "pi": draw(st.lists(st.integers(0, 1), min_size=1, max_size=1)),
-                "D": draw(st.lists(st.sampled_from(["charter"]), max_size=1)),
-            }
+            record = {"u": u, "C": draw(st.lists(c_tokens, max_size=4))}
+            record.update({name: draw(st.sampled_from(values)) for name, values in fields.items()})
         else:
             record = {"u": u, "F": draw(st.sampled_from(pool))}
         if draw(st.integers(0, 3)) == 0:
@@ -700,6 +955,53 @@ def identity_texts(draw) -> str:
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
+
+# Context tokens with no '"', '\\' or control character, some holding the
+# punctuation of a JSON list (and U+00A0, which is not printable), and
+# pattern tokens from the characters a needle allows.
+plain_tokens = st.text(alphabet=" a,[]{}:\u00e9\u00a0", max_size=3)
+pattern_tokens = st.text(alphabet=" a{}:\u00e9", min_size=1, max_size=2)
+
+
+def context_only(patterns) -> GroundedIdentity:
+    return GroundedIdentity(
+        tuple(
+            IngredientSpec(ingredient_id=f"c{i}", kind="context", context_pattern=tuple(p))
+            for i, p in enumerate(patterns)
+        )
+    )
+
+
+class TestContextNeedles:
+    """``identity.context_text_matcher`` against ``state_matcher``."""
+
+    @FUZZ
+    @given(data=st.data())
+    def test_needles_give_the_context_bits_of_the_matcher(self, data):
+        patterns = data.draw(st.lists(st.lists(pattern_tokens, min_size=1, max_size=3), min_size=1, max_size=3))
+        vocab = [token for pattern in patterns for token in pattern]
+        context = data.draw(st.lists(st.sampled_from(vocab) | plain_tokens, max_size=8))
+        identity = context_only(patterns)
+        body = json.dumps(context, ensure_ascii=False, separators=(",", ":"))[1:-1]
+        expected = state_matcher(identity, 0)(context, {}, (), ())
+        assert context_text_matcher(identity)(body) == (expected if body.isprintable() else None)
+
+    @FUZZ
+    @given(body=st.text(alphabet='"a,\\] \x01\u00e9', max_size=12))
+    def test_only_compact_lists_of_plain_strings_are_read(self, body):
+        identity = context_only([("a",), ("a", "a"), ("\u00e9",)])
+        text = "[" + body + "]"
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = None
+        plain = (
+            isinstance(value, list) and all(isinstance(token, str) for token in value)
+            and json.dumps(value, ensure_ascii=False, separators=(",", ":")) == text
+            and "\\" not in body and body.isprintable()
+        )
+        expected = state_matcher(identity, 0)(value, {}, (), ()) if plain else None
+        assert context_text_matcher(identity)(body) == expected
 
 
 class TestFuzz:

@@ -27,9 +27,17 @@ from tracebind.windows import (
     occurs,
     start_horizons,
     window,
-    window_flags,
+    window_flag_counts,
     window_horizons,
 )
+
+
+def window_flags(masks, k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
+    """The flags of ``window_flag_counts``, one byte per window."""
+    flags: list[tuple[int, bool, bool]] = []
+    window_flag_counts(masks, k, cfg, flags)
+    return bytearray(f[1] for f in flags), bytearray(f[2] for f in flags)
+
 
 PQ = context_identity(2, prefix="")  # ids "0", "1"
 NAME_ROLE_CONSTRAINT = context_identity(3, prefix="ing")
