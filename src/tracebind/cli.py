@@ -24,7 +24,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterator, Sequence
 
 from .errors import (
     FileFormatError,
@@ -41,6 +41,7 @@ from .identity import (
     context_text_matcher,
     identity_to_document,
     ingredient_bits,
+    is_flag,
     load_identity_file,
     load_json,
     state_matcher,
@@ -96,24 +97,13 @@ class TraceData:
 
     def to_activations(self, identity: GroundedIdentity) -> list[ActivationSet]:
         if self.form == "activation":
-            known = identity.ingredient_ids
+            encode = _mask_encoder(self.form, None, identity)
             for act in self.activations:
-                stray = act.active - known
-                if stray:
-                    raise FileFormatError(_stray_message(act.step_index, stray))
+                encode({"u": act.step_index, "F": act.active})
             return list(self.activations)
         # activation reads nothing of the architecture but its flag count
-        arch = ScaffoldArchitecture(
-            n_policy_flags=len(self.states[0].policy_flags), context_capacity=1
-        )
+        arch = ScaffoldArchitecture(len(self.states[0].policy_flags), context_capacity=1)
         return activation_sets(self.states, identity, arch)
-
-
-def _stray_message(step: int, stray: Iterable[str]) -> str:
-    return (
-        f"step {step} references ingredients not in the identity spec: "
-        f"{sorted(stray)}"
-    )
 
 
 def _check_strings(value, located: Callable[[str], FileFormatError], name: str) -> None:
@@ -211,8 +201,7 @@ def _line_checks(path: str | Path) -> Generator[tuple, tuple[int, str], None]:
             raise located("M must map strings to strings")
         if not isinstance(flags, list):
             raise located("pi must be a list")
-        # bool and float compare equal to 0 and 1, so the type is checked by name
-        if not all(type(flag) is int and flag in (0, 1) for flag in flags):
+        if not all(map(is_flag, flags)):
             raise located("pi entries must be the integers 0 or 1")
         _check_strings(obj["D"], located, "D")
         if index == 0:
@@ -250,7 +239,7 @@ def parse_trace(path: str | Path) -> TraceData:
     return TraceData(form=form, states=tuple(states), activations=tuple(activations))
 
 
-def _mask_encoder(form: str, first: dict, identity: GroundedIdentity) -> Callable[[dict], int]:
+def _mask_encoder(form: str, first: dict | None, identity: GroundedIdentity) -> Callable[[dict], int]:
     if form == "state":
         match = state_matcher(identity, len(first["pi"]))
         return lambda record: match(record["C"], record["M"], record["pi"], record["D"])
@@ -261,8 +250,10 @@ def _mask_encoder(form: str, first: dict, identity: GroundedIdentity) -> Callabl
         for ingredient in record["F"]:
             bit = bits.get(ingredient)
             if bit is None:
-                stray = set(record["F"]) - bits.keys()
-                raise FileFormatError(_stray_message(record["u"], stray))
+                stray = sorted(set(record["F"]) - bits.keys())
+                raise FileFormatError(
+                    f"step {record['u']} references ingredients not in the identity spec: {stray}"
+                )
             mask |= bit
         return mask
 
@@ -415,9 +406,11 @@ def build_report(
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(doc: dict, args: argparse.Namespace) -> None:
+    """Write ``doc`` in the ``--format`` rendering to ``--out``, or stdout."""
+    text = (render_json if args.format == "json" else render_text)(doc) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -445,11 +438,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         alpha=args.alpha,
     )
     report = build_report(masks, identity.k, cfg, params, args.ref_index)
-    doc = report.to_document()
-    if args.format == "json":
-        _emit(render_json(doc) + "\n", args.out)
-    else:
-        _emit(render_text(doc) + "\n", args.out)
+    _emit(report.to_document(), args)
     return 0
 
 
@@ -646,10 +635,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         "pairs": pairs,
         "delta_cons": args.delta_cons,
     }
-    if args.format == "json":
-        _emit(render_json(doc) + "\n", args.out)
-    else:
-        _emit(render_text(doc) + "\n", args.out)
+    _emit(doc, args)
     return 0
 
 

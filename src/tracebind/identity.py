@@ -32,7 +32,11 @@ _KIND_FIELDS = {
     "retrieval": ("doc_id",),
 }
 
-INGREDIENT_KINDS = tuple(_KIND_FIELDS)
+
+def is_flag(value) -> bool:
+    """True iff ``value`` is the integer 0 or 1; bool and float compare equal
+    to them, so the type is checked by name."""
+    return type(value) is int and value in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,7 @@ class ScaffoldState:
         object.__setattr__(self, "retrieved", frozenset(self.retrieved))
         if self.step_index < 0:
             raise StructuralError("step_index must be >= 0")
-        # bool and float compare equal to 0 and 1, so the type is checked by name
-        if not all(type(flag) is int and flag in (0, 1) for flag in self.policy_flags):
+        if not all(map(is_flag, self.policy_flags)):
             raise StructuralError("policy flags must be the integers 0 or 1")
 
 
@@ -233,35 +236,9 @@ class LayeredIdentitySpec:
 def evaluate_ingredient(
     state: ScaffoldState, spec: IngredientSpec, arch: ScaffoldArchitecture
 ) -> bool:
-    """Decide whether one ingredient condition holds in ``state``.
-
-    Context patterns match as contiguous token subsequences; memory requires
-    the exact key/value pair; policy reads one flag; retrieval checks set
-    membership of the document id.
-    """
-    if spec.kind == "context":
-        return _contains_subsequence(state.context, spec.context_pattern)
-    if spec.kind == "memory":
-        return state.memory.get(spec.memory_key) == spec.memory_value
-    if spec.kind == "policy":
-        _check_flag_index(spec, arch.n_policy_flags)
-        if spec.flag_index >= len(state.policy_flags):
-            raise StructuralError(
-                f"flag_index {spec.flag_index} out of range for state with "
-                f"{len(state.policy_flags)} flags"
-            )
-        return state.policy_flags[spec.flag_index] == 1
-    if spec.kind == "retrieval":
-        return spec.doc_id in state.retrieved
-    raise StructuralError(f"unknown ingredient kind {spec.kind!r}")
-
-
-def _check_flag_index(spec: IngredientSpec, n_flags: int) -> None:
-    if spec.flag_index >= n_flags:
-        raise StructuralError(
-            f"flag_index {spec.flag_index} out of range for architecture "
-            f"with {n_flags} flags"
-        )
+    """Decide whether one ingredient condition holds in ``state``: the
+    one-ingredient case of :func:`activation_sets`."""
+    return bool(activation_set(state, GroundedIdentity((spec,)), arch).active)
 
 
 def _contains_subsequence(tokens: Sequence[str], pattern: Sequence[str]) -> bool:
@@ -284,13 +261,9 @@ def _contains_subsequence(tokens: Sequence[str], pattern: Sequence[str]) -> bool
 def activation_set(
     state: ScaffoldState, identity: GroundedIdentity, arch: ScaffoldArchitecture
 ) -> ActivationSet:
-    """Map a state to the set of identity ingredients active in it."""
-    active = frozenset(
-        spec.ingredient_id
-        for spec in identity.ingredients
-        if evaluate_ingredient(state, spec, arch)
-    )
-    return ActivationSet(step_index=state.step_index, active=active)
+    """Map a state to the set of identity ingredients active in it: the
+    one-state case of :func:`activation_sets`."""
+    return activation_sets((state,), identity, arch)[0]
 
 
 def activation_sets(
@@ -298,8 +271,26 @@ def activation_sets(
     identity: GroundedIdentity,
     arch: ScaffoldArchitecture,
 ) -> list[ActivationSet]:
-    """Activation sets of a whole trajectory, in step order."""
-    return [activation_set(state, identity, arch) for state in states]
+    """Activation sets of a whole trajectory, in step order: the
+    :func:`state_matcher` mask of each state, decoded into the ids of its
+    set bits.  A policy flag index outside ``arch`` or outside a state's
+    flags raises :class:`StructuralError`."""
+    match = state_matcher(identity, arch.n_policy_flags)
+    ids = sorted(identity.ingredient_ids)
+    result = []
+    for state in states:
+        flags = state.policy_flags
+        try:
+            mask = match(state.context, state.memory, flags, state.retrieved)
+        except IndexError:
+            index = next(s.flag_index for s in identity.ingredients
+                         if s.kind == "policy" and s.flag_index >= len(flags))
+            raise StructuralError(
+                f"flag_index {index} out of range for state with {len(flags)} flags"
+            ) from None
+        active = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        result.append(ActivationSet(step_index=state.step_index, active=active))
+    return result
 
 
 def state_distance(a: ActivationSet, b: ActivationSet, k: int) -> float:
@@ -373,12 +364,11 @@ def state_matcher(
     """Compile the identity once into a function from a state's components
     ``(context, memory, policy_flags, retrieved)`` to its step mask.
 
-    For states with ``n_flags`` policy flags it decides what
-    :func:`evaluate_ingredient` decides for every ingredient.  Single-token
-    context patterns become one token -> bits dict, longer ones keep the
-    contiguous-subsequence match, and memory, policy and retrieval
-    ingredients become direct lookups.  A flag index outside ``n_flags``
-    raises here, as :func:`evaluate_ingredient` raises on the first state.
+    Context patterns match as contiguous token subsequences, memory needs the
+    exact key/value pair, policy reads one flag, and retrieval checks that
+    the document was retrieved.  Single-token context patterns become one
+    token -> bits dict, and the other ingredients direct lookups.  A flag
+    index outside ``n_flags`` raises :class:`StructuralError` here.
     """
     bits = ingredient_bits(identity)
     tokens: dict[str, int] = {}
@@ -396,7 +386,11 @@ def state_matcher(
         elif spec.kind == "memory":
             pairs.append((bit, spec.memory_key, spec.memory_value))
         elif spec.kind == "policy":
-            _check_flag_index(spec, n_flags)
+            if spec.flag_index >= n_flags:
+                raise StructuralError(
+                    f"flag_index {spec.flag_index} out of range for architecture "
+                    f"with {n_flags} flags"
+                )
             flags.append((bit, spec.flag_index))
         else:
             docs[spec.doc_id] = docs.get(spec.doc_id, 0) | bit

@@ -1,9 +1,9 @@
 """Naive reference implementations used as differential-testing oracles.
 
-These transcribe the window-counting procedure with plain nested loops and
-no shared work, trading speed for obviousness.  They exist purely for the
-test suite; the CLI never imports this module, so the production path stays
-single-implementation.
+These transcribe ingredient activation and the window-counting procedure
+with plain nested loops and no shared work, trading speed for obviousness.
+They exist purely for the test suite; the CLI never imports this module, so
+the production path stays single-implementation.
 """
 
 from __future__ import annotations
@@ -11,9 +11,28 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import OutOfRangeError, ParameterError
-from .identity import ActivationSet, GroundedIdentity
+from .identity import ActivationSet, GroundedIdentity, ScaffoldState
 from .metrics import PersistenceResult
 from .windows import INFINITE, WindowConfig, WindowSegment, coinstantiated, occurs
+
+
+def oracle_activation_set(state: ScaffoldState, identity: GroundedIdentity) -> ActivationSet:
+    """Each ingredient condition read off its definition, one at a time."""
+    active = set()
+    for spec in identity.ingredients:
+        if spec.kind == "context":
+            m = len(spec.context_pattern)
+            offsets = range(len(state.context) - m + 1)
+            holds = any(state.context[i : i + m] == spec.context_pattern for i in offsets)
+        elif spec.kind == "memory":
+            holds = state.memory.get(spec.memory_key) == spec.memory_value
+        elif spec.kind == "policy":
+            holds = state.policy_flags[spec.flag_index] == 1
+        else:
+            holds = spec.doc_id in state.retrieved
+        if holds:
+            active.add(spec.ingredient_id)
+    return ActivationSet(step_index=state.step_index, active=frozenset(active))
 
 
 def oracle_persistence(

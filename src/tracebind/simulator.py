@@ -24,7 +24,7 @@ which the claimed inequality is visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -41,6 +41,7 @@ from .identity import (
     ScaffoldArchitecture,
     ScaffoldState,
     activation_sets,
+    is_flag,
 )
 from .metrics import PersistenceResult, persistence
 from .windows import WindowConfig
@@ -89,8 +90,8 @@ class Action:
         }[self.kind]
         if not wanted:
             raise StructuralError(f"payload does not match action kind {self.kind!r}")
-        if self.flag_value not in (0, 1):
-            raise StructuralError("flag_value must be 0 or 1")
+        if not is_flag(self.flag_value):
+            raise StructuralError("flag_value must be the integer 0 or 1")
 
 
 def infer(*tokens: str) -> Action:
@@ -205,31 +206,24 @@ POLICY_NONE = RetrievalPolicy(mode="none")
 class ArchitecturePreset:
     """Feature configuration of one scaffold architecture.
 
-    Eviction is always oldest-first over non-pinned tokens.
+    The name fixes which modules the scaffold has (``memory_enabled``,
+    ``controller_flags_enabled``, ``context_persists``).  Eviction is always
+    oldest-first over non-pinned tokens.
     """
 
     name: str
     context_capacity: int
     pinned_prefix: tuple[str, ...] = ()
     retrieval: RetrievalPolicy = POLICY_NONE
-    memory_enabled: bool = False
-    controller_flags_enabled: bool = False
-    context_persists: bool = True
     n_policy_flags: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pinned_prefix", tuple(self.pinned_prefix))
         if self.name not in _PRESET_FEATURES:
             raise StructuralError(f"unknown preset name {self.name!r}")
-        if self.context_capacity < 1:
-            raise StructuralError("context_capacity must be >= 1")
+        self.architecture()  # checks the capacity and the flag count
         if len(self.pinned_prefix) > self.context_capacity:
             raise StructuralError("pinned prefix exceeds context capacity")
-        if self.n_policy_flags < 0:
-            raise StructuralError("n_policy_flags must be >= 0")
-        features = (
-            self.memory_enabled, self.controller_flags_enabled, self.context_persists
-        )
         # only prompted and controller pin a prefix; stateless and prompted
         # never retrieve, rag always does, memory and controller may
         pinned_ok = not self.pinned_prefix or self.name in ("prompted", "controller")
@@ -237,10 +231,22 @@ class ArchitecturePreset:
         retrieval_ok = (
             retrieves == (self.name == "rag") or self.name in ("memory", "controller")
         )
-        if features != _PRESET_FEATURES[self.name] or not pinned_ok or not retrieval_ok:
+        if not pinned_ok or not retrieval_ok:
             raise StructuralError(
                 f"feature set does not match the {self.name!r} preset"
             )
+
+    @property
+    def memory_enabled(self) -> bool:
+        return _PRESET_FEATURES[self.name][0]
+
+    @property
+    def controller_flags_enabled(self) -> bool:
+        return _PRESET_FEATURES[self.name][1]
+
+    @property
+    def context_persists(self) -> bool:
+        return _PRESET_FEATURES[self.name][2]
 
     def architecture(self) -> ScaffoldArchitecture:
         return ScaffoldArchitecture(
@@ -273,21 +279,14 @@ def make_preset(
     retrieval: RetrievalPolicy | None = None,
     n_policy_flags: int = 1,
 ) -> ArchitecturePreset:
-    """Build a preset with the feature set its name implies."""
-    if name not in _PRESET_FEATURES:
-        raise StructuralError(f"unknown preset name {name!r}")
+    """Build a preset; its name fixes its feature set."""
     if name == "rag" and (retrieval is None or retrieval.mode == "none"):
         raise StructuralError("the rag preset needs a retrieval policy")
-    policy = retrieval if retrieval is not None else POLICY_NONE
-    memory_enabled, controller_flags_enabled, context_persists = _PRESET_FEATURES[name]
     return ArchitecturePreset(
         name=name,
         context_capacity=context_capacity,
         pinned_prefix=tuple(pinned_prefix),
-        retrieval=policy,
-        memory_enabled=memory_enabled,
-        controller_flags_enabled=controller_flags_enabled,
-        context_persists=context_persists,
+        retrieval=retrieval if retrieval is not None else POLICY_NONE,
         n_policy_flags=n_policy_flags,
     )
 
@@ -311,17 +310,12 @@ def _append_with_eviction(
 
 def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> ScaffoldState:
     """Apply one action; deterministic in (state, action, preset)."""
-    if preset.context_persists:
-        context = state.context
-        memory = dict(state.memory)
-        flags = list(state.policy_flags)
-        retrieved = set(state.retrieved)
-    else:
-        # prompt-only scaffolds rebuild their view from scratch each step
-        context = preset.pinned_prefix
-        memory = {}
-        flags = [0] * preset.n_policy_flags
-        retrieved = set()
+    # prompt-only scaffolds rebuild their view from scratch each step
+    kept = state if preset.context_persists else preset.initial_state()
+    context = kept.context
+    memory = dict(kept.memory)
+    flags = list(kept.policy_flags)
+    retrieved = set(kept.retrieved)
 
     if action.kind == "infer":
         context = _append_with_eviction(context, action.tokens, preset)
@@ -356,22 +350,8 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
 
 
 def _noop_step(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
-    if preset.context_persists:
-        return ScaffoldState(
-            context=state.context,
-            memory=state.memory,
-            policy_flags=state.policy_flags,
-            retrieved=state.retrieved,
-            step_index=state.step_index + 1,
-        )
-    blank = preset.initial_state()
-    return ScaffoldState(
-        context=blank.context,
-        memory=blank.memory,
-        policy_flags=blank.policy_flags,
-        retrieved=blank.retrieved,
-        step_index=state.step_index + 1,
-    )
+    kept = state if preset.context_persists else preset.initial_state()
+    return replace(kept, step_index=state.step_index + 1)
 
 
 def run(

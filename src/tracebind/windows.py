@@ -296,32 +296,6 @@ def _next_start(upcoming: Iterator[int], previous: int, n: int) -> int:
     return s
 
 
-def mask_horizons(
-    masks: Sequence[int],
-    k: int,
-    stride: int,
-    eval_indices: Sequence[int],
-    horizon_max: int,
-) -> list[tuple[int, int | float, int | float]]:
-    """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
-    the given order and with its duplicates: :func:`start_horizons` of the
-    distinct window starts ``stride*t``.  A start outside the trace raises
-    :class:`OutOfRangeError` before any step is read."""
-    n = len(masks)
-    for t in eval_indices:
-        start = stride * t
-        if t < 0 or not 0 <= start < n:
-            raise OutOfRangeError(
-                f"window start {start} is outside the trace of length {n}"
-            )
-    starts = sorted({stride * t for t in eval_indices})
-    found = {
-        s: (w_weak, w_strong)
-        for s, w_weak, w_strong in start_horizons(masks, k, starts, horizon_max)
-    }
-    return [(t, *found[stride * t]) for t in eval_indices]
-
-
 def window_horizons(
     activations: Sequence[ActivationSet],
     identity: GroundedIdentity,
@@ -329,11 +303,26 @@ def window_horizons(
     eval_indices: Sequence[int],
     horizon_max: int,
 ) -> list[tuple[int, int | float, int | float]]:
-    """:func:`mask_horizons` over an activation trace.  Each step is checked
+    """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
+    the given order and with its duplicates: :func:`start_horizons` of the
+    distinct window starts ``stride*t``.  A start outside the trace raises
+    :class:`OutOfRangeError` before any step is read.  Each step is checked
     against the identity universe when the fold reads it, so a stray id
     fails only inside some window's scanned range."""
+    n = len(activations)
+    for t in eval_indices:
+        start = stride * t
+        if t < 0 or not 0 <= start < n:
+            raise OutOfRangeError(
+                f"window start {start} is outside the trace of length {n}"
+            )
+    starts = sorted({stride * t for t in eval_indices})
     masks = ActivationMasks(activations, ingredient_bits(identity))
-    return mask_horizons(masks, identity.k, stride, eval_indices, horizon_max)
+    found = {
+        s: (w_weak, w_strong)
+        for s, w_weak, w_strong in start_horizons(masks, identity.k, starts, horizon_max)
+    }
+    return [(t, *found[stride * t]) for t in eval_indices]
 
 
 def minimal_horizons(

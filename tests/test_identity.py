@@ -20,6 +20,7 @@ from tracebind.identity import (
     GroundedIdentity,
     IngredientSpec,
     LayeredIdentitySpec,
+    ScaffoldArchitecture,
     ScaffoldState,
     activation_set,
     check_compositionality,
@@ -31,6 +32,7 @@ from tracebind.identity import (
     parse_identity_document,
     state_distance,
 )
+from tracebind.oracle import oracle_activation_set
 
 ARCH = plain_architecture()
 
@@ -102,6 +104,13 @@ class TestEvaluateIngredient:
         bad = IngredientSpec(ingredient_id="f9", kind="policy", flag_index=9)
         with pytest.raises(StructuralError):
             evaluate_ingredient(make_state(), bad, ARCH)
+
+    def test_flag_index_out_of_range_for_a_short_state(self):
+        # the architecture declares flag 2, but the state holds only one flag
+        spec = IngredientSpec(ingredient_id="f2", kind="policy", flag_index=2)
+        arch = ScaffoldArchitecture(n_policy_flags=3, context_capacity=4)
+        with pytest.raises(StructuralError, match="flag_index 2 out of range for state with 1 flags"):
+            evaluate_ingredient(make_state(flags=(1,)), spec, arch)
 
     def test_single_ingredient_states(self):
         # three states, each activating exactly one ingredient of a
@@ -197,6 +206,15 @@ class TestActivationSetOp:
     def test_nothing_active(self):
         assert activation_set(make_state(), FULL_IDENTITY, ARCH).active == frozenset()
 
+    def test_flag_index_out_of_range_for_a_short_state(self):
+        # NAME and ROLE hold, but flag 3 of c3 is past the state's two
+        constraint_3 = IngredientSpec(ingredient_id="c3", kind="policy", flag_index=3)
+        identity = GroundedIdentity((NAME, ROLE, CONSTRAINT, constraint_3))
+        arch = ScaffoldArchitecture(n_policy_flags=4, context_capacity=4)
+        state = make_state(context=("Alice",), memory={"role": "analyst"}, flags=(1, 0))
+        with pytest.raises(StructuralError, match="flag_index 3 out of range for state with 2 flags"):
+            activation_set(state, identity, arch)
+
     def test_definitional_round_trip(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -206,12 +224,8 @@ class TestActivationSetOp:
                 flags=(rng.randint(0, 1), rng.randint(0, 1)),
                 retrieved=set(rng.sample(["doc-a", "doc-b"], rng.randint(0, 2))),
             )
-            expected = {
-                spec.ingredient_id
-                for spec in FULL_IDENTITY.ingredients
-                if evaluate_ingredient(state, spec, ARCH)
-            }
-            assert activation_set(state, FULL_IDENTITY, ARCH).active == expected
+            expected = oracle_activation_set(state, FULL_IDENTITY)
+            assert activation_set(state, FULL_IDENTITY, ARCH) == expected
 
     def test_full_iff_cardinality_k(self):
         rng = random.Random(13)
@@ -223,9 +237,8 @@ class TestActivationSetOp:
                 retrieved={"doc-a"} if rng.random() < 0.7 else set(),
             )
             act = activation_set(state, FULL_IDENTITY, ARCH)
-            all_active = all(
-                evaluate_ingredient(state, spec, ARCH)
-                for spec in FULL_IDENTITY.ingredients
+            all_active = oracle_activation_set(state, FULL_IDENTITY).active == (
+                FULL_IDENTITY.ingredient_ids
             )
             assert (len(act.active) == FULL_IDENTITY.k) == all_active
 

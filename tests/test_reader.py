@@ -39,8 +39,10 @@ from tracebind.identity import (
     ActivationSet,
     GroundedIdentity,
     IngredientSpec,
+    ScaffoldArchitecture,
     ScaffoldState,
     activation_mask,
+    activation_sets,
     context_text_matcher,
     ingredient_bits,
     load_identity_file,
@@ -55,8 +57,8 @@ from tracebind.metrics import (
     identifiable_count,
     persistence_scores,
 )
-from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
-from tracebind.windows import WindowConfig, mask_horizons
+from tracebind.oracle import oracle_activation_set, oracle_minimal_horizons, oracle_persistence
+from tracebind.windows import WindowConfig, window_horizons
 from conftest import context_identity, random_window_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,14 +154,20 @@ class TestMatchesObjectPathAndOracle:
         for _ in range(400):
             _, identity = random_trace(rng, path)
             _, masks = assert_same_outcome(path, identity)
-            acts = parse_trace(path).to_activations(identity)
+            trace = parse_trace(path)
+            acts = trace.to_activations(identity)
+            if trace.form == "state":
+                arch = ScaffoldArchitecture(len(trace.states[0].policy_flags), context_capacity=1)
+                assert activation_sets(trace.states, identity, arch) == [
+                    oracle_activation_set(state, identity) for state in trace.states
+                ]
 
             k = identity.k
             n = len(acts)
             cfg = random_window_config(rng, n, max_delta=6, max_stride=3, horizon_max=rng.randint(0, 50))
             oracle = oracle_persistence(acts, identity, cfg)
             assert persistence_scores(masks, k, cfg) == (oracle.p_weak, oracle.p_strong)
-            horizons = mask_horizons(masks, k, cfg.stride, cfg.eval_indices, cfg.horizon_max)
+            horizons = window_horizons(acts, identity, cfg.stride, cfg.eval_indices, cfg.horizon_max)
             assert horizons == [
                 (t, *oracle_minimal_horizons(acts, identity, cfg.stride, t, cfg.horizon_max))
                 for t in cfg.eval_indices

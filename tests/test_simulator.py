@@ -142,6 +142,13 @@ class TestStep:
         with pytest.raises(StructuralError):
             step(preset.initial_state(), tool(3), preset)
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, 2])
+    def test_flag_value_must_be_the_integer_0_or_1(self, value):
+        # bool and float compare equal to 0 and 1, and a state refuses them,
+        # so the action that would write one is refused when it is built
+        with pytest.raises(StructuralError, match="flag_value"):
+            tool(0, flag_value=value)
+
     def test_noop_tool_changes_nothing_but_time(self):
         preset = controller()
         before = step(preset.initial_state(), infer("x"), preset)
@@ -460,6 +467,17 @@ class TestPresetValidation:
     def test_pin_capacity(self):
         with pytest.raises(StructuralError):
             make_preset("prompted", context_capacity=2, pinned_prefix=("a", "b", "c"))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ({"context_capacity": 0}, "context_capacity must be >= 1"),
+            ({"context_capacity": 4, "n_policy_flags": -1}, "n_policy_flags must be >= 0"),
+        ],
+    )
+    def test_capacity_and_flag_count(self, sizes, message):
+        with pytest.raises(StructuralError, match=message):
+            make_preset("prompted", **sizes)
 
     def test_identity_aware_policy_must_cover(self):
         policy = RetrievalPolicy(

@@ -22,7 +22,6 @@ from tracebind.windows import (
     WindowSegment,
     coinstantiated,
     diamond,
-    mask_horizons,
     minimal_horizons,
     occurs,
     start_horizons,
@@ -377,7 +376,7 @@ class TestMaskFolds:
             oracle.per_window
         )
         sample = sorted(rng.sample(cfg.eval_indices, 300))
-        assert mask_horizons(masks, identity.k, 1, sample, 12) == [
+        assert window_horizons(acts, identity, 1, sample, 12) == [
             (t, *oracle_minimal_horizons(acts, identity, 1, t, 12)) for t in sample
         ]
 
@@ -441,9 +440,13 @@ class TestStartHorizons:
             ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
             results, most = run_watched(masks, k, [stride * t for t in ts], cap)
             assert most <= cap // stride + 1
+            acts = activations_from_sets(
+                [{f"g{i}" for i in range(k) if mask >> i & 1} for mask in masks]
+            )
+            identity = context_identity(k)
             assert results == [
-                (stride * t, *horizons[1:])
-                for t, horizons in zip(ts, mask_horizons(masks, k, stride, ts, cap))
+                (stride * t, *oracle_minimal_horizons(acts, identity, stride, t, cap))
+                for t in ts
             ]
 
     def test_pending_bound_is_reached_on_an_unbound_trace(self):
