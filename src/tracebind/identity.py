@@ -420,34 +420,6 @@ def state_matcher(
     return match
 
 
-def context_text_matcher(identity: GroundedIdentity) -> Callable[[str], int | None] | None:
-    """The context bits of :func:`state_matcher`, read off ``body``, the text
-    inside the brackets of a compact JSON list: ``"`` + its strings joined by
-    ``","`` + ``"``, none holding ``"``, ``\\`` or an unprintable character
-    (else ``None``).  Pattern ``p`` is found as ``'"' + '","'.join(p) + '"'``:
-    a match starts inside no string, and at no closing quote, which is
-    followed by ``,`` or the end and not by a pattern's first character; so
-    it starts at an opening quote, and then each quote pins one string to its
-    pattern token.  A pattern token that is empty or unprintable, or holds
-    ``"``, ``\\``, ``,``, ``[`` or ``]``, leaves no matcher (``None``)."""
-    bits = ingredient_bits(identity)
-    contexts = [spec for spec in identity.ingredients if spec.kind == "context"]
-    tokens = [token for spec in contexts for token in spec.context_pattern]
-    if not all(t and t.isprintable() and set(t).isdisjoint('"\\,[]') for t in tokens):
-        return None
-    needles = [('"' + '","'.join(s.context_pattern) + '"', bits[s.ingredient_id]) for s in contexts]
-
-    def match_text(body: str) -> int | None:
-        # between the end quotes, each " must be in a "," that count finds
-        if body and ("\\" in body or len(body) < 2 or not body[0] == body[-1] == '"'
-                     or body.count('"', 1, -1) != 2 * body.count('","', 1, -1)
-                     or not body.isprintable()):
-            return None
-        return sum([bit for needle, bit in needles if needle in body])
-
-    return match_text
-
-
 def ground(
     statement: Sequence[str], spec: LayeredIdentitySpec, m: int
 ) -> frozenset[str]:

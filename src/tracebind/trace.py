@@ -1,0 +1,345 @@
+"""Trace files: the one place that reads, checks, encodes and writes a line.
+
+Trace files are line-delimited JSON, one record per objective step, in one
+of two forms (never mixed within a file):
+
+- full state:  ``{"u": 0, "C": [...], "M": {...}, "pi": [...], "D": [...]}``
+- activation:  ``{"u": 0, "F": ["ingredient", ...]}``
+
+``write_trace`` spells each record compact, and ``read_masks``, which
+``analyze`` runs, looks such lines up by their texts.  ``parse_trace``
+decodes every line in full, as the reference the tests compare against.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Generator, Iterator, Sequence
+
+from .errors import FileFormatError, TracebindError
+from .identity import (
+    ActivationSet,
+    GroundedIdentity,
+    ScaffoldArchitecture,
+    ScaffoldState,
+    activation_sets,
+    ingredient_bits,
+    is_flag,
+    load_json,
+    state_matcher,
+)
+
+
+_STATE_KEYS = {"u", "C", "M", "pi", "D"}
+_ACTIVATION_KEYS = {"u", "F"}
+
+
+@dataclass(frozen=True)
+class TraceData:
+    """A parsed trace: either raw states or precomputed activation sets."""
+
+    form: str
+    states: tuple[ScaffoldState, ...] = ()
+    activations: tuple[ActivationSet, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.states) if self.form == "state" else len(self.activations)
+
+    def to_activations(self, identity: GroundedIdentity) -> list[ActivationSet]:
+        if self.form == "activation":
+            encode = _mask_encoder(self.form, None, identity)
+            for act in self.activations:
+                encode({"u": act.step_index, "F": act.active})
+            return list(self.activations)
+        # activation reads nothing of the architecture but its flag count
+        arch = ScaffoldArchitecture(len(self.states[0].policy_flags), context_capacity=1)
+        return activation_sets(self.states, identity, arch)
+
+
+def _check_strings(value, located: Callable[[str], FileFormatError], name: str) -> None:
+    if not isinstance(value, list):
+        raise located(f"{name} must be a list")
+    # isinstance(v, str) for every v, without a Python-level loop
+    if not all(map(str.__instancecheck__, value)):
+        raise located(f"{name} entries must be strings")
+
+
+_BLOCK_BYTES = 16 * 1024
+_MAX_CACHED_TAILS = 1024
+
+
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """Each line of the file, split as ``str.splitlines`` splits the whole
+    text.  A block of bytes, read on to the end of its last line so that no
+    character and no CR LF pair straddles a cut, is decoded at once; one
+    that is not UTF-8 is decoded again newline by newline, so the error
+    names its line."""
+    lineno = 0
+    with open(path, "rb") as stream:
+        while data := stream.read(_BLOCK_BYTES) + stream.readline():
+            try:
+                lines = data.decode("utf-8").splitlines()
+            except UnicodeDecodeError:
+                lines = []
+                for raw in io.BytesIO(data):
+                    try:
+                        lines += raw.decode("utf-8").splitlines()
+                    except UnicodeDecodeError as exc:
+                        yield from lines
+                        where = f"{path}:{lineno + len(lines) + 1}"
+                        raise FileFormatError(f"{where}: not UTF-8 text: {exc}") from None
+            lineno += len(lines)
+            yield from lines
+
+
+def _line_checks(path: str | Path) -> Generator[tuple, tuple[int, str], None]:
+    """Every check on a trace line, in a coroutine that holds the form and
+    the flag count: sent ``(index, line)``, it answers ``(form, record)``
+    once JSON syntax and unique keys, the form (fixed by the first record),
+    the step index and the type of every field have passed.  A fault raises
+    a :class:`FileFormatError` located at its line, built only then."""
+    form = None
+    expected_keys: set[str] = set()
+    n_flags = 0
+    obj = None
+
+    def located(message: str) -> FileFormatError:
+        return FileFormatError(f"{path}:{index + 1}: {message}")
+
+    while True:
+        index, line = yield form, obj
+        try:
+            obj = load_json(line, path, index + 1)
+        except json.JSONDecodeError as exc:
+            if not line.strip():
+                raise located("blank line in trace") from None
+            raise located(f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise located("record must be an object")
+        if form is None:
+            if obj.keys() == _ACTIVATION_KEYS:
+                form, expected_keys = "activation", _ACTIVATION_KEYS
+            elif obj.keys() == _STATE_KEYS:
+                form, expected_keys = "state", _STATE_KEYS
+            else:
+                raise located(
+                    f"record fields {sorted(obj)} match neither the full-state "
+                    f"nor the activation form"
+                )
+        if obj.keys() != expected_keys:
+            raise located(
+                f"record fields {sorted(obj)} do not match the {form} form used "
+                f"by this file"
+            )
+        u = obj["u"]
+        if type(u) is not int:
+            raise located("u must be an integer")
+        if u != index:
+            raise located(
+                f"step indices must increase from 0 without gaps; "
+                f"expected u={index}, got u={u}"
+            )
+        if form == "activation":
+            _check_strings(obj["F"], located, "F")
+            continue
+        memory, flags = obj["M"], obj["pi"]
+        _check_strings(obj["C"], located, "C")
+        if not isinstance(memory, dict):
+            raise located("M must be an object")
+        # JSON object keys are always strings
+        if not all(map(str.__instancecheck__, memory.values())):
+            raise located("M must map strings to strings")
+        if not isinstance(flags, list):
+            raise located("pi must be a list")
+        if not all(map(is_flag, flags)):
+            raise located("pi entries must be the integers 0 or 1")
+        _check_strings(obj["D"], located, "D")
+        if index == 0:
+            n_flags = len(flags)
+        elif len(flags) != n_flags:
+            raise located("pi length differs from earlier records")
+
+
+def _checked_records(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """``(form, record)`` for each line of a trace file, each line fully
+    decoded and passed through :func:`_line_checks`; a file with no line
+    is a fault.  No record is kept once the next line is read."""
+    check = _line_checks(path)
+    next(check)
+    form = None
+    for form, record in map(check.send, enumerate(_text_lines(path))):
+        yield form, record
+    if form is None:
+        raise FileFormatError(f"{path}: empty trace")
+
+
+def parse_trace(path: str | Path) -> TraceData:
+    """Parse a line-delimited trace file into one state or activation set per
+    step, with the per-line checks of :func:`read_masks` (which ``analyze``
+    uses instead), each line fully decoded."""
+    states = []
+    activations = []
+    for form, record in _checked_records(path):
+        if form == "activation":
+            activations.append(
+                ActivationSet(step_index=record["u"], active=frozenset(record["F"]))
+            )
+        else:
+            states.append(
+                ScaffoldState(
+                    context=tuple(record["C"]),
+                    memory=record["M"],
+                    policy_flags=tuple(record["pi"]),
+                    retrieved=frozenset(record["D"]),
+                    step_index=record["u"],
+                )
+            )
+    return TraceData(form=form, states=tuple(states), activations=tuple(activations))
+
+
+def _mask_encoder(form: str, first: dict | None, identity: GroundedIdentity) -> Callable[[dict], int]:
+    if form == "state":
+        match = state_matcher(identity, len(first["pi"]))
+        return lambda record: match(record["C"], record["M"], record["pi"], record["D"])
+    bits = ingredient_bits(identity)
+
+    def encode(record: dict) -> int:
+        mask = 0
+        for ingredient in record["F"]:
+            bit = bits.get(ingredient)
+            if bit is None:
+                stray = sorted(set(record["F"]) - bits.keys())
+                raise FileFormatError(
+                    f"step {record['u']} references ingredients not in the identity spec: {stray}"
+                )
+            mask |= bit
+        return mask
+
+    return encode
+
+
+def context_text_matcher(identity: GroundedIdentity) -> Callable[[str], int | None] | None:
+    """The context bits of :func:`state_matcher`, read off ``body``, the text
+    inside the brackets of a compact JSON list: ``"`` + its strings joined by
+    ``","`` + ``"``, none holding ``"``, ``\\`` or an unprintable character
+    (else ``None``).  Pattern ``p`` is found as ``'"' + '","'.join(p) + '"'``:
+    a match starts inside no string, and at no closing quote, which is
+    followed by ``,`` or the end and not by a pattern's first character; so
+    it starts at an opening quote, and then each quote pins one string to its
+    pattern token.  A pattern token that is empty or unprintable, or holds
+    ``"``, ``\\``, ``,``, ``[`` or ``]``, leaves no matcher (``None``)."""
+    bits = ingredient_bits(identity)
+    contexts = [spec for spec in identity.ingredients if spec.kind == "context"]
+    tokens = [token for spec in contexts for token in spec.context_pattern]
+    if not all(t and t.isprintable() and set(t).isdisjoint('"\\,[]') for t in tokens):
+        return None
+    needles = [('"' + '","'.join(s.context_pattern) + '"', bits[s.ingredient_id]) for s in contexts]
+
+    def match_text(body: str) -> int | None:
+        # between the end quotes, each " must be in a "," that count finds
+        if body and ("\\" in body or len(body) < 2 or not body[0] == body[-1] == '"'
+                     or body.count('"', 1, -1) != 2 * body.count('","', 1, -1)
+                     or not body.isprintable()):
+            return None
+        return sum([bit for needle, bit in needles if needle in body])
+
+    return match_text
+
+
+def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
+    """The step masks of a trace file (bit i = the i-th ingredient id in
+    sorted order), read line by line with no per-step object.
+
+    A line spelled as ``write_trace`` writes it is looked up by its texts
+    after ``{"u":<step>,``: ``F``, or, on a state line with no backslash,
+    ``M``, ``pi`` and ``D`` after a ``C`` of plain strings (see
+    :func:`context_text_matcher`), each text with the separator before
+    it and the last with the closing brace.  A text that passed every check
+    once gives its bits again.  Any other line, a stray id included, gets
+    the full decode, so every message is the same.  A full memo is emptied,
+    or dropped if it was hit less often than it holds texts.
+
+    Raises what ``parse_trace(path).to_activations(identity)`` raises: a
+    fault in any line comes first, then a stray ingredient id at its first
+    step, or a policy flag index outside the first record's ``pi``.
+    """
+    check = _line_checks(path)
+    next(check)
+    form = None
+    masks: list[int] = []
+    memo: dict[str, int] | None = None
+    hits = 0
+    encode = context = parts = None
+    fault: TracebindError | None = None
+    for index, line in enumerate(_text_lines(path)):
+        texts: tuple[str, ...] = ()
+        if memo is not None and form == "activation":
+            # the text after the head decodes the same way after any head
+            if line.startswith(head := f'{{"u":{index},"F":'):
+                if (mask := memo.get(tail := line[len(head):])) is not None:
+                    hits += 1
+                    masks.append(mask)
+                    continue
+                texts = (tail,)
+        elif memo is not None and "\\" not in line and line.startswith(head := f'{{"u":{index},"C":['):
+            # each text keeps its separator, so no two fields share a text; no
+            # string of a valid record holds a separator's quote unescaped, so
+            # on a valid record this split is the true one
+            c_end = line.find('],"M":{', len(head))
+            m_end = line.find('},"pi":[', c_end)
+            if (d_end := line.find('],"D":[', m_end)) > 0:
+                texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
+                cached = memo.get(texts[0]), memo.get(texts[1]), memo.get(texts[2])
+                if None not in cached and (plain := context(line[len(head) : c_end])) is not None:
+                    hits += 1
+                    masks.append(plain + sum(cached))  # disjoint bits
+                    continue
+        form, record = check.send((index, line))
+        if fault is not None:
+            continue
+        try:
+            if encode is None:
+                encode = _mask_encoder(form, record, identity)
+                context = context_text_matcher(identity)
+                memo = {} if context or form == "activation" else None
+                # the bits each memo text decides: all, or those of M, pi and D
+                bits = ingredient_bits(identity)
+                parts = [sum(bits[s.ingredient_id] for s in identity.ingredients if s.kind == kind)
+                         for kind in ("memory", "policy", "retrieval")] if form == "state" else [-1]
+            mask = encode(record)
+        except TracebindError as exc:
+            fault = exc
+            continue
+        masks.append(mask)
+        if texts and len(memo) + len(texts) <= _MAX_CACHED_TAILS:
+            memo.update(zip(texts, [mask & part for part in parts]))
+        elif texts:
+            memo = {} if hits >= len(memo) else None
+            hits = 0
+    if form is None:
+        raise FileFormatError(f"{path}: empty trace")
+    if fault is not None:
+        raise fault
+    return masks
+
+
+def state_record(state: ScaffoldState) -> dict:
+    return {
+        "u": state.step_index,
+        "C": list(state.context),
+        "M": {key: state.memory[key] for key in sorted(state.memory)},
+        "pi": list(state.policy_flags),
+        "D": sorted(state.retrieved),
+    }
+
+
+def activation_record(act: ActivationSet) -> dict:
+    return {"u": act.step_index, "F": sorted(act.active)}
+
+
+def write_trace(path: Path, records: Sequence[dict]) -> None:
+    lines = [json.dumps(record, separators=(",", ":")) for record in records]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

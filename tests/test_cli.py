@@ -641,6 +641,14 @@ class TestSimulateCommand:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("delta, code", [(4, 0), (5, 2), (100, 2)])
+    def test_capacity_delta_must_leave_a_window(self, tmp_path, capsys, delta, code):
+        argv = ["simulate", "capacity", "--length", "5", f"--delta={delta}"]
+        assert main([*argv, "--out", str(tmp_path / "c")]) == code
+        if code:
+            assert "--delta must be less than --length" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
     def test_unknown_scenario_is_usage_error(self, tmp_path):
         assert main(["simulate", "warpdrive", "--out", str(tmp_path / "x")]) == 2
 

@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import random
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -21,14 +22,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import tracebind.cli as cli
-from tracebind.cli import (
+import tracebind.trace as trace_module
+from tracebind.cli import SCENARIOS, build_report, main
+from tracebind.trace import (
     _BLOCK_BYTES,
     _MAX_CACHED_TAILS,
     _text_lines,
     activation_record,
-    build_report,
-    main,
+    context_text_matcher,
     parse_trace,
     read_masks,
     state_record,
@@ -43,7 +44,6 @@ from tracebind.identity import (
     ScaffoldState,
     activation_mask,
     activation_sets,
-    context_text_matcher,
     ingredient_bits,
     load_identity_file,
     load_json,
@@ -58,6 +58,7 @@ from tracebind.metrics import (
     persistence_scores,
 )
 from tracebind.oracle import oracle_activation_set, oracle_minimal_horizons, oracle_persistence
+from tracebind.simulator import probe_presets
 from tracebind.windows import WindowConfig, window_horizons
 from conftest import context_identity, random_window_config
 
@@ -411,7 +412,7 @@ class TestTailMemo:
         lines = [compact({"u": u, "F": distinct[u // repeats]}) for u in range(repeats * len(distinct))]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         calls = []
-        monkeypatch.setattr(cli, "load_json", lambda *args: calls.append(1) or load_json(*args))
+        monkeypatch.setattr(trace_module, "load_json", lambda *args: calls.append(1) or load_json(*args))
         assert assert_same_outcome(path, identity)[0] == "ok"
         decoded_by_read_masks = len(calls) - len(lines)
         if repeats > 1:
@@ -439,7 +440,7 @@ class TestTailMemo:
             calls.append(args[0])
             return load_json(*args)
 
-        monkeypatch.setattr(cli, "load_json", counted)
+        monkeypatch.setattr(trace_module, "load_json", counted)
         assert read_masks(path, identity) == expected
         assert len(calls) <= len(tails) + 1
 
@@ -465,7 +466,7 @@ STATE_POOLS = {
 def counted_decodes(monkeypatch) -> list:
     """Patch the reader's strict decoder to record each call."""
     calls: list = []
-    monkeypatch.setattr(cli, "load_json", lambda *args: calls.append(args[0]) or load_json(*args))
+    monkeypatch.setattr(trace_module, "load_json", lambda *args: calls.append(args[0]) or load_json(*args))
     return calls
 
 
@@ -789,27 +790,42 @@ class TestBlockReader:
 
 
 class TestNoPerStepObjects:
-    @pytest.mark.parametrize("case", ["capacity", "drift-recover", "preset-probe-controller"])
-    def test_analyze_builds_no_state_or_activation_set(self, case, monkeypatch, capsys):
+    # capacity is a state trace and drift-recover an activation trace; with
+    # a faulty identity spec, analyze still checks every trace line first
+    @pytest.mark.parametrize(
+        "case",
+        ["capacity", "drift-recover", "preset-probe-controller",
+         "capacity/faulty-identity", "drift-recover/faulty-identity"],
+    )
+    def test_analyze_builds_no_state_or_activation_set(self, case, monkeypatch, capsys, tmp_path):
         def refuse(self):
             raise RuntimeError(f"{type(self).__name__} built on the analyze path")
 
         monkeypatch.setattr(ScaffoldState, "__post_init__", refuse)
         monkeypatch.setattr(ActivationSet, "__post_init__", refuse)
+        case, _, fault = case.partition("/")
         folder = GOLDEN / case
         sidecar = json.loads((folder / f"{case}.expect.json").read_text())
         window = sidecar["window"]
+        identity_path = folder / sidecar["identity"]
+        if fault:
+            identity_path = tmp_path / "identity.json"
+            identity_path.write_text('{"ingredients": [{"id": "g0"}]', encoding="utf-8")
         code = main(
             [
                 "analyze",
                 "--trace", str(folder / sidecar["trace"]),
-                "--identity", str(folder / sidecar["identity"]),
+                "--identity", str(identity_path),
                 "--delta", str(window["delta"]),
                 "--stride", str(window["stride"]),
                 "--eval", ",".join(str(t) for t in window["eval"]),
                 "--horizon-max", str(window["horizon_max"]),
             ]
         )
+        if fault:
+            assert code == 2
+            assert f"{identity_path}:1: invalid JSON" in capsys.readouterr().err
+            return
         assert code == 0
         golden = (folder / f"{sidecar['trace']}.analyze.json").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
@@ -981,7 +997,7 @@ def context_only(patterns) -> GroundedIdentity:
 
 
 class TestContextNeedles:
-    """``identity.context_text_matcher`` against ``state_matcher``."""
+    """``trace.context_text_matcher`` against ``state_matcher``."""
 
     @FUZZ
     @given(data=st.data())
@@ -1073,3 +1089,31 @@ class TestFuzz:
         else:
             assert 0.0 <= delta <= 1.0
             json.loads(out.getvalue())
+
+    @FUZZ
+    @given(
+        scenario=st.sampled_from(sorted(SCENARIOS)),
+        flags=st.dictionaries(
+            st.sampled_from(["length", "c", "k", "delta", "block", "passage", "capacity",
+                             "drift", "controllable", "interventions", "cycles"]),
+            st.integers(-2, 40),
+        ),
+        epsilon=st.none() | st.floats(),
+        preset=st.none() | st.sampled_from([*sorted(probe_presets()), "mainframe"]),
+    )
+    def test_simulate_exits_cleanly(self, scenario, flags, epsilon, preset):
+        argv = ["simulate", scenario, *(f"--{flag}={value}" for flag, value in flags.items())]
+        if epsilon is not None:
+            argv.append(f"--epsilon={epsilon!r}")
+        if preset is not None:
+            argv.append(f"--preset={preset}")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as folder:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(Path(folder) / "s")])
+            written = sorted(path.name for path in Path(folder).iterdir())
+        assert code in (0, 2, 3)
+        if code:
+            assert written == [] and err.getvalue().startswith("tracebind: ")
+        else:
+            assert "s.expect.json" in written and err.getvalue() == ""
