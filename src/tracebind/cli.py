@@ -91,6 +91,8 @@ def build_report(
     p_weak, p_strong = persistence_scores(masks, k, cfg)
     gap = mask_gap_ratio(masks, k, cfg)
     n = len(masks)
+    if n < 2:
+        raise MetricError("continuity is undefined for a one-step trace")
     continuity_mean = sum(continuity_terms(masks, k, range(1, n))) / (n - 1)
     starts = (cfg.stride * t for t in cfg.eval_indices)
     hits = identifiable_count(masks, ref_index, k, params.delta_i, starts)
@@ -194,9 +196,9 @@ def _alternating(args: argparse.Namespace) -> ScenarioFiles:
 
 def _capacity(args: argparse.Namespace) -> ScenarioFiles:
     states, identity = scenario_capacity_limited(args.c, args.k, args.length)
-    if args.delta >= args.length:
-        raise ParameterError("--delta must be less than --length")
     cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
+    if not cfg.eval_indices:
+        raise ParameterError("--delta must be less than --length")
     return ScenarioFiles({"": _state_records(states)}, identity, cfg)
 
 
@@ -334,8 +336,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     lines = list(_text_lines(args.outputs))
-    if len(lines) < 2:
-        raise ParameterError("consistency needs at least two recorded outputs")
     score = consistency(lines, delta_cons=args.delta_cons)
     pairs = len(lines) * (len(lines) - 1) // 2
     doc = {
@@ -377,18 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon-max",
         type=int,
         default=DEFAULT_HORIZON_MAX,
-        dest="horizon_max",
         help="search cap for minimal horizons in the gap ratio",
     )
-    analyze.add_argument("--delta-i", type=float, default=0.25, dest="delta_i")
-    analyze.add_argument("--delta-cons", type=float, default=0.5, dest="delta_cons")
-    analyze.add_argument("--epsilon", type=float, default=0.01)
-    analyze.add_argument("--alpha", type=float, default=0.5)
+    analyze.add_argument("--delta-i", type=float, default=MetricParams.delta_i)
+    analyze.add_argument("--delta-cons", type=float, default=MetricParams.delta_cons)
+    analyze.add_argument("--epsilon", type=float, default=MetricParams.epsilon)
+    analyze.add_argument("--alpha", type=float, default=MetricParams.alpha)
     analyze.add_argument(
         "--ref-index",
         type=int,
         default=0,
-        dest="ref_index",
         help="objective step used as the identifiability reference state",
     )
     analyze.add_argument("--format", choices=("json", "text"), default="json")
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="consistency over recorded outputs")
     probe.add_argument("outputs", help="file of line-delimited outputs")
-    probe.add_argument("--delta-cons", type=float, default=0.5, dest="delta_cons")
+    probe.add_argument("--delta-cons", type=float, default=MetricParams.delta_cons)
     probe.add_argument("--format", choices=("json", "text"), default="text")
     probe.add_argument("--out", default=None)
     probe.set_defaults(func=cmd_probe)

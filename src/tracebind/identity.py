@@ -276,7 +276,7 @@ def activation_sets(
     set bits.  A policy flag index outside ``arch`` or outside a state's
     flags raises :class:`StructuralError`."""
     match = state_matcher(identity, arch.n_policy_flags)
-    ids = sorted(identity.ingredient_ids)
+    bits = ingredient_bits(identity).items()
     result = []
     for state in states:
         flags = state.policy_flags
@@ -288,7 +288,7 @@ def activation_sets(
             raise StructuralError(
                 f"flag_index {index} out of range for state with {len(flags)} flags"
             ) from None
-        active = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        active = frozenset(ingredient for ingredient, bit in bits if mask & bit)
         result.append(ActivationSet(step_index=state.step_index, active=active))
     return result
 

@@ -306,7 +306,7 @@ def jaccard_similarity(a: str, b: str) -> float:
     return _token_jaccard(_tokens(a), _tokens(b))
 
 
-def consistency(outputs: Sequence[str], delta_cons: float = 0.5) -> float:
+def consistency(outputs: Sequence[str], delta_cons: float = MetricParams.delta_cons) -> float:
     """Fraction of unordered output pairs whose :func:`jaccard_similarity`
     clears the threshold ``delta_cons`` in [0, 1].  Each output is tokenised
     once, not once per pair."""

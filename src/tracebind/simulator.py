@@ -46,7 +46,17 @@ from .identity import (
 from .metrics import PersistenceResult, persistence
 from .windows import WindowConfig
 
-ACTION_KINDS = ("infer", "retrieve", "store", "tool")
+# Per action kind: the payload fields it must set and those it may also set,
+# then the preset property it needs, if any, and the module a refusal names.
+_ACTION_RULES = {
+    "infer": ({"tokens"}, set(), None, None),
+    "retrieve": ({"query"}, set(), None, None),
+    "store": ({"key", "value"}, set(), "memory_enabled", "memory module"),
+    "tool": (set(), {"flag_index"}, "controller_flags_enabled", "controller flags"),
+}
+_PAYLOAD_FIELDS = ("tokens", "query", "key", "value", "flag_index")
+
+ACTION_KINDS = tuple(_ACTION_RULES)
 
 # What each preset name implies:
 # (memory_enabled, controller_flags_enabled, context_persists).
@@ -78,17 +88,9 @@ class Action:
             raise StructuralError(f"unknown action kind {self.kind!r}")
         if self.tokens is not None:
             object.__setattr__(self, "tokens", tuple(self.tokens))
-        wanted = {
-            "infer": self.tokens is not None and self.query is None
-            and self.key is None and self.value is None and self.flag_index is None,
-            "retrieve": self.query is not None and self.tokens is None
-            and self.key is None and self.value is None and self.flag_index is None,
-            "store": self.key is not None and self.value is not None
-            and self.tokens is None and self.query is None and self.flag_index is None,
-            "tool": self.tokens is None and self.query is None
-            and self.key is None and self.value is None,
-        }[self.kind]
-        if not wanted:
+        required, optional, _, _ = _ACTION_RULES[self.kind]
+        actual = {name for name in _PAYLOAD_FIELDS if getattr(self, name) is not None}
+        if not required <= actual <= required | optional:
             raise StructuralError(f"payload does not match action kind {self.kind!r}")
         if not is_flag(self.flag_value):
             raise StructuralError("flag_value must be the integer 0 or 1")
@@ -265,11 +267,8 @@ class ArchitecturePreset:
         )
 
     def supports(self, action: Action) -> bool:
-        if action.kind == "store":
-            return self.memory_enabled
-        if action.kind == "tool":
-            return self.controller_flags_enabled
-        return True
+        _, _, needed, _ = _ACTION_RULES[action.kind]
+        return needed is None or getattr(self, needed)
 
 
 def make_preset(
@@ -280,8 +279,6 @@ def make_preset(
     n_policy_flags: int = 1,
 ) -> ArchitecturePreset:
     """Build a preset; its name fixes its feature set."""
-    if name == "rag" and (retrieval is None or retrieval.mode == "none"):
-        raise StructuralError("the rag preset needs a retrieval policy")
     return ArchitecturePreset(
         name=name,
         context_capacity=context_capacity,
@@ -310,6 +307,9 @@ def _append_with_eviction(
 
 def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> ScaffoldState:
     """Apply one action; deterministic in (state, action, preset)."""
+    if not preset.supports(action):
+        _, _, _, module = _ACTION_RULES[action.kind]
+        raise FeatureError(f"preset {preset.name!r} has no {module}")
     # prompt-only scaffolds rebuild their view from scratch each step
     kept = state if preset.context_persists else preset.initial_state()
     context = kept.context
@@ -326,12 +326,8 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
                 context, preset.retrieval.doc_tokens(doc), preset
             )
     elif action.kind == "store":
-        if not preset.memory_enabled:
-            raise FeatureError(f"preset {preset.name!r} has no memory module")
         memory[action.key] = action.value
     elif action.kind == "tool":
-        if not preset.controller_flags_enabled:
-            raise FeatureError(f"preset {preset.name!r} has no controller flags")
         if action.flag_index is not None:
             if not 0 <= action.flag_index < preset.n_policy_flags:
                 raise StructuralError(
@@ -404,9 +400,7 @@ def scenario_noncommutation() -> tuple[list[ScaffoldState], GroundedIdentity, Wi
     no single step holds their conjunction."""
     identity = context_identity(["p", "q"])
     preset = make_preset("prompted", context_capacity=1)
-    initial = ScaffoldState(
-        context=("p",), memory={}, policy_flags=(0,), retrieved=frozenset(), step_index=0
-    )
+    initial = replace(preset.initial_state(), context=("p",))
     states = run(preset, [infer("q")], initial)
     cfg = WindowConfig(horizon=1, stride=1, eval_indices=(0,), horizon_max=8)
     return states, identity, cfg
@@ -424,9 +418,7 @@ def scenario_alternating(
         raise ParameterError("length must be >= 2")
     identity = context_identity(["g1", "g2"])
     preset = make_preset("prompted", context_capacity=1)
-    initial = ScaffoldState(
-        context=("g1",), memory={}, policy_flags=(0,), retrieved=frozenset(), step_index=0
-    )
+    initial = replace(preset.initial_state(), context=("g1",))
     script = [infer("g2" if u % 2 else "g1") for u in range(1, length)]
     states = run(preset, script, initial)
     cfg = WindowConfig.all_valid(horizon=1, stride=1, trace_length=length, horizon_max=8)
@@ -451,9 +443,7 @@ def scenario_capacity_limited(
     def subset(u: int) -> tuple[str, ...]:
         return tuple(ids[(u + j) % k] for j in range(c))
 
-    initial = ScaffoldState(
-        context=subset(0), memory={}, policy_flags=(0,), retrieved=frozenset(), step_index=0
-    )
+    initial = replace(preset.initial_state(), context=subset(0))
     if length == 1:
         return [initial], identity
     script = [infer(*subset(u)) for u in range(1, length)]
@@ -498,9 +488,7 @@ def scenario_rag_displacement(
     block = tuple(ids)
 
     baseline_preset = make_preset("prompted", context_capacity=capacity)
-    initial = ScaffoldState(
-        context=block, memory={}, policy_flags=(0,), retrieved=frozenset(), step_index=0
-    )
+    initial = replace(baseline_preset.initial_state(), context=block)
     baseline_script = [infer(f"task{j}") for j in range(script_len)]
     without_rag = run(baseline_preset, baseline_script, initial)
 

@@ -27,6 +27,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ParameterError, StructuralError
@@ -69,9 +70,9 @@ class WindowConfig:
         trace_length: int,
         horizon_max: int = DEFAULT_HORIZON_MAX,
     ) -> "WindowConfig":
-        """Config whose T contains every layer time with a full window in range."""
-        last = trace_length - 1 - horizon
-        return cls(horizon, stride, tuple(range(last // stride + 1)), horizon_max)
+        """Config whose T is a tuple of every layer time with a full window in range."""
+        fit = cls(horizon, stride, range(trace_length)).restrict_to(trace_length)
+        return cls(horizon, stride, tuple(fit.eval_indices), horizon_max)
 
     def restrict_to(self, trace_length: int) -> "WindowConfig":
         """Drop evaluation indices whose windows overrun a trace of this
@@ -143,18 +144,10 @@ def diamond(segment: WindowSegment, ingredient_subset: Iterable[str]) -> bool:
 _MAX_CACHED_MASKS = 4096
 
 
-class _BitIndices(dict):
-    """Mask -> indices of its set bits, built the first time a mask is met.
-
-    Only masks that occur are listed, and the cache is emptied when it holds
-    ``_MAX_CACHED_MASKS`` of them, so its size is bounded whatever k is.
-    """
-
-    def __missing__(self, mask: int) -> list[int]:
-        if len(self) >= _MAX_CACHED_MASKS:
-            self.clear()
-        indices = self[mask] = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        return indices
+@lru_cache(maxsize=_MAX_CACHED_MASKS)
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, cached for the masks met last."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def window_flag_counts(
@@ -242,7 +235,6 @@ def start_horizons(
     """
     n = len(masks)
     full = (1 << k) - 1
-    bit_indices = _BitIndices()
     last_seen = [-1] * k
     pending: deque[int] = deque()
     # the weak horizons of the leading pending starts; the others wait in
@@ -268,7 +260,7 @@ def start_horizons(
             u = next_start
             continue
         mask = masks[u]
-        for i in bit_indices[mask]:
+        for i in _bit_indices(mask):
             last_seen[i] = u
         if pending_weak:
             covered_from = min(last_seen)

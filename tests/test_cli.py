@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from tracebind.cli import (
     activation_record,
+    build_parser,
     main,
     parse_trace,
     state_record,
@@ -19,7 +21,7 @@ from tracebind.cli import (
 )
 from tracebind.errors import FileFormatError, StructuralError
 from tracebind.identity import ScaffoldState, identity_to_document
-from tracebind.metrics import render_json
+from tracebind.metrics import MetricParams, consistency, render_json
 from tracebind.simulator import make_preset, scenario_alternating
 from conftest import context_identity
 
@@ -399,6 +401,30 @@ class TestAnalyzeCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"u":0,"F":["g1","g2"]}', '{"u":0,"C":["g1","g2"],"M":{},"pi":[0],"D":[]}'],
+        ids=["activation", "state"],
+    )
+    def test_one_step_trace_is_metric_error(self, tmp_path, capsys, line):
+        # a valid trace with every ingredient bound at its one step: only
+        # continuity, which needs a step with a predecessor, is undefined
+        trace_path, identity_path = self._alternating_files(tmp_path)
+        write_lines(trace_path, [line])
+        code = main(
+            [
+                "analyze",
+                "--trace", str(trace_path),
+                "--identity", str(identity_path),
+                "--delta", "0",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracebind: metric error:")
+        assert "continuity" in captured.err
+
     def test_duplicate_trace_key_is_usage_error(self, tmp_path, capsys):
         # the second "F" used to win: a full step, p_strong 0.5 and exit 0
         trace_path = tmp_path / "trace.jsonl"
@@ -726,6 +752,24 @@ class TestProbeCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["consistency"] == 1.0
         assert doc["pairs"] == 1
+
+
+class TestMetricDefaults:
+    def test_flag_defaults_are_the_metric_params_fields(self):
+        defaults = MetricParams()
+        parser = build_parser()
+        analyze = parser.parse_args(["analyze", "--trace", "t", "--identity", "i"])
+        assert (analyze.delta_i, analyze.delta_cons, analyze.epsilon, analyze.alpha) == (
+            defaults.delta_i,
+            defaults.delta_cons,
+            defaults.epsilon,
+            defaults.alpha,
+        )
+        assert parser.parse_args(["probe", "outputs.txt"]).delta_cons == defaults.delta_cons
+
+    def test_consistency_default_is_the_metric_params_field(self):
+        default = inspect.signature(consistency).parameters["delta_cons"].default
+        assert default == MetricParams().delta_cons
 
 
 class TestByteStability:

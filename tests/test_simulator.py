@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,10 +25,12 @@ from tracebind.identity import (
 )
 from tracebind.metrics import persistence, recovery, recovery_bound
 from tracebind.simulator import (
+    Action,
     RetrievalPolicy,
     infer,
     make_preset,
     preset_probe,
+    probe_presets,
     retrieve,
     run,
     scenario_alternating,
@@ -519,3 +523,50 @@ class TestScenarioGapFixtures:
         w_weak, w_strong = minimal_horizons(acts, identity, cfg.stride, 0, cfg.horizon_max)
         assert w_weak == 1
         assert w_strong == INFINITE
+
+
+# The payloads each action kind documents: the fields it sets.
+DOCUMENTED_PAYLOADS = {
+    "infer": [{"tokens"}],
+    "retrieve": [{"query"}],
+    "store": [{"key", "value"}],
+    "tool": [set(), {"flag_index"}],
+}
+
+PAYLOAD_VALUES = {"tokens": ("a",), "query": "q", "key": "k", "value": "v", "flag_index": 0}
+
+
+class TestActionPayload:
+    @pytest.mark.parametrize("kind", [*DOCUMENTED_PAYLOADS, "sleep"])
+    def test_accepts_exactly_the_documented_payload(self, kind):
+        names = list(PAYLOAD_VALUES)
+        for chosen in itertools.product((False, True), repeat=len(names)):
+            fields = {name for name, on in zip(names, chosen) if on}
+            payload = {name: PAYLOAD_VALUES[name] for name in fields}
+            if kind not in DOCUMENTED_PAYLOADS:
+                with pytest.raises(StructuralError, match="unknown action kind"):
+                    Action(kind, **payload)
+            elif fields in DOCUMENTED_PAYLOADS[kind]:
+                assert Action(kind, **payload).kind == kind
+            else:
+                with pytest.raises(StructuralError, match="payload does not match"):
+                    Action(kind, **payload)
+
+
+class TestSupports:
+    @pytest.mark.parametrize("name", ["stateless", "prompted", "rag", "memory", "controller"])
+    def test_skips_exactly_what_step_refuses(self, name):
+        preset = probe_presets()[name]
+        initial = preset.initial_state()
+        for action in (infer("x"), retrieve("charter"), store("k", "v"), tool(), tool(0)):
+            skipped = run(preset, [action], skip_unsupported=True)
+            try:
+                stepped = step(initial, action, preset)
+            except FeatureError:
+                assert not preset.supports(action)
+                assert skipped == [initial, replace(initial, step_index=1)]
+                with pytest.raises(FeatureError):
+                    run(preset, [action])
+            else:
+                assert preset.supports(action)
+                assert skipped == [initial, stepped]

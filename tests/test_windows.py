@@ -73,6 +73,21 @@ class TestWindowConfig:
         # starts 0,2,4 with end start+1 < 6
         assert cfg.eval_indices == (0, 1, 2)
 
+    @pytest.mark.parametrize("horizon, trace_length", [(1, 10), (0, 0), (20, 10)])
+    def test_all_valid_refuses_a_zero_stride(self, horizon, trace_length):
+        # the layer time count used to be divided by the stride: ZeroDivisionError
+        with pytest.raises(ParameterError, match="stride must be >= 1"):
+            WindowConfig.all_valid(horizon, 0, trace_length)
+
+    def test_all_valid_is_restrict_to_of_every_layer_time(self):
+        for horizon in range(4):
+            for stride in range(1, 4):
+                for n in range(8):
+                    every = WindowConfig(horizon, stride, tuple(range(n)))
+                    cfg = WindowConfig.all_valid(horizon, stride, n)
+                    assert cfg.eval_indices == every.restrict_to(n).eval_indices
+                    assert type(cfg.eval_indices) is tuple
+
     def test_restrict_to_excludes_overrunning_windows(self):
         cfg = WindowConfig(horizon=2, stride=1, eval_indices=(0, 5, 50))
         assert cfg.restrict_to(10).eval_indices == (0, 5)
