@@ -28,7 +28,8 @@ from .metrics import (
     consistency,
     continuity_terms,
     identifiable_count,
-    mask_gap_ratio,
+    output_pairs,
+    persistence_and_gap,
     persistence_scores,
     recovery,
     recovery_bound,
@@ -85,11 +86,10 @@ def build_report(
     params: MetricParams,
     ref_index: int,
 ) -> MetricsReport:
-    """Protocol run over the step masks of a trace: persistence, gap, and
-    the trace-computable auxiliary metrics.  Each is a fold that keeps no
-    per-window record."""
-    p_weak, p_strong = persistence_scores(masks, k, cfg)
-    gap = mask_gap_ratio(masks, k, cfg)
+    """Protocol run over the step masks of a trace: persistence and the gap
+    from one minimal-horizon pass, and the trace-computable auxiliary
+    metrics.  Each is a fold that keeps no per-window record."""
+    p_weak, p_strong, gap = persistence_and_gap(masks, k, cfg)
     n = len(masks)
     if n < 2:
         raise MetricError("continuity is undefined for a one-step trace")
@@ -337,10 +337,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_probe(args: argparse.Namespace) -> int:
     lines = list(_text_lines(args.outputs))
     score = consistency(lines, delta_cons=args.delta_cons)
-    pairs = len(lines) * (len(lines) - 1) // 2
     doc = {
         "consistency": score,
-        "pairs": pairs,
+        "pairs": output_pairs(len(lines)),
         "delta_cons": args.delta_cons,
     }
     _emit(doc, args)

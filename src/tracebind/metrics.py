@@ -34,13 +34,7 @@ from .identity import (
     mask_distance,
     state_distance,
 )
-from .windows import (
-    INFINITE,
-    WindowConfig,
-    start_horizons,
-    window_flag_counts,
-    window_horizons,
-)
+from .windows import INFINITE, WindowConfig, start_horizons, window_horizons
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ class GapResult:
     Layer times whose weak horizon is already infinite carry no gap
     information; they are excluded from the median and surface only in
     ``undefined_count``.  ``per_t`` holds ``(t, w_weak, w_strong)`` for each
-    layer time from :func:`gap_ratio`; :func:`mask_gap_ratio` keeps no
+    layer time from :func:`gap_ratio`; :func:`persistence_and_gap` keeps no
     per-window record and leaves it empty.
     """
 
@@ -113,11 +107,36 @@ class MetricParams:
             raise ParameterError("alpha must be in [0, 1]")
 
 
-def _in_step_order(activations: Iterable[ActivationSet]) -> Iterator[ActivationSet]:
-    for expected, act in enumerate(activations):
-        if act.step_index != expected:
-            raise StreamOrderError(f"expected step {expected}, got {act.step_index}")
-        yield act
+_MAX_CACHED_SETS = 4096
+
+
+def _horizons(
+    masks: Sequence[int], k: int, cfg: WindowConfig, cap: int
+) -> Iterator[tuple[int, int | float, int | float]]:
+    """:func:`windows.start_horizons` of the windows of ``cfg``, searched up
+    to ``cap``, in layer-time order.  Every window must fit in ``masks``;
+    the first that does not raises :class:`OutOfRangeError`."""
+    if not cfg.eval_indices:
+        raise ParameterError("evaluation index set T must be non-empty")
+    n = len(masks)
+    if cfg.stride * cfg.eval_indices[-1] + cfg.horizon >= n:
+        t = cfg.eval_indices[len(cfg.restrict_to(n).eval_indices)]
+        raise OutOfRangeError(
+            f"window at t={t} needs step {cfg.stride * t + cfg.horizon}, "
+            f"stream ended at step {n - 1}"
+        )
+    return start_horizons(masks, k, map(cfg.stride.__mul__, cfg.eval_indices), cap)
+
+
+def _scores(
+    horizons: Counter[tuple[int | float, int | float]], cfg: WindowConfig
+) -> tuple[float, float]:
+    """``(p_weak, p_strong)`` of the windows of ``cfg``, counted by ``(w_weak,
+    w_strong)``: a window occurs or co-instantiates when that horizon is at
+    most ``cfg.horizon``."""
+    weak = sum(count for (w_weak, _), count in horizons.items() if w_weak <= cfg.horizon)
+    strong = sum(count for (_, w_strong), count in horizons.items() if w_strong <= cfg.horizon)
+    return weak / len(cfg.eval_indices), strong / len(cfg.eval_indices)
 
 
 def persistence(
@@ -125,30 +144,45 @@ def persistence(
     identity: GroundedIdentity,
     cfg: WindowConfig,
 ) -> PersistenceResult:
-    """Window-counting persistence scores, computed in one pass.
+    """Window-counting persistence scores.
 
     Per layer time: the occur flag checks each ingredient for presence
     anywhere in the window, the coinst flag looks for a step that holds the
     full conjunction.  Scores are counts over ``|T|``.
 
-    This is :func:`windows.window_flag_counts` over the steps, each encoded
-    as a mask when the fold reads it, so the cost is linear in the trace
-    length instead of ``|T| * (horizon+1) * k``.  Input must arrive in step
-    order; every step up to the last evaluated window is checked against
-    the identity universe once, and later steps only for their order.
+    The steps up to the end of the last evaluated window are encoded, in
+    order, and :func:`windows.start_horizons` runs over them with the window
+    horizon as its cap, so the cost is linear in the trace length.  Input
+    must arrive in step order; later steps are read only for their order.
     """
+    if not cfg.eval_indices:
+        raise ParameterError("evaluation index set T must be non-empty")
     bits = ingredient_bits(identity)
-    steps = _in_step_order(activations)
-    per_window: list[tuple[int, bool, bool]] = []
-    weak, strong = window_flag_counts(
-        (activation_mask(act, bits) for act in steps), identity.k, cfg, per_window
-    )
-    for _ in steps:
-        pass
+    last_end = cfg.stride * cfg.eval_indices[-1] + cfg.horizon
+    # a trace repeats few distinct sets: each is encoded once while cached
+    memo: dict[frozenset[str], int] = {}
+    masks = []
+    for expected, act in enumerate(activations):
+        if act.step_index != expected:
+            raise StreamOrderError(f"expected step {expected}, got {act.step_index}")
+        if expected > last_end:
+            continue
+        mask = memo.get(act.active)
+        if mask is None:
+            if len(memo) == _MAX_CACHED_SETS:
+                memo.clear()
+            mask = memo[act.active] = activation_mask(act, bits)
+        masks.append(mask)
+    delta = cfg.horizon
+    horizons = _horizons(masks, identity.k, cfg, delta)
+    per_window = tuple([
+        (t, w_weak <= delta, w_strong <= delta)
+        for t, (_, w_weak, w_strong) in zip(cfg.eval_indices, horizons)
+    ])
     return PersistenceResult(
-        p_weak=weak / len(per_window),
-        p_strong=strong / len(per_window),
-        per_window=tuple(per_window),
+        p_weak=sum(occurs for _, occurs, _ in per_window) / len(per_window),
+        p_strong=sum(coinst for _, _, coinst in per_window) / len(per_window),
+        per_window=per_window,
     )
 
 
@@ -156,19 +190,20 @@ persistence_streaming = persistence
 
 
 def persistence_scores(
-    masks: Iterable[int], k: int, cfg: WindowConfig
+    masks: Sequence[int], k: int, cfg: WindowConfig
 ) -> tuple[float, float]:
     """``(p_weak, p_strong)`` of step masks: :func:`persistence` counting the
     windows instead of listing them."""
-    weak, strong = window_flag_counts(masks, k, cfg)
-    return weak / len(cfg.eval_indices), strong / len(cfg.eval_indices)
+    horizons = _horizons(masks, k, cfg, cfg.horizon)
+    return _scores(Counter((w_weak, w_strong) for _, w_weak, w_strong in horizons), cfg)
 
 
 def _gap_fold(
-    horizons: Iterable[tuple[int, int | float, int | float]],
+    horizons: Counter[tuple[int | float, int | float]], horizon_max: int
 ) -> tuple[float, int]:
-    """The median of ``(w_strong + 1) / (w_weak + 1)`` over the horizons with
-    a finite weak horizon, and the count of the others.
+    """The median of ``(w_strong + 1) / (w_weak + 1)`` over windows counted
+    by ``(w_weak, w_strong)``, a horizon above ``horizon_max`` read as
+    ``INFINITE``, and the count of windows with an infinite weak horizon.
 
     The terms are counted, not listed, and the median is read off the sorted
     counts: the middle term, or the mean of the two middle terms, the same
@@ -176,11 +211,11 @@ def _gap_fold(
     """
     counts: Counter[float] = Counter()
     undefined = 0
-    for _, w_weak, w_strong in horizons:
-        if w_weak == INFINITE:
-            undefined += 1
+    for (w_weak, w_strong), count in horizons.items():
+        if w_weak > horizon_max:
+            undefined += count
         else:
-            counts[(w_strong + 1) / (w_weak + 1)] += 1
+            counts[(w_strong + 1 if w_strong <= horizon_max else INFINITE) / (w_weak + 1)] += count
     total = counts.total()
     if not total:
         raise MetricError(
@@ -194,15 +229,17 @@ def _gap_fold(
     return (lower if total % 2 else (lower + upper) / 2), undefined
 
 
-def mask_gap_ratio(masks: Sequence[int], k: int, cfg: WindowConfig) -> GapResult:
-    """:func:`gap_ratio` of step masks over the layer times of ``cfg``, from
-    :func:`windows.start_horizons` with no per-window record: the result's
-    ``per_t`` is empty."""
-    if not cfg.eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    starts = (cfg.stride * t for t in cfg.eval_indices)
-    ratio, undefined = _gap_fold(start_horizons(masks, k, starts, cfg.horizon_max))
-    return GapResult(ratio=ratio, undefined_count=undefined)
+def persistence_and_gap(
+    masks: Sequence[int], k: int, cfg: WindowConfig
+) -> tuple[float, float, GapResult]:
+    """``(p_weak, p_strong, gap)`` of step masks from one pass of
+    :func:`windows.start_horizons`, searched up to ``max(delta,
+    horizon_max)``: a window occurs or co-instantiates when that horizon is
+    at most ``delta``.  The gap's ``per_t`` is empty."""
+    found = _horizons(masks, k, cfg, max(cfg.horizon, cfg.horizon_max))
+    horizons = Counter((w_weak, w_strong) for _, w_weak, w_strong in found)
+    ratio, undefined = _gap_fold(horizons, cfg.horizon_max)
+    return (*_scores(horizons, cfg), GapResult(ratio=ratio, undefined_count=undefined))
 
 
 def gap_ratio(
@@ -224,7 +261,8 @@ def gap_ratio(
     if not eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
     per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
-    ratio, undefined = _gap_fold(per_t)
+    horizons = Counter((w_weak, w_strong) for _, w_weak, w_strong in per_t)
+    ratio, undefined = _gap_fold(horizons, horizon_max)
     return GapResult(ratio=ratio, undefined_count=undefined, per_t=tuple(per_t))
 
 
@@ -321,7 +359,12 @@ def consistency(outputs: Sequence[str], delta_cons: float = MetricParams.delta_c
         for tb in token_sets[i + 1 :]:
             if _token_jaccard(ta, tb) >= delta_cons:
                 hits += 1
-    return hits / (n * (n - 1) / 2)
+    return hits / output_pairs(n)
+
+
+def output_pairs(n: int) -> int:
+    """The unordered pairs of ``n`` outputs: what :func:`consistency` divides by."""
+    return n * (n - 1) // 2
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -305,13 +305,17 @@ def _append_with_eviction(
     return pinned + tuple(tail)
 
 
+def _carried(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
+    """The state a step starts from: a prompt-only scaffold starts afresh."""
+    return state if preset.context_persists else preset.initial_state()
+
+
 def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> ScaffoldState:
     """Apply one action; deterministic in (state, action, preset)."""
     if not preset.supports(action):
         _, _, _, module = _ACTION_RULES[action.kind]
         raise FeatureError(f"preset {preset.name!r} has no {module}")
-    # prompt-only scaffolds rebuild their view from scratch each step
-    kept = state if preset.context_persists else preset.initial_state()
+    kept = _carried(state, preset)
     context = kept.context
     memory = dict(kept.memory)
     flags = list(kept.policy_flags)
@@ -346,8 +350,7 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
 
 
 def _noop_step(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
-    kept = state if preset.context_persists else preset.initial_state()
-    return replace(kept, step_index=state.step_index + 1)
+    return replace(_carried(state, preset), step_index=state.step_index + 1)
 
 
 def run(

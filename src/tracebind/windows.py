@@ -9,16 +9,13 @@ Windows are never truncated: a layer time whose window would overrun the
 trace is out of range.  Missing minima are reported as ``INFINITE``
 (``math.inf``), which sorts above every finite horizon.
 
-The folds behind the metrics read each step as a k-bit mask (bit i = the
-i-th ingredient id in sorted order; see ``identity.ingredient_bits``):
-a window's ingredients occur when the OR of its masks is full, and
-co-instantiate when some mask in it is full.  ``window_flag_counts`` decides
-both predicates for every evaluated window, and ``start_horizons`` yields the
-minimal horizons of every window start, each in one forward pass that reads
-a step at most once and holds only the windows still pending.  The gap
-search is therefore linear in the trace length and does not depend on the
-``horizon_max`` cap.  The functions over activation sets encode steps as
-they read them and run the same folds.
+Persistence and the gap read one fold, ``start_horizons``, over the steps
+as k-bit masks (bit i = the i-th ingredient id in sorted order; see
+``identity.ingredient_bits``).  It yields the two minimal horizons of each
+window start: a window of horizon ``delta`` occurs iff its weak horizon is
+at most ``delta``, and co-instantiates iff its strong one is, and the gap
+ratio compares the two.  The fold reads each step at most once, in step
+order, at a cost per step that grows with neither k nor the cap.
 """
 
 from __future__ import annotations
@@ -27,7 +24,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ParameterError, StructuralError
@@ -141,151 +139,75 @@ def diamond(segment: WindowSegment, ingredient_subset: Iterable[str]) -> bool:
     return any(subset <= act.active for act in segment.activation_sets)
 
 
-_MAX_CACHED_MASKS = 4096
-
-
-@lru_cache(maxsize=_MAX_CACHED_MASKS)
-def _bit_indices(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of ``mask``, cached for the masks met last."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def window_flag_counts(
-    masks: Iterable[int], k: int, cfg: WindowConfig, per_window: list | None = None
-) -> tuple[int, int]:
-    """How many windows of ``cfg.eval_indices`` occur and how many
-    co-instantiate, from one pass over the step masks; ``(t, occurs,
-    coinstantiated)`` of each window is appended to ``per_window``, if given.
-
-    A window's ingredients occur when the OR of its masks is full, and
-    co-instantiate when its last full step is inside it.  The OR comes from a
-    two-stack sliding window (Tangwongsan, Hirzel and Schneider, "General
-    Incremental Sliding-Window Aggregation", PVLDB 2015): ``back`` holds the
-    masks of steps ``back_start..u`` and ``back_or`` their OR; ``front``
-    holds, for each step ``s`` of ``front_start..back_start-1``, the OR of
-    masks ``s..back_start-1``, the earliest step last.  Each step is pushed,
-    moved and dropped at most once, so the cost per step does not grow with
-    k or the horizon.  Steps are read in order and no further than the end
-    of the last window, so ``masks`` may be a stream; one that ends too
-    early raises :class:`OutOfRangeError`.
-    """
-    if not cfg.eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    full = (1 << k) - 1
-    front: list[int] = []
-    front_start = 0
-    back: list[int] = []
-    back_start = 0
-    back_or = 0
-    last_full = -1
-    weak = strong = 0
-    windows = iter(cfg.eval_indices)
-    t = next(windows)
-    end = cfg.stride * t + cfg.horizon
-    u = -1
-    for u, mask in enumerate(masks):
-        back.append(mask)
-        back_or |= mask
-        if mask == full:
-            last_full = u
-        if u != end:
-            continue
-        start = end - cfg.horizon
-        if start > front_start:
-            del front[max(len(front) - (start - front_start), 0):]
-            front_start = start
-        if not front and back_start < start:
-            for earlier in reversed(back[start - back_start:]):
-                front.append(earlier | front[-1] if front else earlier)
-            back_start = u + 1
-            back.clear()
-            back_or = 0
-        occurs = ((front[-1] if front else 0) | back_or) == full
-        coinst = last_full >= start
-        weak += occurs
-        strong += coinst
-        if per_window is not None:
-            per_window.append((t, occurs, coinst))
-        t = next(windows, None)
-        if t is None:
-            return weak, strong
-        end = cfg.stride * t + cfg.horizon
-    raise OutOfRangeError(f"window at t={t} needs step {end}, stream ended at step {u}")
-
-
 def start_horizons(
     masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
 ) -> Iterator[tuple[int, int | float, int | float]]:
     """``(s, w_weak, w_strong)`` for each window start ``s`` of ``starts``
-    (increasing steps of the trace, pulled lazily), in start order, each as
-    soon as it is known: the least horizons at which the window from ``s``
-    first satisfies ``occurs`` and ``coinstantiated``.
+    (increasing steps of the trace, pulled one at a time), in start order:
+    the least horizons at which the window from ``s`` satisfies ``occurs``
+    and ``coinstantiated``, searched up to ``horizon_max`` or the trace end;
+    a horizon not found by then is ``INFINITE``.
 
-    One forward pass over the step masks serves every start.  Each step read
-    is folded into a last-seen step per ingredient.  A pending start ``s``
-    gets its weak horizon at the first step ``u`` with ``min(last_seen) >=
-    s`` (that minimum never decreases, so weak horizons come front first)
-    and its strong horizon at the next full step, which also completes
-    coverage.  It expires, its missing horizons ``INFINITE``, once ``u - s``
-    exceeds ``horizon_max``, or at the trace end.  So at most ``horizon_max
-    // stride + 1`` starts are pending at once.  A step is read at most
-    once, and only while some start is pending, so over lazily encoded masks
-    a stray id fails only inside some window's scanned range ``s .. s +
-    (w_strong or the cap)``.  The cost is O(n*k) whatever the cap.
+    The strong horizon is the first full step at or after ``s``: a forward
+    scan reads each step once, in step order, and stops at a full step or
+    the cap.  Steps read but not yet in the weak window wait in ``ahead``.
+    The weak horizon is the least ``end - s`` whose steps ``s..end`` OR to
+    the full mask; ``end`` never moves back as ``s`` grows, and the OR comes
+    from a two-stack sliding window (Tangwongsan, Hirzel and Schneider,
+    "General Incremental Sliding-Window Aggregation", PVLDB 2015): ``back``
+    holds the masks of the last ``len(back)`` steps up to ``end`` and
+    ``back_or`` their OR; ``front`` holds, for each earlier step ``u`` from
+    ``s`` on, the OR of the masks from ``u`` to the first step of ``back``,
+    the earliest step last.  So the fold holds at most ``horizon_max + 1``
+    steps, and over lazily encoded masks a stray id fails only inside some
+    window's scanned range ``s .. s + (w_strong or the cap)``.
     """
     n = len(masks)
     full = (1 << k) - 1
-    last_seen = [-1] * k
-    pending: deque[int] = deque()
-    # the weak horizons of the leading pending starts; the others wait in
-    # ``pending_weak``
-    weak_found: deque[int] = deque()
-    pending_weak: deque[int] = deque()
-    upcoming = iter(starts)
-    next_start = _next_start(upcoming, -1, n)
-    u = next_start
-    while u < n:
-        if u == next_start:
-            pending.append(u)
-            pending_weak.append(u)
-            next_start = _next_start(upcoming, u, n)
-        while pending and u - pending[0] > horizon_max:
-            s = pending.popleft()
-            if weak_found:
-                yield s, weak_found.popleft(), INFINITE
-            else:
-                pending_weak.popleft()
-                yield s, INFINITE, INFINITE
-        if not pending:
-            u = next_start
-            continue
-        mask = masks[u]
-        for i in _bit_indices(mask):
-            last_seen[i] = u
-        if pending_weak:
-            covered_from = min(last_seen)
-            while pending_weak and pending_weak[0] <= covered_from:
-                weak_found.append(u - pending_weak.popleft())
-        if mask == full:
-            # coverage is complete too, so every pending start has its weak horizon
-            for s in pending:
-                yield s, weak_found.popleft(), u - s
-            pending.clear()
-        u += 1
-    for s in pending:
-        yield s, weak_found.popleft() if weak_found else INFINITE, INFINITE
-
-
-def _next_start(upcoming: Iterator[int], previous: int, n: int) -> int:
-    """The next start of ``upcoming``, or ``n`` when there is none."""
-    s = next(upcoming, None)
-    if s is None:
-        return n
-    if not previous < s < n:
-        raise OutOfRangeError(
-            f"window start {s} is out of order or outside the trace of length {n}"
-        )
-    return s
+    front: list[int] = []
+    front_start = -1  # the start answered last
+    back: list[int] = []
+    back_or = 0
+    end = -1
+    ahead: deque[int] = deque()
+    scanned = -1
+    next_full = -1  # a full step is only ever the last step scanned
+    for s in starts:
+        if not front_start < s < n:
+            raise OutOfRangeError(
+                f"window start {s} is out of order or outside the trace of length {n}"
+            )
+        if end < s:  # the window is empty: skip the steps before s
+            for _ in range(min(s - 1 - end, len(ahead))):
+                ahead.popleft()
+            end = s - 1
+            scanned = max(scanned, end)
+        del front[front_start - s:]  # the steps before s, or all of them
+        if not front and back:
+            front = list(accumulate(reversed(back[len(back) - (end + 1 - s):]), or_))
+            back.clear()
+            back_or = 0
+        front_start = s
+        if next_full < s:
+            last = s + horizon_max
+            if last >= n:
+                last = n - 1
+            while scanned < last:
+                scanned += 1
+                mask = masks[scanned]
+                ahead.append(mask)
+                if mask == full:
+                    next_full = scanned
+                    break
+        covered = (front[-1] if front else 0) | back_or
+        while covered != full and end < scanned:
+            end += 1
+            mask = ahead.popleft()
+            back.append(mask)
+            back_or |= mask
+            covered |= mask
+        strong = next_full - s if next_full >= s else INFINITE
+        yield s, end - s if covered == full else INFINITE, strong
 
 
 def window_horizons(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import random
+import statistics
 import tempfile
 from pathlib import Path
 
@@ -14,16 +16,19 @@ from hypothesis import strategies as st
 from tracebind.cli import (
     activation_record,
     build_parser,
+    build_report,
     main,
     parse_trace,
     state_record,
     write_trace,
 )
-from tracebind.errors import FileFormatError, StructuralError
-from tracebind.identity import ScaffoldState, identity_to_document
+from tracebind.errors import FileFormatError, MetricError, StructuralError
+from tracebind.identity import ScaffoldState, activation_mask, identity_to_document, ingredient_bits
 from tracebind.metrics import MetricParams, consistency, render_json
+from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.simulator import make_preset, scenario_alternating
-from conftest import context_identity
+from tracebind.windows import INFINITE, WindowConfig
+from conftest import context_identity, random_activations
 
 
 def write_lines(path, lines):
@@ -296,6 +301,23 @@ class TestAnalyzeCommand:
         assert report["p_strong"] == 0.0
         assert report["gap_ratio"] == "inf"
 
+    def test_horizon_max_below_delta_keeps_persistence(self, tmp_path, capsys):
+        # windows bind within delta 3 after up to three steps; a gap cap of 1
+        # leaves the persistence scores of the default cap
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, activation_lines([{"g0"}, {"g1"}, {"g0"}, {"g0", "g1"}] * 10))
+        identity_path = tmp_path / "identity.json"
+        write_identity(identity_path, context_identity(2))
+        reports = []
+        for cap in ([], ["--horizon-max", "1"]):
+            args = ["analyze", "--trace", str(trace_path), "--identity", str(identity_path)]
+            assert main([*args, "--delta", "3", *cap]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        default, capped = reports
+        assert capped["params"]["horizon_max"] == 1
+        assert (capped["p_weak"], capped["p_strong"]) == (default["p_weak"], default["p_strong"])
+        assert (default["p_weak"], default["p_strong"]) == (1.0, 1.0)
+
     def test_explicit_eval_list(self, tmp_path, capsys):
         trace_path, identity_path = self._alternating_files(tmp_path, length=20)
         code = main(
@@ -566,6 +588,59 @@ class TestAnalyzeCommand:
             ]
         )
         assert code == 2
+
+
+class TestOnePass:
+    def test_build_report_equals_the_oracle(self):
+        # one pass searched up to max(delta, horizon_max) gives persistence at
+        # delta and the gap at horizon_max, for every horizon_max, 0 and values
+        # below delta included, with strides above 1 and explicit eval lists
+        rng = random.Random(11_011)
+        seen = set()
+        for _ in range(400):
+            identity = context_identity(rng.randint(1, 4))
+            acts = random_activations(rng, rng.randint(2, 40), identity)
+            bits = ingredient_bits(identity)
+            masks = [activation_mask(act, bits) for act in acts]
+            delta = rng.randint(0, 8)
+            stride = rng.randint(1, 4)
+            t_max = (len(acts) - 1 - delta) // stride
+            if t_max < 0:
+                continue
+            if rng.random() < 0.5:
+                times = range(t_max + 1)
+            else:
+                times = rng.sample(range(t_max + 1), rng.randint(1, t_max + 1))
+                seen.add("eval list")
+            for horizon_max in {0, rng.randint(0, delta), rng.randint(0, 12), 256}:
+                cfg = WindowConfig(delta, stride, times, horizon_max)
+                oracle = oracle_persistence(acts, identity, cfg)
+                horizons = [
+                    oracle_minimal_horizons(acts, identity, stride, t, horizon_max)
+                    for t in cfg.eval_indices
+                ]
+                terms = [(ws + 1) / (wi + 1) for wi, ws in horizons if wi != INFINITE]
+                beyond_cap = [
+                    w
+                    for t in cfg.eval_indices
+                    for w in oracle_minimal_horizons(acts, identity, stride, t, delta)
+                    if horizon_max < w <= delta
+                ]
+                if beyond_cap:
+                    # persistence needs a horizon the gap's cap does not reach
+                    seen.add("window binds beyond horizon_max")
+                if stride > 1:
+                    seen.add("stride")
+                if not terms:
+                    seen.add("undefined gap")
+                    with pytest.raises(MetricError, match="gap ratio is undefined"):
+                        build_report(masks, identity.k, cfg, MetricParams(), 0)
+                    continue
+                report = build_report(masks, identity.k, cfg, MetricParams(), 0)
+                assert (report.p_weak, report.p_strong) == (oracle.p_weak, oracle.p_strong)
+                assert report.gap.ratio == statistics.median(terms)
+                assert report.gap.undefined_count == len(horizons) - len(terms)
+        assert seen == {"eval list", "window binds beyond horizon_max", "stride", "undefined gap"}
 
 
 class TestSimulateCommand:

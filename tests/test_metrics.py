@@ -32,11 +32,11 @@ from tracebind.metrics import (
     consistency,
     continuity,
     gap_ratio,
-    mask_gap_ratio,
     identifiability,
     jaccard_similarity,
     morphospace,
     persistence,
+    persistence_and_gap,
     persistence_streaming,
     recovery,
     recovery_bound,
@@ -292,9 +292,9 @@ class TestGapRatio:
             masks = [activation_mask(act, bits) for act in acts]
             if not distinct:
                 with pytest.raises(MetricError):
-                    mask_gap_ratio(masks, identity.k, cfg)
+                    persistence_and_gap(masks, identity.k, cfg)
                 continue
-            gap = mask_gap_ratio(masks, identity.k, cfg)
+            _, _, gap = persistence_and_gap(masks, identity.k, cfg)
             assert gap.ratio == statistics.median(distinct)
             assert gap.undefined_count == len(cfg.eval_indices) - len(distinct)
             assert gap.per_t == ()

@@ -14,9 +14,9 @@ from conftest import (
 )
 from tracebind.errors import OutOfRangeError, ParameterError, StructuralError
 from tracebind.identity import ActivationSet, ingredient_bits
+from tracebind.metrics import persistence
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.windows import (
-    _MAX_CACHED_MASKS,
     INFINITE,
     WindowConfig,
     WindowSegment,
@@ -26,16 +26,19 @@ from tracebind.windows import (
     occurs,
     start_horizons,
     window,
-    window_flag_counts,
     window_horizons,
 )
 
 
 def window_flags(masks, k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
-    """The flags of ``window_flag_counts``, one byte per window."""
-    flags: list[tuple[int, bool, bool]] = []
-    window_flag_counts(masks, k, cfg, flags)
-    return bytearray(f[1] for f in flags), bytearray(f[2] for f in flags)
+    """The occur and coinst flags of each window, one byte per window: its
+    ``start_horizons`` searched up to the window horizon, found or not."""
+    starts = (cfg.stride * t for t in cfg.eval_indices)
+    found = [
+        (w_weak <= cfg.horizon, w_strong <= cfg.horizon)
+        for _, w_weak, w_strong in start_horizons(masks, k, starts, cfg.horizon)
+    ]
+    return bytearray(f[0] for f in found), bytearray(f[1] for f in found)
 
 
 PQ = context_identity(2, prefix="")  # ids "0", "1"
@@ -370,14 +373,12 @@ class TestWindowHorizons:
 
 
 class TestMaskFolds:
-    def test_more_distinct_masks_than_the_bit_index_cache(self):
-        # k=20 and 6,000 steps of random masks: the folds' per-mask bit lists
-        # are rebuilt after the cache is emptied, with the same results
+    def test_k20_random_masks_match_the_oracle(self):
+        # k=20 and 6,000 steps of random masks, nearly all of them distinct
         rng = random.Random(5_005)
         identity = context_identity(20)
         full = (1 << 20) - 1
         masks = [full if rng.random() < 0.05 else rng.getrandbits(20) for _ in range(6_000)]
-        assert len(set(masks)) > _MAX_CACHED_MASKS
         bits = ingredient_bits(identity)
         ids = sorted(bits, key=bits.get)
         acts = [
@@ -396,15 +397,20 @@ class TestMaskFolds:
         ]
 
     def test_window_flags_stop_at_the_last_window(self):
-        # a stream is read no further than the last window's end
+        # a stream is encoded no further than the last window's end, and
+        # read after it only for its step order
         cfg = WindowConfig(1, 2, (0, 1))
-        stream = iter([1, 2, 3, 3, 0, 0])
-        assert window_flags(stream, 2, cfg) == (bytearray([1, 1]), bytearray([0, 1]))
-        assert list(stream) == [0, 0]
+        assert window_flags([1, 2, 3, 3], 2, cfg) == (bytearray([1, 1]), bytearray([0, 1]))
+        sets = [{"g0"}, {"g1"}, {"g0", "g1"}, {"g0", "g1"}, {"stray"}, {"stray"}]
+        stream = iter(activations_from_sets(sets))
+        result = persistence(stream, context_identity(2), cfg)
+        assert result.per_window == ((0, True, False), (1, True, True))
+        assert list(stream) == []
 
     def test_window_flags_stream_too_short(self):
+        stream = iter(activations_from_sets([{"g0", "g1"}] * 3))
         with pytest.raises(OutOfRangeError, match="window at t=1 needs step 3, stream ended at step 2"):
-            window_flags([3, 3, 3], 2, WindowConfig(1, 2, (0, 1)))
+            persistence(stream, context_identity(2), WindowConfig(1, 2, (0, 1)))
 
 
 class Watched(Sequence):
@@ -441,6 +447,38 @@ def run_watched(masks, k, starts, cap):
     return results, watched.most_pending
 
 
+class ReadLog(Sequence):
+    """Step masks that log each read as ``(start, step)``, with the last
+    start the fold has pulled."""
+
+    def __init__(self, masks, starts):
+        self.masks = masks
+        self.starts = starts
+        self.start = None
+        self.reads = []
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, u):
+        self.reads.append((self.start, u))
+        return self.masks[u]
+
+    def pull(self):
+        for s in self.starts:
+            self.start = s
+            yield s
+
+    def widest(self):
+        """The most steps from a start to the furthest step read by then."""
+        furthest = -1
+        widest = 0
+        for s, u in self.reads:
+            furthest = max(furthest, u)
+            widest = max(widest, furthest - s + 1)
+        return widest
+
+
 class TestStartHorizons:
     def test_pending_starts_stay_within_the_cap(self):
         rng = random.Random(6_006)
@@ -464,10 +502,37 @@ class TestStartHorizons:
                 for t in ts
             ]
 
-    def test_pending_bound_is_reached_on_an_unbound_trace(self):
-        results, most = run_watched([1, 2] * 50, 2, range(0, 100, 2), 10)
-        assert most == 10 // 2 + 1
+    def test_reads_follow_the_scanned_ranges(self):
+        # every read lies in the scanned range s .. s + (w_strong or the cap)
+        # of the start being answered, first reads come in increasing step
+        # order, and no read is more than the cap ahead of that start, so
+        # the window state spans at most cap + 1 steps
+        rng = random.Random(6_116)
+        for _ in range(400):
+            k = rng.randint(1, 4)
+            full = (1 << k) - 1
+            n = rng.randint(1, 80)
+            p_full = rng.choice([0.0, 0.03, 0.2])
+            masks = [full if rng.random() < p_full else rng.getrandbits(k) for _ in range(n)]
+            stride = rng.randint(1, 4)
+            cap = rng.randint(0, 15)
+            ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
+            log = ReadLog(masks, [stride * t for t in ts])
+            results = list(start_horizons(log, k, log.pull(), cap))
+            reach = {
+                s: w_strong if w_strong != INFINITE else min(cap, n - 1 - s)
+                for s, _, w_strong in results
+            }
+            first = list(dict.fromkeys(u for _, u in log.reads))
+            assert first == sorted(first)
+            assert all(s <= u <= s + reach[s] for s, u in log.reads)
+            assert log.widest() <= cap + 1
+
+    def test_state_bound_is_reached_on_an_unbound_trace(self):
+        log = ReadLog([1, 2] * 50, range(0, 100, 2))
+        results = list(start_horizons(log, 2, log.pull(), 10))
         assert results == [(s, 1, INFINITE) for s in range(0, 100, 2)]
+        assert log.widest() == 10 + 1
 
     def test_results_come_in_start_order_as_they_resolve(self):
         # the start at 0 is covered at step 2 and expires at step 3, where
