@@ -27,15 +27,16 @@ from .metrics import (
     MetricsReport,
     consistency,
     continuity_terms,
+    counted_gap,
+    counted_persistence,
     identifiable_count,
     output_pairs,
-    persistence_and_gap,
-    persistence_scores,
     recovery,
     recovery_bound,
     render_json,
     render_number,
     render_text,
+    window_counts,
 )
 from .simulator import (
     PROBE_IDENTITY,
@@ -89,7 +90,9 @@ def build_report(
     """Protocol run over the step masks of a trace: persistence and the gap
     from one minimal-horizon pass, and the trace-computable auxiliary
     metrics.  Each is a fold that keeps no per-window record."""
-    p_weak, p_strong, gap = persistence_and_gap(masks, k, cfg)
+    counts = window_counts(masks, k, cfg)
+    p_weak, p_strong = counted_persistence(counts, cfg.horizon)
+    gap = counted_gap(counts, cfg.horizon_max)
     n = len(masks)
     if n < 2:
         raise MetricError("continuity is undefined for a one-step trace")
@@ -284,7 +287,7 @@ def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
     """Write the traces, the identity spec, and the expected-values sidecar.
 
     The sidecar's persistence expectations come from re-reading each written
-    trace, so they describe exactly the bytes on disk.
+    trace and scoring it as ``analyze`` does, so they describe the bytes on disk.
     """
     base.parent.mkdir(parents=True, exist_ok=True)
     sidecar: dict = {"scenario": scenario, **files.head}
@@ -304,7 +307,8 @@ def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
     sidecar["window"] = _window_doc(files.cfg)
     for suffix, path in written:
         masks = read_masks(path, files.identity)
-        p_weak, p_strong = persistence_scores(masks, files.identity.k, files.cfg)
+        counts = window_counts(masks, files.identity.k, files.cfg)
+        p_weak, p_strong = counted_persistence(counts, files.cfg.horizon)
         sidecar[f"expect{suffix}"] = {
             "p_weak": render_number(p_weak),
             "p_strong": render_number(p_strong),

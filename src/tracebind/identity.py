@@ -164,7 +164,8 @@ class GroundedIdentity:
             raise StructuralError("an identity needs at least one ingredient")
         ids = [spec.ingredient_id for spec in self.ingredients]
         if len(set(ids)) != len(ids):
-            raise StructuralError("ingredient ids must be pairwise distinct")
+            repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+            raise StructuralError(f"ingredient ids must be pairwise distinct; {repeated!r} repeats")
 
     @property
     def k(self) -> int:
@@ -650,7 +651,10 @@ def parse_identity_document(
 def load_identity_file(
     path: str | Path,
 ) -> tuple[GroundedIdentity, LayeredIdentitySpec | None]:
-    """Load an identity spec from a JSON document or JSONL ingredient list."""
+    """Load an identity spec from a JSON document or JSONL ingredient list.
+
+    Every fault names the file, and a fault in a JSONL record its line too.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -663,17 +667,24 @@ def load_identity_file(
     except json.JSONDecodeError:
         doc = None
     if isinstance(doc, dict):
-        return parse_identity_document(doc)
+        try:
+            return parse_identity_document(doc)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
     # line-delimited form: one ingredient record per line, no layers
-    records = []
+    ingredients = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            records.append(load_json(line, path, lineno))
+            record = load_json(line, path, lineno)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    return parse_identity_document({"ingredients": records})
+        ingredients.append(_ingredient_from_record(record, f"{path}:{lineno}"))
+    try:
+        return GroundedIdentity(tuple(ingredients)), None
+    except StructuralError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def identity_to_document(

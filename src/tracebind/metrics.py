@@ -16,7 +16,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -53,8 +53,8 @@ class GapResult:
     Layer times whose weak horizon is already infinite carry no gap
     information; they are excluded from the median and surface only in
     ``undefined_count``.  ``per_t`` holds ``(t, w_weak, w_strong)`` for each
-    layer time from :func:`gap_ratio`; :func:`persistence_and_gap` keeps no
-    per-window record and leaves it empty.
+    layer time from :func:`gap_ratio`; :func:`counted_gap`, which ``analyze``
+    reads, keeps no per-window record and leaves it empty.
     """
 
     ratio: float
@@ -128,17 +128,6 @@ def _horizons(
     return start_horizons(masks, k, map(cfg.stride.__mul__, cfg.eval_indices), cap)
 
 
-def _scores(
-    horizons: Counter[tuple[int | float, int | float]], cfg: WindowConfig
-) -> tuple[float, float]:
-    """``(p_weak, p_strong)`` of the windows of ``cfg``, counted by ``(w_weak,
-    w_strong)``: a window occurs or co-instantiates when that horizon is at
-    most ``cfg.horizon``."""
-    weak = sum(count for (w_weak, _), count in horizons.items() if w_weak <= cfg.horizon)
-    strong = sum(count for (_, w_strong), count in horizons.items() if w_strong <= cfg.horizon)
-    return weak / len(cfg.eval_indices), strong / len(cfg.eval_indices)
-
-
 def persistence(
     activations: Iterable[ActivationSet],
     identity: GroundedIdentity,
@@ -189,21 +178,35 @@ def persistence(
 persistence_streaming = persistence
 
 
-def persistence_scores(
+def window_counts(
     masks: Sequence[int], k: int, cfg: WindowConfig
+) -> Counter[tuple[int | float, int | float]]:
+    """The windows of ``cfg`` over step masks, counted by ``(w_weak,
+    w_strong)``: one pass of :func:`windows.start_horizons`, searched up to
+    ``max(delta, horizon_max)``, so that :func:`counted_persistence` and
+    :func:`counted_gap` both read the same counts."""
+    found = _horizons(masks, k, cfg, max(cfg.horizon, cfg.horizon_max))
+    return Counter((w_weak, w_strong) for _, w_weak, w_strong in found)
+
+
+def counted_persistence(
+    horizons: Counter[tuple[int | float, int | float]], delta: int
 ) -> tuple[float, float]:
-    """``(p_weak, p_strong)`` of step masks: :func:`persistence` counting the
-    windows instead of listing them."""
-    horizons = _horizons(masks, k, cfg, cfg.horizon)
-    return _scores(Counter((w_weak, w_strong) for _, w_weak, w_strong in horizons), cfg)
+    """``(p_weak, p_strong)`` of windows counted by ``(w_weak, w_strong)``: a
+    window of horizon ``delta`` occurs or co-instantiates when that minimal
+    horizon is at most ``delta``."""
+    weak = sum(count for (w_weak, _), count in horizons.items() if w_weak <= delta)
+    strong = sum(count for (_, w_strong), count in horizons.items() if w_strong <= delta)
+    return weak / horizons.total(), strong / horizons.total()
 
 
-def _gap_fold(
+def counted_gap(
     horizons: Counter[tuple[int | float, int | float]], horizon_max: int
-) -> tuple[float, int]:
-    """The median of ``(w_strong + 1) / (w_weak + 1)`` over windows counted
-    by ``(w_weak, w_strong)``, a horizon above ``horizon_max`` read as
-    ``INFINITE``, and the count of windows with an infinite weak horizon.
+) -> GapResult:
+    """The gap of windows counted by ``(w_weak, w_strong)``: the median of
+    ``(w_strong + 1) / (w_weak + 1)``, a horizon above ``horizon_max`` read
+    as ``INFINITE``, and the count of windows with an infinite weak horizon.
+    Its ``per_t`` is empty.
 
     The terms are counted, not listed, and the median is read off the sorted
     counts: the middle term, or the mean of the two middle terms, the same
@@ -226,20 +229,7 @@ def _gap_fold(
     running = list(accumulate(counts[term] for term in terms))
     lower = terms[bisect_right(running, (total - 1) // 2)]
     upper = terms[bisect_right(running, total // 2)]
-    return (lower if total % 2 else (lower + upper) / 2), undefined
-
-
-def persistence_and_gap(
-    masks: Sequence[int], k: int, cfg: WindowConfig
-) -> tuple[float, float, GapResult]:
-    """``(p_weak, p_strong, gap)`` of step masks from one pass of
-    :func:`windows.start_horizons`, searched up to ``max(delta,
-    horizon_max)``: a window occurs or co-instantiates when that horizon is
-    at most ``delta``.  The gap's ``per_t`` is empty."""
-    found = _horizons(masks, k, cfg, max(cfg.horizon, cfg.horizon_max))
-    horizons = Counter((w_weak, w_strong) for _, w_weak, w_strong in found)
-    ratio, undefined = _gap_fold(horizons, cfg.horizon_max)
-    return (*_scores(horizons, cfg), GapResult(ratio=ratio, undefined_count=undefined))
+    return GapResult(lower if total % 2 else (lower + upper) / 2, undefined)
 
 
 def gap_ratio(
@@ -262,8 +252,7 @@ def gap_ratio(
         raise ParameterError("evaluation index set T must be non-empty")
     per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
     horizons = Counter((w_weak, w_strong) for _, w_weak, w_strong in per_t)
-    ratio, undefined = _gap_fold(horizons, horizon_max)
-    return GapResult(ratio=ratio, undefined_count=undefined, per_t=tuple(per_t))
+    return replace(counted_gap(horizons, horizon_max), per_t=tuple(per_t))
 
 
 def identifiable_count(

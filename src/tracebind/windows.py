@@ -68,9 +68,8 @@ class WindowConfig:
         trace_length: int,
         horizon_max: int = DEFAULT_HORIZON_MAX,
     ) -> "WindowConfig":
-        """Config whose T is a tuple of every layer time with a full window in range."""
-        fit = cls(horizon, stride, range(trace_length)).restrict_to(trace_length)
-        return cls(horizon, stride, tuple(fit.eval_indices), horizon_max)
+        """Config whose T is a range of every layer time with a full window in range."""
+        return cls(horizon, stride, range(trace_length), horizon_max).restrict_to(trace_length)
 
     def restrict_to(self, trace_length: int) -> "WindowConfig":
         """Drop evaluation indices whose windows overrun a trace of this

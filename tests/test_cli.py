@@ -770,6 +770,50 @@ class TestSimulateCommand:
         assert code == 2
 
 
+FLAG_FAULTS = {
+    "horizon-max": (["analyze", "--horizon-max", "-1"], "horizon_max must be >= 0"),
+    "eval-word": (
+        ["analyze", "--eval", "x"],
+        "--eval must be 'all' or a comma-separated list: "
+        "invalid literal for int() with base 10: 'x'",
+    ),
+    "eval-comma": (["analyze", "--eval", ","], "--eval list is empty"),
+    "no-scenario": (["simulate"], "simulate needs a scenario name"),
+    "drift-k": (["simulate", "drift-recover", "--k", "0"], "--k must be >= 1"),
+    "drift-interventions": (
+        ["simulate", "drift-recover", "--interventions", "-1"],
+        "the intervention count must be >= 0",
+    ),
+    "capacity-c": (["simulate", "capacity", "--c", "0"], "capacity c must be >= 1"),
+    "capacity-length": (["simulate", "capacity", "--length", "0"], "length must be >= 1"),
+    "rag-block": (
+        ["simulate", "rag-displacement", "--block", "1"],
+        "the identity block needs at least two ingredients",
+    ),
+    "rag-passage": (
+        ["simulate", "rag-displacement", "--passage", "-1"],
+        "passage_tokens must be >= 0",
+    ),
+    "probe-cycles": (["simulate", "preset-probe", "--cycles", "0"], "cycles must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", FLAG_FAULTS.values(), ids=FLAG_FAULTS)
+def test_flag_fault_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    if argv[0] == "analyze":
+        states, identity, _ = scenario_alternating(10)
+        write_trace(tmp_path / "trace.jsonl", [state_record(s) for s in states])
+        write_identity(tmp_path / "identity.json", identity)
+        argv = [*argv, "--trace", str(tmp_path / "trace.jsonl")]
+        argv += ["--identity", str(tmp_path / "identity.json")]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--out", str(out / "x")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"tracebind: {message}\n")
+    assert list(out.iterdir()) == []
+
+
 class TestProbeCommand:
     def test_identical_lines(self, tmp_path, capsys):
         path = tmp_path / "outs.txt"

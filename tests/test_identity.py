@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -35,6 +36,8 @@ from tracebind.identity import (
 from tracebind.oracle import oracle_activation_set
 
 ARCH = plain_architecture()
+
+RECORD = '{"id": "a", "kind": "policy", "flag_index": 0}'  # one ingredient, id "a"
 
 
 def make_state(
@@ -509,6 +512,45 @@ class TestIdentityFiles:
         )
         with pytest.raises(FileFormatError, match=r"identity\.jsonl:2: duplicate key 'flag_index'"):
             load_identity_file(path)
+
+    @pytest.mark.parametrize(
+        "name, text, where, fault",
+        [
+            ("identity.json", f'{{"ingredients": [{RECORD}, {RECORD}]}}', "",
+             "ingredient ids must be pairwise distinct; 'a' repeats"),
+            ("identity.json", '{"ingredients": [{"id": "a", "kind": "nope"}]}', "",
+             "ingredients[0]: unknown ingredient kind 'nope'"),
+            ("identity.json", f'{{"ingredients": [{RECORD}], "layers": 1}}', "",
+             "layers must be an object"),
+            ("identity.json", f'{{"ingredients": [{RECORD}], "x": 1}}', "",
+             "identity document: unknown fields ['x']"),
+            ("identity.json", '{"ingredients": []}', "",
+             "identity document needs a non-empty 'ingredients' list"),
+            # blank lines count as lines: the bad record is on line 4
+            ("identity.jsonl", f'{RECORD}\n\n\n{{"id": "b", "kind": "nope"}}\n', ":4",
+             "unknown ingredient kind 'nope'"),
+            ("identity.jsonl", f"{RECORD}\n\n5\n", ":3", "ingredient record must be an object"),
+            ("identity.jsonl", f'{RECORD}\n{{"id": "b", "kind": "policy"}}\n', ":2",
+             "missing fields ['flag_index']"),
+            ("identity.jsonl", f"{RECORD}\n\n{RECORD}\n", "",
+             "ingredient ids must be pairwise distinct; 'a' repeats"),
+        ],
+        ids=[
+            "doc-duplicate-id", "doc-kind", "doc-layers", "doc-field", "doc-empty",
+            "jsonl-kind", "jsonl-not-object", "jsonl-missing", "jsonl-duplicate-id",
+        ],
+    )
+    def test_faults_name_the_file(self, tmp_path, name, text, where, fault):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as info:
+            load_identity_file(path)
+        assert str(info.value) == f"{path}{where}: {fault}"
+        if name.endswith(".json"):
+            # the public document parser keeps its in-document locations
+            with pytest.raises(FileFormatError) as info:
+                parse_identity_document(json.loads(text))
+            assert str(info.value) == fault
 
     @pytest.mark.parametrize(
         "text",

@@ -28,21 +28,25 @@ from tracebind.errors import (
 )
 from tracebind.identity import ActivationSet, activation_mask, ingredient_bits, state_distance
 from tracebind.metrics import (
+    _MAX_CACHED_SETS,
+    GapResult,
     MetricParams,
+    MetricsReport,
     consistency,
     continuity,
+    counted_gap,
     gap_ratio,
     identifiability,
     jaccard_similarity,
     morphospace,
     persistence,
-    persistence_and_gap,
     persistence_streaming,
     recovery,
     recovery_bound,
     render_json,
     render_number,
     render_text,
+    window_counts,
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.windows import INFINITE, WindowConfig, minimal_horizons
@@ -180,6 +184,15 @@ class TestPersistenceStreaming:
         with pytest.raises(OutOfRangeError):
             persistence_streaming(alternating_trace(10), identity, cfg)
 
+    def test_more_distinct_sets_than_the_encoding_cache(self):
+        # the cache is emptied when full, and the scores do not change
+        rng = random.Random(4_097)
+        identity = context_identity(14)
+        acts = random_activations(rng, 3 * _MAX_CACHED_SETS, identity)
+        assert len({act.active for act in acts}) > _MAX_CACHED_SETS
+        cfg = WindowConfig.all_valid(4, 1, len(acts), 16)
+        assert persistence(iter(acts), identity, cfg) == oracle_persistence(acts, identity, cfg)
+
 
 class TestGapRatio:
     def test_fully_coinstantiated(self):
@@ -292,9 +305,9 @@ class TestGapRatio:
             masks = [activation_mask(act, bits) for act in acts]
             if not distinct:
                 with pytest.raises(MetricError):
-                    persistence_and_gap(masks, identity.k, cfg)
+                    counted_gap(window_counts(masks, identity.k, cfg), cfg.horizon_max)
                 continue
-            _, _, gap = persistence_and_gap(masks, identity.k, cfg)
+            gap = counted_gap(window_counts(masks, identity.k, cfg), cfg.horizon_max)
             assert gap.ratio == statistics.median(distinct)
             assert gap.undefined_count == len(cfg.eval_indices) - len(distinct)
             assert gap.per_t == ()
@@ -333,6 +346,10 @@ class TestGapRatio:
     def test_start_out_of_range(self):
         with pytest.raises(OutOfRangeError, match="window start 12"):
             gap_ratio(alternating_trace(10), context_identity(2), 4, (0, 3), 8)
+
+    def test_empty_eval_set_rejected(self):
+        with pytest.raises(ParameterError, match="T must be non-empty"):
+            gap_ratio(alternating_trace(10), context_identity(2), 1, (), 8)
 
 
 class TestIdentifiability:
@@ -375,6 +392,10 @@ class TestContinuity:
     def test_zero_step_rejected(self):
         with pytest.raises(OutOfRangeError):
             continuity(alternating_trace(4), 2, step_range=[0, 1])
+
+    def test_one_step_trace_rejected(self):
+        with pytest.raises(ParameterError, match="at least one step with a predecessor"):
+            continuity(activations_from_sets([{"g0"}]), 1)
 
     def test_values_in_unit_interval(self):
         rng = random.Random(11)
@@ -554,6 +575,25 @@ class TestMorphospace:
 
         with pytest.raises(StructuralError):
             morphospace(1.0, 1.0, 0.2, 0.5, 0.5)
+
+    def test_report_with_consistency_has_a_coherence(self):
+        report = MetricsReport(
+            p_weak=0.75,
+            p_strong=0.5,
+            gap=GapResult(ratio=2.0, undefined_count=0),
+            continuity_mean=1.0,
+            identifiability_rate=0.6,
+            consistency=0.8,
+            recovery=None,
+            params=MetricParams(alpha=0.25),
+            horizon_max=8,
+            ref_index=0,
+            window_delta=1,
+            window_stride=1,
+            t_count=4,
+        )
+        assert report.to_document()["morphospace"]["coh"] == 0.25 * 0.8 + 0.75 * 0.6
+        assert report.morphospace_point() == morphospace(0.6, 0.8, 0.75, 0.5, 0.25)
 
 
 class TestMetricParams:

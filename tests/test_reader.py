@@ -53,9 +53,10 @@ from tracebind.metrics import (
     MetricParams,
     continuity,
     continuity_terms,
+    counted_persistence,
     identifiability,
     identifiable_count,
-    persistence_scores,
+    window_counts,
 )
 from tracebind.oracle import oracle_activation_set, oracle_minimal_horizons, oracle_persistence
 from tracebind.simulator import probe_presets
@@ -167,7 +168,8 @@ class TestMatchesObjectPathAndOracle:
             n = len(acts)
             cfg = random_window_config(rng, n, max_delta=6, max_stride=3, horizon_max=rng.randint(0, 50))
             oracle = oracle_persistence(acts, identity, cfg)
-            assert persistence_scores(masks, k, cfg) == (oracle.p_weak, oracle.p_strong)
+            counts = window_counts(masks, k, cfg)
+            assert counted_persistence(counts, cfg.horizon) == (oracle.p_weak, oracle.p_strong)
             horizons = window_horizons(acts, identity, cfg.stride, cfg.eval_indices, cfg.horizon_max)
             assert horizons == [
                 (t, *oracle_minimal_horizons(acts, identity, cfg.stride, t, cfg.horizon_max))

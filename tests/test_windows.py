@@ -71,10 +71,11 @@ class TestWindowConfig:
 
     def test_all_valid(self):
         cfg = WindowConfig.all_valid(horizon=1, stride=1, trace_length=100)
-        assert cfg.eval_indices == tuple(range(99))
+        assert cfg.eval_indices == range(99)
         cfg = WindowConfig.all_valid(horizon=1, stride=2, trace_length=6)
         # starts 0,2,4 with end start+1 < 6
-        assert cfg.eval_indices == (0, 1, 2)
+        assert cfg.eval_indices == range(3)
+        assert tuple(cfg.eval_indices) == (0, 1, 2)
 
     @pytest.mark.parametrize("horizon, trace_length", [(1, 10), (0, 0), (20, 10)])
     def test_all_valid_refuses_a_zero_stride(self, horizon, trace_length):
@@ -88,8 +89,8 @@ class TestWindowConfig:
                 for n in range(8):
                     every = WindowConfig(horizon, stride, tuple(range(n)))
                     cfg = WindowConfig.all_valid(horizon, stride, n)
-                    assert cfg.eval_indices == every.restrict_to(n).eval_indices
-                    assert type(cfg.eval_indices) is tuple
+                    assert tuple(cfg.eval_indices) == every.restrict_to(n).eval_indices
+                    assert type(cfg.eval_indices) is range
 
     def test_restrict_to_excludes_overrunning_windows(self):
         cfg = WindowConfig(horizon=2, stride=1, eval_indices=(0, 5, 50))
