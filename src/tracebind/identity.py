@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import (
     FileFormatError,
     GroundingLookupError,
+    StreamOrderError,
     StructuralError,
 )
 
@@ -332,24 +333,24 @@ def activation_mask(act: ActivationSet, bits: Mapping[str, int]) -> int:
         ) from None
 
 
-class ActivationMasks:
-    """An activation trace read as step masks, each step encoded when read.
-
-    A stray id raises at the step read, so a fold that reads only some steps
-    checks only those.
-    """
-
-    def __init__(
-        self, activations: Sequence[ActivationSet], bits: Mapping[str, int]
-    ) -> None:
-        self._activations = activations
-        self._bits = bits
-
-    def __len__(self) -> int:
-        return len(self._activations)
-
-    def __getitem__(self, u: int) -> int:
-        return activation_mask(self._activations[u], self._bits)
+def activation_masks(
+    activations: Iterable[ActivationSet], bits: Mapping[str, int], last: int
+) -> list[int]:
+    """The masks of steps ``0 .. last``, each distinct set encoded once; a
+    step out of order raises :class:`StreamOrderError`, and steps after
+    ``last`` are read only for their order."""
+    memo: dict[frozenset[str], int] = {}
+    masks = []
+    for expected, act in enumerate(activations):
+        if act.step_index != expected:
+            raise StreamOrderError(f"expected step {expected}, got {act.step_index}")
+        if expected > last:
+            continue
+        mask = memo.get(act.active)
+        if mask is None:
+            mask = memo[act.active] = activation_mask(act, bits)
+        masks.append(mask)
+    return masks
 
 
 def mask_distance(a: int, b: int, k: int) -> float:
@@ -651,7 +652,8 @@ def parse_identity_document(
 def load_identity_file(
     path: str | Path,
 ) -> tuple[GroundedIdentity, LayeredIdentitySpec | None]:
-    """Load an identity spec from a JSON document or JSONL ingredient list.
+    """Load an identity spec from a JSON document or JSONL ingredient list;
+    an object with a ``kind`` key is an ingredient record, not a document.
 
     Every fault names the file, and a fault in a JSONL record its line too.
     """
@@ -659,14 +661,16 @@ def load_identity_file(
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    stripped = text.strip()
+    # stripped at the end only, so the decoder's line numbers are the file's
+    stripped = text.rstrip()
     if not stripped:
         raise FileFormatError(f"{path}: empty identity spec")
+    fault = None
     try:
         doc = load_json(stripped, str(path))
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict):
+    except json.JSONDecodeError as exc:
+        doc, fault = None, exc
+    if isinstance(doc, dict) and "kind" not in doc:
         try:
             return parse_identity_document(doc)
         except FileFormatError as exc:
@@ -679,6 +683,9 @@ def load_identity_file(
         try:
             record = load_json(line, path, lineno)
         except json.JSONDecodeError as exc:
+            if fault and not ingredients:
+                # not even a first record: a document, located where decoding failed
+                lineno, exc = fault.lineno, fault
             raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         ingredients.append(_ingredient_from_record(record, f"{path}:{lineno}"))
     try:

@@ -23,13 +23,12 @@ from .errors import (
     MetricError,
     OutOfRangeError,
     ParameterError,
-    StreamOrderError,
     StructuralError,
 )
 from .identity import (
     ActivationSet,
     GroundedIdentity,
-    activation_mask,
+    activation_masks,
     ingredient_bits,
     mask_distance,
     state_distance,
@@ -107,9 +106,6 @@ class MetricParams:
             raise ParameterError("alpha must be in [0, 1]")
 
 
-_MAX_CACHED_SETS = 4096
-
-
 def _horizons(
     masks: Sequence[int], k: int, cfg: WindowConfig, cap: int
 ) -> Iterator[tuple[int, int | float, int | float]]:
@@ -139,29 +135,15 @@ def persistence(
     anywhere in the window, the coinst flag looks for a step that holds the
     full conjunction.  Scores are counts over ``|T|``.
 
-    The steps up to the end of the last evaluated window are encoded, in
-    order, and :func:`windows.start_horizons` runs over them with the window
-    horizon as its cap, so the cost is linear in the trace length.  Input
-    must arrive in step order; later steps are read only for their order.
+    Any iterable in step order is read: :func:`identity.activation_masks`
+    encodes the steps up to the last window's end, and
+    :func:`windows.start_horizons` runs over them with the window horizon as
+    its cap, so the cost is linear in the trace length.
     """
     if not cfg.eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
-    bits = ingredient_bits(identity)
     last_end = cfg.stride * cfg.eval_indices[-1] + cfg.horizon
-    # a trace repeats few distinct sets: each is encoded once while cached
-    memo: dict[frozenset[str], int] = {}
-    masks = []
-    for expected, act in enumerate(activations):
-        if act.step_index != expected:
-            raise StreamOrderError(f"expected step {expected}, got {act.step_index}")
-        if expected > last_end:
-            continue
-        mask = memo.get(act.active)
-        if mask is None:
-            if len(memo) == _MAX_CACHED_SETS:
-                memo.clear()
-            mask = memo[act.active] = activation_mask(act, bits)
-        masks.append(mask)
+    masks = activation_masks(activations, ingredient_bits(identity), last_end)
     delta = cfg.horizon
     horizons = _horizons(masks, identity.k, cfg, delta)
     per_window = tuple([
@@ -245,8 +227,8 @@ def gap_ratio(
     infinite term.  Layer times with an infinite weak horizon are undefined
     and excluded; if every layer time is undefined the ratio itself is
     undefined and a :class:`MetricError` is raised.  A repeated layer time
-    adds one term per occurrence.  Steps are encoded as the fold reads them
-    (see :func:`windows.window_horizons`).
+    adds one term per occurrence.  Steps are encoded as
+    :func:`windows.window_horizons` encodes them.
     """
     if not eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
@@ -311,7 +293,7 @@ def continuity(
     for act in activations:
         ids |= act.active
     bits = {ingredient: 1 << i for i, ingredient in enumerate(ids)}
-    masks = [activation_mask(act, bits) for act in activations]
+    masks = activation_masks(activations, bits, len(activations) - 1)
     per_step = list(continuity_terms(masks, k, list(step_range)))
     return per_step, sum(per_step) / len(per_step)
 

@@ -29,7 +29,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ParameterError, StructuralError
-from .identity import ActivationMasks, ActivationSet, GroundedIdentity, ingredient_bits
+from .identity import ActivationSet, GroundedIdentity, activation_masks, ingredient_bits
 
 INFINITE = math.inf
 
@@ -158,8 +158,7 @@ def start_horizons(
     ``back_or`` their OR; ``front`` holds, for each earlier step ``u`` from
     ``s`` on, the OR of the masks from ``u`` to the first step of ``back``,
     the earliest step last.  So the fold holds at most ``horizon_max + 1``
-    steps, and over lazily encoded masks a stray id fails only inside some
-    window's scanned range ``s .. s + (w_strong or the cap)``.
+    steps.
     """
     n = len(masks)
     full = (1 << k) - 1
@@ -219,9 +218,9 @@ def window_horizons(
     """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
     the given order and with its duplicates: :func:`start_horizons` of the
     distinct window starts ``stride*t``.  A start outside the trace raises
-    :class:`OutOfRangeError` before any step is read.  Each step is checked
-    against the identity universe when the fold reads it, so a stray id
-    fails only inside some window's scanned range."""
+    :class:`OutOfRangeError` before any step is read.  The steps are encoded
+    by :func:`identity.activation_masks` up to the last step a window can
+    reach, the last start plus ``horizon_max`` or the trace end."""
     n = len(activations)
     for t in eval_indices:
         start = stride * t
@@ -230,7 +229,8 @@ def window_horizons(
                 f"window start {start} is outside the trace of length {n}"
             )
     starts = sorted({stride * t for t in eval_indices})
-    masks = ActivationMasks(activations, ingredient_bits(identity))
+    last = min(n - 1, starts[-1] + horizon_max) if starts else -1
+    masks = activation_masks(activations, ingredient_bits(identity), last)
     found = {
         s: (w_weak, w_strong)
         for s, w_weak, w_strong in start_horizons(masks, identity.k, starts, horizon_max)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -588,6 +590,114 @@ class TestIdentityFiles:
         path.write_bytes(b'{"ingredients": ["\xff"]}')
         with pytest.raises(FileFormatError, match="not UTF-8"):
             load_identity_file(path)
+
+    @pytest.mark.parametrize(
+        "record, spec",
+        [
+            ('{"id": "a", "kind": "context", "context_pattern": ["x"]}',
+             IngredientSpec("a", "context", context_pattern=("x",))),
+            (RECORD, IngredientSpec("a", "policy", flag_index=0)),
+        ],
+        ids=["context", "policy"],
+    )
+    def test_one_record_line_delimited_file(self, tmp_path, record, spec):
+        # an object with a "kind" is a record, not an identity document
+        path = tmp_path / "identity.jsonl"
+        path.write_text(f"\n{record}\n\n")
+        assert load_identity_file(path) == (GroundedIdentity((spec,)), None)
+
+    def test_one_record_faults_name_its_line(self, tmp_path):
+        path = tmp_path / "identity.jsonl"
+        path.write_text('\n{"id": "a", "kind": "policy"}\n')
+        with pytest.raises(FileFormatError) as info:
+            load_identity_file(path)
+        assert str(info.value) == f"{path}:2: missing fields ['flag_index']"
+
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_document_that_does_not_decode_names_the_faulty_line(self, tmp_path, blank_lines):
+        # the first line alone is not a record, so the document's own
+        # decode error is reported, at the line where it stopped; leading
+        # blank lines count
+        path = tmp_path / "doc.json"
+        path.write_text(
+            "\n" * blank_lines
+            + '{\n  "ingredients": [\n    {"id": "a", "kind": "context", "context_pattern": ["x"]},\n'
+            '    {"id": "b", "kind": "policy" "flag_index": 0}\n  ]\n}\n'
+        )
+        line = 4 + blank_lines
+        with pytest.raises(FileFormatError) as info:
+            load_identity_file(path)
+        assert str(info.value).startswith(
+            f"{path}:{line}: invalid JSON: Expecting ',' delimiter: line {line} column 34"
+        )
+
+    def test_bad_later_record_keeps_its_own_line(self, tmp_path):
+        path = tmp_path / "identity.jsonl"
+        path.write_text(f'{RECORD}\n\n{{"id": "b", "kind"\n')
+        with pytest.raises(FileFormatError, match=r"identity\.jsonl:3: invalid JSON: .*line 1 column"):
+            load_identity_file(path)
+
+
+_TEXT = st.text(max_size=6)
+_INGREDIENT_FIELDS = {
+    "context": st.fixed_dictionaries({"context_pattern": st.lists(_TEXT, min_size=1, max_size=3)}),
+    "memory": st.fixed_dictionaries({"memory_key": _TEXT, "memory_value": _TEXT}),
+    "policy": st.fixed_dictionaries({"flag_index": st.integers(0, 2**40)}),
+    "retrieval": st.fixed_dictionaries({"doc_id": _TEXT}),
+}
+
+
+@st.composite
+def identities(draw):
+    """An identity of 1 to 5 ingredients of any kind, and layer maps over it
+    or ``None``."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+    ingredients = []
+    for ingredient_id in ids:
+        kind = draw(st.sampled_from(sorted(_INGREDIENT_FIELDS)))
+        ingredients.append(IngredientSpec(ingredient_id, kind, **draw(_INGREDIENT_FIELDS[kind])))
+    identity = GroundedIdentity(tuple(ingredients))
+    if not draw(st.booleans()):
+        return identity, None
+    labels = st.lists(_TEXT, max_size=3, unique=True)
+    layer2, layer1 = draw(labels), draw(labels)
+
+    def label_map(sources, targets):
+        return draw(st.dictionaries(
+            st.sampled_from(sources) if sources else st.nothing(),
+            st.frozensets(st.sampled_from(targets)) if targets else st.just(frozenset()),
+            max_size=len(sources),
+        ))
+
+    return identity, LayeredIdentitySpec(
+        layer2, layer1, label_map(layer2, layer1), label_map(layer1, ids), label_map(layer2, ids)
+    )
+
+
+@given(
+    spec=identities(),
+    indent=st.sampled_from([None, 0, 2]),
+    blanks=st.lists(st.sampled_from(["", "  ", "\t"]), max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_written_identities_load_back_equal(spec, indent, blanks, data):
+    """Every identity ``identity_to_document`` writes loads back equal: as a
+    document on one line or indented, with or without layers, and, without
+    layers, as JSONL of its records with blank lines anywhere."""
+    identity, layers = spec
+    doc = identity_to_document(identity, layers)
+    texts = [json.dumps(doc, indent=indent) + "\n"]
+    if layers is None:
+        lines = [json.dumps(record) for record in doc["ingredients"]]
+        for blank in blanks:
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        texts.append("\n".join(lines))
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "identity.json"
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            assert load_identity_file(path) == (identity, layers)
 
 
 @given(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import random
 import statistics
+import sys
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -26,9 +27,15 @@ from tracebind.errors import (
     StreamOrderError,
     StructuralError,
 )
-from tracebind.identity import ActivationSet, activation_mask, ingredient_bits, state_distance
+from tracebind.identity import (
+    ActivationSet,
+    GroundedIdentity,
+    IngredientSpec,
+    activation_mask,
+    ingredient_bits,
+    state_distance,
+)
 from tracebind.metrics import (
-    _MAX_CACHED_SETS,
     GapResult,
     MetricParams,
     MetricsReport,
@@ -49,7 +56,7 @@ from tracebind.metrics import (
     window_counts,
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
-from tracebind.windows import INFINITE, WindowConfig, minimal_horizons
+from tracebind.windows import INFINITE, WindowConfig, minimal_horizons, window_horizons
 
 
 def alternating_trace(length: int):
@@ -185,11 +192,11 @@ class TestPersistenceStreaming:
             persistence_streaming(alternating_trace(10), identity, cfg)
 
     def test_more_distinct_sets_than_the_encoding_cache(self):
-        # the cache is emptied when full, and the scores do not change
+        # over 4,096 distinct sets, each encoded once: the scores do not change
         rng = random.Random(4_097)
         identity = context_identity(14)
-        acts = random_activations(rng, 3 * _MAX_CACHED_SETS, identity)
-        assert len({act.active for act in acts}) > _MAX_CACHED_SETS
+        acts = random_activations(rng, 3 * 4_096, identity)
+        assert len({act.active for act in acts}) > 4_096
         cfg = WindowConfig.all_valid(4, 1, len(acts), 16)
         assert persistence(iter(acts), identity, cfg) == oracle_persistence(acts, identity, cfg)
 
@@ -688,6 +695,57 @@ def test_only_the_oracle_module_imports_the_oracle():
             if any(t == "tracebind.oracle" or t.startswith("tracebind.oracle.") for t in targets):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The runtime stays stdlib-only: every absolute import in the package
+    names ``tracebind`` or a standard-library module."""
+    package = Path(tracebind.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "tracebind" and top not in sys.stdlib_module_names:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
+class TestOneOrderRule:
+    """Every function over activation sets reads the steps through
+    ``identity.activation_masks``, so each refuses a trace out of step order."""
+
+    # steps [2, 0, 1, 3] holding {a,b}, {a}, {b}, {a}
+    SHUFFLED = [
+        ActivationSet(2, frozenset({"a", "b"})),
+        ActivationSet(0, frozenset({"a"})),
+        ActivationSet(1, frozenset({"b"})),
+        ActivationSet(3, frozenset({"a"})),
+    ]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda acts, identity: persistence(acts, identity, WindowConfig(1, 1, (0, 1))),
+            lambda acts, identity: gap_ratio(acts, identity, 1, [0, 1], 8),
+            lambda acts, identity: window_horizons(acts, identity, 1, [0, 1], 8),
+            lambda acts, identity: minimal_horizons(acts, identity, 1, 0, 8),
+            lambda acts, identity: continuity(acts, identity.k),
+        ],
+        ids=["persistence", "gap_ratio", "window_horizons", "minimal_horizons", "continuity"],
+    )
+    def test_shuffled_trace_rejected(self, call):
+        identity = GroundedIdentity(
+            tuple(IngredientSpec(name, "context", context_pattern=(name,)) for name in "ab")
+        )
+        with pytest.raises(StreamOrderError, match="expected step 0, got 2"):
+            call(self.SHUFFLED, identity)
 
 
 class TestRendering:

@@ -289,10 +289,14 @@ class TestMinimalHorizons:
         with pytest.raises(StructuralError, match="step 1"):
             minimal_horizons(acts, identity, 1, 0, 8)
 
-    def test_stray_ingredient_after_both_horizons_not_scanned(self):
+    def test_stray_ingredient_after_both_horizons_rejected(self):
+        # every step up to the start plus the cap is checked, however soon
+        # both horizons are found; a stray beyond the cap is not read
         identity = context_identity(2)
-        acts = activations_from_sets([{"g0", "g1"}, {"stray"}])
-        assert minimal_horizons(acts, identity, 1, 0, 8) == (0, 0)
+        acts = activations_from_sets([{"g0", "g1"}, {"g0", "g1"}, {"stray"}])
+        with pytest.raises(StructuralError, match="step 2"):
+            minimal_horizons(acts, identity, 1, 0, 8)
+        assert minimal_horizons(acts, identity, 1, 0, 1) == (0, 0)
 
 
 class TestWindowHorizons:
@@ -313,21 +317,28 @@ class TestWindowHorizons:
             window_horizons(acts, context_identity(1), 1, (-1,), 8)
 
     def test_stray_in_a_later_window_range_rejected(self):
-        # t=0 binds at once; t=1 scans steps 1..3, which holds the stray
+        # t=0 binds at once; the steps up to the last start plus the cap,
+        # which hold the stray, are checked all the same
         identity = context_identity(2)
         acts = activations_from_sets([{"g0", "g1"}, {"g0"}, {"g1", "stray"}, {"g0", "g1"}])
         with pytest.raises(StructuralError, match="step 2"):
             window_horizons(acts, identity, 1, (0, 1), 8)
-        assert window_horizons(acts, identity, 1, (0,), 8) == [(0, 0, 0)]
+        with pytest.raises(StructuralError, match="step 2"):
+            window_horizons(acts, identity, 1, (0,), 8)
+        assert window_horizons(acts, identity, 1, (0,), 1) == [(0, 0, 0)]
 
-    def test_stray_between_sparse_windows_not_scanned(self):
+    def test_stray_between_sparse_windows_rejected(self):
+        # the windows from 0, 4 and 8 all bind at their start, so no fold
+        # reads step 3, but it lies before the last start plus the cap
         identity = context_identity(2)
         sets = [{"g0", "g1"}] * 10
         sets[3] = {"stray"}
         acts = activations_from_sets(sets)
-        assert window_horizons(acts, identity, 4, (2, 0, 1), 8) == [
-            (2, 0, 0), (0, 0, 0), (1, 0, 0)
-        ]
+        with pytest.raises(StructuralError, match="step 3"):
+            window_horizons(acts, identity, 4, (2, 0, 1), 8)
+        with pytest.raises(StructuralError, match="step 3"):
+            window_horizons(acts, identity, 4, (1,), 0)
+        assert window_horizons(acts, identity, 4, (0,), 2) == [(0, 0, 0)]
 
     def test_stray_beyond_the_cap_not_scanned(self):
         identity = context_identity(2)
@@ -339,9 +350,10 @@ class TestWindowHorizons:
             window_horizons(acts, identity, 1, (0, 1), 2)
 
     def test_sorted_starts_name_the_first_scanned_stray(self):
-        # a stray fails exactly when it lies in some window's scanned range
-        # s .. s + (w_strong or the cap), computed here on the trace without
-        # strays; sorted starts name the first such step
+        # a stray fails exactly when it lies at or before the last step a
+        # window can reach, min(n - 1, last start + cap); the horizons are
+        # computed on the trace without strays, and the first such stray
+        # is named
         rng = random.Random(2_718)
         for _ in range(400):
             identity = context_identity(rng.randint(1, 3))
@@ -357,15 +369,12 @@ class TestWindowHorizons:
             t_max = (len(acts) - 1) // stride
             eval_indices = sorted(rng.randint(0, t_max) for _ in range(rng.randint(1, 6)))
             cap = rng.randint(0, 30)
-            expected = []
-            scanned = set()
-            for t in eval_indices:
-                w_weak, w_strong = oracle_minimal_horizons(clean, identity, stride, t, cap)
-                start = stride * t
-                reach = w_strong if w_strong != INFINITE else min(cap, len(acts) - 1 - start)
-                scanned.update(range(start, start + reach + 1))
-                expected.append((t, w_weak, w_strong))
-            hit = sorted(stray_steps & scanned)
+            expected = [
+                (t, *oracle_minimal_horizons(clean, identity, stride, t, cap))
+                for t in eval_indices
+            ]
+            last = min(len(acts) - 1, stride * eval_indices[-1] + cap)
+            hit = sorted(u for u in stray_steps if u <= last)
             if hit:
                 with pytest.raises(StructuralError, match=f"step {hit[0]} "):
                     window_horizons(acts, identity, stride, eval_indices, cap)
