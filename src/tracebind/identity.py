@@ -670,6 +670,12 @@ def load_identity_file(
         doc = load_json(stripped, str(path))
     except json.JSONDecodeError as exc:
         doc, fault = None, exc
+    except FileFormatError as exc:
+        # a fault inside the first value: a file of one line keeps the file's
+        # location; in a longer file, the line pass below names the line
+        if len(stripped.lstrip().splitlines()) == 1:
+            raise
+        doc, fault = None, exc
     if isinstance(doc, dict) and "kind" not in doc:
         try:
             return parse_identity_document(doc)
@@ -685,6 +691,8 @@ def load_identity_file(
         except json.JSONDecodeError as exc:
             if fault and not ingredients:
                 # not even a first record: a document, located where decoding failed
+                if isinstance(fault, FileFormatError):
+                    raise fault from None
                 lineno, exc = fault.lineno, fault
             raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         ingredients.append(_ingredient_from_record(record, f"{path}:{lineno}"))

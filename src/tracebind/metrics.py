@@ -299,37 +299,52 @@ def continuity(
 
 
 def _tokens(text: str) -> frozenset[str]:
-    # interned, so token sets held for a whole pair loop share their strings
+    # interned, so the distinct token sets that consistency counts share
+    # their strings
     return frozenset(map(sys.intern, text.casefold().split()))
 
 
-def _token_jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
+def jaccard_similarity(a: str, b: str) -> float:
+    """Token-set Jaccard over whitespace-split, case-folded text."""
+    ta, tb = _tokens(a), _tokens(b)
     if not ta and not tb:
         return 1.0
     shared = len(ta & tb)
     return shared / (len(ta) + len(tb) - shared)
 
 
-def jaccard_similarity(a: str, b: str) -> float:
-    """Token-set Jaccard over whitespace-split, case-folded text."""
-    return _token_jaccard(_tokens(a), _tokens(b))
-
-
 def consistency(outputs: Sequence[str], delta_cons: float = MetricParams.delta_cons) -> float:
     """Fraction of unordered output pairs whose :func:`jaccard_similarity`
-    clears the threshold ``delta_cons`` in [0, 1].  Each output is tokenised
-    once, not once per pair."""
+    clears the threshold ``delta_cons`` in [0, 1].
+
+    Each output is tokenised once, and each distinct token set is scored
+    once, as an ``int`` with one bit per token: two sets share as many
+    tokens as their masks' ``&`` has bits.  A set seen ``c`` times adds its
+    ``c * (c - 1) // 2`` pairs of identical outputs, which clear every
+    threshold; two distinct sets seen ``ca`` and ``cb`` times add ``ca * cb``
+    pairs when their Jaccard clears it.  The cost is O(n) to tokenise plus
+    one popcount per pair of distinct sets.
+    """
     if not 0.0 <= delta_cons <= 1.0:
         raise ParameterError("delta_cons must be in [0, 1]")
     n = len(outputs)
     if n < 2:
         raise ParameterError("consistency needs at least two outputs")
-    token_sets = [_tokens(text) for text in outputs]
+    bits: dict[str, int] = {}
+    sets = []
     hits = 0
-    for i, ta in enumerate(token_sets):
-        for tb in token_sets[i + 1 :]:
-            if _token_jaccard(ta, tb) >= delta_cons:
-                hits += 1
+    for token_set, count in Counter(map(_tokens, outputs)).items():
+        mask = 0
+        for token in token_set:
+            mask |= 1 << bits.setdefault(token, len(bits))
+        sets.append((mask, len(token_set), count))
+        hits += count * (count - 1) // 2
+    # two distinct sets are never both empty, so no union below is 0
+    for i, (ma, la, ca) in enumerate(sets):
+        for mb, lb, cb in sets[i + 1 :]:
+            shared = (ma & mb).bit_count()
+            if shared / (la + lb - shared) >= delta_cons:
+                hits += ca * cb
     return hits / output_pairs(n)
 
 

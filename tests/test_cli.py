@@ -835,6 +835,15 @@ class TestProbeCommand:
         assert main(["probe", str(path), "--delta-cons", "0.9"]) == 0
         assert "consistency = 0.333333" in capsys.readouterr().out
 
+    def test_blank_lines_are_outputs(self, tmp_path, capsys):
+        # every line is an output; the two empty ones are the one matching pair
+        path = tmp_path / "outs.txt"
+        write_lines(path, ["a b", "", "", "c d"])
+        assert main(["probe", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "consistency = 0.166667" in out
+        assert "pairs = 6" in out
+
     def test_single_line_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "outs.txt"
         write_lines(path, ["lonely"])

@@ -1,4 +1,5 @@
-"""Byte-for-byte goldens for every ``simulate`` scenario and its ``analyze`` reports.
+"""Byte-for-byte goldens for every ``simulate`` scenario and its ``analyze``
+reports, and for the ``probe`` reports of one outputs file.
 
 The files under ``tests/golden/<case>/`` were captured once from a known-good
 build and are never rewritten by the suite.  Each case runs ``simulate`` with
@@ -7,6 +8,11 @@ window recorded in the sidecar, once per report format.  A report is pinned
 as ``<trace>.analyze.<format>``; a run that exits non-zero also pins its exit
 code and message as ``<trace>.analyze.<format>.exit``.  Every file must match
 its golden exactly, and no file may be missing or extra.
+
+``tests/golden/probe/outputs.txt`` holds repeated lines, case-fold variants,
+blank and whitespace-only lines, and a pair at Jaccard exactly 1/2.  Its
+``probe`` report at each ``--delta-cons`` of ``PROBE_DELTAS`` is pinned as
+``outputs.probe.<delta>.<format>``.
 """
 
 from __future__ import annotations
@@ -76,3 +82,24 @@ def test_outputs_match_golden(name, tmp_path):
     assert sorted(produced) == sorted(expected)
     for filename, data in expected.items():
         assert produced[filename] == data, filename
+
+
+PROBE_DELTAS = {"default": [], "0": ["--delta-cons", "0"], "1": ["--delta-cons", "1"]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("delta", sorted(PROBE_DELTAS))
+def test_probe_matches_golden(delta, fmt, capsys):
+    folder = GOLDEN / "probe"
+    code = main(["probe", str(folder / "outputs.txt"), *PROBE_DELTAS[delta], "--format", fmt])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (
+        folder / f"outputs.probe.{delta}.{fmt}"
+    ).read_bytes()
+
+
+def test_probe_golden_files():
+    expected = {"outputs.txt"} | {
+        f"outputs.probe.{delta}.{fmt}" for delta in PROBE_DELTAS for fmt in ("json", "text")
+    }
+    assert {path.name for path in (GOLDEN / "probe").iterdir()} == expected

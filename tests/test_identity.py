@@ -40,6 +40,8 @@ from tracebind.oracle import oracle_activation_set
 ARCH = plain_architecture()
 
 RECORD = '{"id": "a", "kind": "policy", "flag_index": 0}'  # one ingredient, id "a"
+RECORD_B = '{"id": "b", "kind": "policy", "flag_index": 1}'
+DUPLICATE_ID = '{"id": "a", "id": "c", "kind": "policy", "flag_index": 0}'
 
 
 def make_state(
@@ -514,6 +516,22 @@ class TestIdentityFiles:
         )
         with pytest.raises(FileFormatError, match=r"identity\.jsonl:2: duplicate key 'flag_index'"):
             load_identity_file(path)
+
+    @pytest.mark.parametrize(
+        "lines, where",
+        [
+            ([DUPLICATE_ID, RECORD_B], ":1"),
+            ([RECORD_B, DUPLICATE_ID], ":2"),
+            (["", DUPLICATE_ID, RECORD_B], ":2"),
+        ],
+        ids=["line-1", "line-2", "after-blank-line"],
+    )
+    def test_duplicate_key_names_its_line(self, tmp_path, lines, where):
+        path = tmp_path / "identity.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as info:
+            load_identity_file(path)
+        assert str(info.value) == f"{path}{where}: duplicate key 'id'"
 
     @pytest.mark.parametrize(
         "name, text, where, fault",

@@ -460,6 +460,31 @@ class TestConsistency:
                 reference(a, b) for a in outputs for b in outputs
             ]
 
+    # case-fold variants ("ß" and "SS" both fold to "ss"), so one token set
+    # is spelled several ways, next to empty and whitespace-only outputs
+    WORDS = ["ada", "Ada", "ADA", "am", "AM", "the", "analyst", "ß", "SS", "x"]
+    OUTPUT = st.one_of(
+        st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join),
+        st.sampled_from(["", " ", "\t  "]),
+    )
+
+    @given(
+        st.lists(OUTPUT, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=60)
+        ),
+        st.one_of(st.sampled_from([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force_pairwise_jaccard(self, outputs, delta):
+        sets = [set(text.casefold().split()) for text in outputs]
+        hits = sum(
+            (len(a & b) / len(a | b) if a or b else 1.0) >= delta
+            for i, a in enumerate(sets)
+            for b in sets[i + 1 :]
+        )
+        n = len(outputs)
+        assert consistency(outputs, delta_cons=delta) == hits / (n * (n - 1) // 2)
+
     def test_jaccard_properties(self):
         assert jaccard_similarity("A b C", "a B c") == 1.0
         assert jaccard_similarity("x", "y") == 0.0
