@@ -336,9 +336,10 @@ def activation_mask(act: ActivationSet, bits: Mapping[str, int]) -> int:
 def activation_masks(
     activations: Iterable[ActivationSet], bits: Mapping[str, int], last: int
 ) -> list[int]:
-    """The masks of steps ``0 .. last``, each distinct set encoded once; a
-    step out of order raises :class:`StreamOrderError`, and steps after
-    ``last`` are read only for their order."""
+    """The masks of steps ``0 .. last``, each of the first 65,536 distinct
+    sets encoded once and any later set at each step; a step out of order
+    raises :class:`StreamOrderError`, and steps after ``last`` are read only
+    for their order."""
     memo: dict[frozenset[str], int] = {}
     masks = []
     for expected, act in enumerate(activations):
@@ -348,16 +349,11 @@ def activation_masks(
             continue
         mask = memo.get(act.active)
         if mask is None:
-            mask = memo[act.active] = activation_mask(act, bits)
+            mask = activation_mask(act, bits)
+            if len(memo) < 65_536:
+                memo[act.active] = mask
         masks.append(mask)
     return masks
-
-
-def mask_distance(a: int, b: int, k: int) -> float:
-    """:func:`state_distance` of two step masks: ``popcount(a ^ b) / k``."""
-    if k < 1:
-        raise StructuralError("ingredient universe size k must be >= 1")
-    return (a ^ b).bit_count() / k
 
 
 def state_matcher(
@@ -652,53 +648,44 @@ def parse_identity_document(
 def load_identity_file(
     path: str | Path,
 ) -> tuple[GroundedIdentity, LayeredIdentitySpec | None]:
-    """Load an identity spec from a JSON document or JSONL ingredient list;
-    an object with a ``kind`` key is an ingredient record, not a document.
+    """Load an identity spec: the first non-blank line decides the form.
 
-    Every fault names the file, and a fault in a JSONL record its line too.
+    If that line does not decode on its own, the file is one JSON document.
+    Otherwise each non-blank line is an ingredient record, except a lone line
+    holding an object with no ``kind`` key, which is a one-line document.
+    Every fault names the file, and a fault within a line names the line too.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    # stripped at the end only, so the decoder's line numbers are the file's
-    stripped = text.rstrip()
-    if not stripped:
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines:
         raise FileFormatError(f"{path}: empty identity spec")
-    fault = None
-    try:
-        doc = load_json(stripped, str(path))
-    except json.JSONDecodeError as exc:
-        doc, fault = None, exc
-    except FileFormatError as exc:
-        # a fault inside the first value: a file of one line keeps the file's
-        # location; in a longer file, the line pass below names the line
-        if len(stripped.lstrip().splitlines()) == 1:
-            raise
-        doc, fault = None, exc
-    if isinstance(doc, dict) and "kind" not in doc:
-        try:
-            return parse_identity_document(doc)
-        except FileFormatError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
-    # line-delimited form: one ingredient record per line, no layers
     ingredients = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in lines:
         try:
-            record = load_json(line, path, lineno)
+            doc = load_json(line, path, lineno)
         except json.JSONDecodeError as exc:
-            if fault and not ingredients:
-                # not even a first record: a document, located where decoding failed
-                if isinstance(fault, FileFormatError):
-                    raise fault from None
-                lineno, exc = fault.lineno, fault
-            raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        ingredients.append(_ingredient_from_record(record, f"{path}:{lineno}"))
+            if ingredients:
+                raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            try:
+                # stripped at the end only, so the decoder's line numbers are the file's
+                doc = load_json(text.rstrip(), path)
+            except json.JSONDecodeError as exc:
+                raise FileFormatError(f"{path}:{exc.lineno}: invalid JSON: {exc}") from exc
+            break  # one document
+        if len(lines) == 1 and isinstance(doc, dict) and "kind" not in doc:
+            break  # a document on one line
+        ingredients.append(_ingredient_from_record(doc, f"{path}:{lineno}"))
+    else:  # every line was a record
+        try:
+            return GroundedIdentity(tuple(ingredients)), None
+        except StructuralError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
     try:
-        return GroundedIdentity(tuple(ingredients)), None
-    except StructuralError as exc:
+        return parse_identity_document(doc)
+    except FileFormatError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

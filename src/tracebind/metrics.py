@@ -30,7 +30,6 @@ from .identity import (
     GroundedIdentity,
     activation_masks,
     ingredient_bits,
-    mask_distance,
     state_distance,
 )
 from .windows import INFINITE, WindowConfig, start_horizons, window_horizons
@@ -251,8 +250,10 @@ def identifiable_count(
             f"reference index {reference} is outside the trace of length "
             f"{len(masks)}"
         )
+    if k < 1:
+        raise StructuralError("ingredient universe size k must be >= 1")
     ref = masks[reference]
-    return sum(mask_distance(masks[u], ref, k) <= delta_i for u in steps)
+    return sum((masks[u] ^ ref).bit_count() / k <= delta_i for u in steps)
 
 
 def identifiability(
@@ -270,11 +271,13 @@ def continuity_terms(
     step ``u`` of ``steps`` in order."""
     if not steps:
         raise ParameterError("continuity needs at least one step with a predecessor")
+    if k < 1:
+        raise StructuralError("ingredient universe size k must be >= 1")
     n = len(masks)
     for u in steps:
         if u < 1 or u >= n:
             raise OutOfRangeError(f"continuity step {u} needs a predecessor in range")
-        yield 1.0 - mask_distance(masks[u], masks[u - 1], k)
+        yield 1.0 - (masks[u] ^ masks[u - 1]).bit_count() / k
 
 
 def continuity(

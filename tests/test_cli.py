@@ -541,7 +541,7 @@ class TestAnalyzeCommand:
             where = "identity.json:2"
         else:
             identity_path.write_text('{"ingredients": [' + ", ".join(records) + "]}")
-            where = "identity.json"
+            where = "identity.json:1"
         code = main(
             ["analyze", "--trace", str(trace_path), "--identity", str(identity_path),
              "--delta", "0"]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracebind.identity as identity_module
 from conftest import activations_from_sets, context_identity, plain_architecture
 from tracebind.errors import (
     FileFormatError,
@@ -505,7 +506,7 @@ class TestIdentityFiles:
             '{"ingredients": [{"id": "a", "id": "b", "kind": "context", '
             '"context_pattern": ["x"]}]}'
         )
-        with pytest.raises(FileFormatError, match=r"identity\.json: duplicate key 'id'"):
+        with pytest.raises(FileFormatError, match=r"identity\.json:1: duplicate key 'id'"):
             load_identity_file(path)
 
     def test_duplicate_key_in_line_delimited_file_rejected(self, tmp_path):
@@ -523,8 +524,10 @@ class TestIdentityFiles:
             ([DUPLICATE_ID, RECORD_B], ":1"),
             ([RECORD_B, DUPLICATE_ID], ":2"),
             (["", DUPLICATE_ID, RECORD_B], ":2"),
+            ([f'{{"ingredients": [{DUPLICATE_ID}]}}'], ":1"),
+            (["", "", f'{{"ingredients": [{DUPLICATE_ID}]}}'], ":3"),
         ],
-        ids=["line-1", "line-2", "after-blank-line"],
+        ids=["line-1", "line-2", "after-blank-line", "document", "document-after-blank-lines"],
     )
     def test_duplicate_key_names_its_line(self, tmp_path, lines, where):
         path = tmp_path / "identity.jsonl"
@@ -554,10 +557,23 @@ class TestIdentityFiles:
              "missing fields ['flag_index']"),
             ("identity.jsonl", f"{RECORD}\n\n{RECORD}\n", "",
              "ingredient ids must be pairwise distinct; 'a' repeats"),
+            # the first non-blank line decides the form
+            ("identity.jsonl", "[" * 100_000, ":1", "invalid JSON: nested too deeply"),
+            ("identity.jsonl", "5", ":1", "ingredient record must be an object"),
+            ("identity.jsonl", f'{{"ingredients": [{RECORD}]}}\n{RECORD_B}\n', ":1",
+             "unknown ingredient kind None"),
+            ("identity.jsonl", f'\ufeff{{"ingredients": [{RECORD}]}}', ":1",
+             "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            ("identity.jsonl", f'{RECORD}\n{{"id": "b", "kind": "nope"}}\n\n{{"id"\n', ":2",
+             "unknown ingredient kind 'nope'"),
+            ("identity.json", json.dumps(json.loads(RECORD), indent=1), "",
+             "identity document: unknown fields ['flag_index', 'id', 'kind']"),
         ],
         ids=[
             "doc-duplicate-id", "doc-kind", "doc-layers", "doc-field", "doc-empty",
             "jsonl-kind", "jsonl-not-object", "jsonl-missing", "jsonl-duplicate-id",
+            "one-line-deep-nesting", "one-line-not-object", "document-then-record", "bom",
+            "record-fault-before-json-fault", "pretty-printed-record",
         ],
     )
     def test_faults_name_the_file(self, tmp_path, name, text, where, fault):
@@ -654,6 +670,20 @@ class TestIdentityFiles:
         path.write_text(f'{RECORD}\n\n{{"id": "b", "kind"\n')
         with pytest.raises(FileFormatError, match=r"identity\.jsonl:3: invalid JSON: .*line 1 column"):
             load_identity_file(path)
+
+    def test_each_jsonl_line_is_decoded_once(self, tmp_path, monkeypatch):
+        lines = ["", RECORD, "  ", RECORD_B, "", '{"id": "c", "kind": "retrieval", "doc_id": "d"}']
+        path = tmp_path / "identity.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        decoded = []
+        load_json = identity_module.load_json
+        monkeypatch.setattr(
+            identity_module, "load_json", lambda text, *args: decoded.append(text) or load_json(text, *args)
+        )
+        identity, layers = load_identity_file(path)
+        assert identity.k == 3 and layers is None
+        assert all("\n" not in text for text in decoded)
+        assert sorted(decoded) == sorted(line for line in lines if line.strip())
 
 
 _TEXT = st.text(max_size=6)

@@ -1,9 +1,10 @@
 """README's examples run as written: its Python block, and each shell line
 that calls ``tracebind``, with ``/tmp/`` replaced by a test directory.  The
-names it quotes exist."""
+names it quotes exist, and its Library table names code its functions call."""
 
 from __future__ import annotations
 
+import ast
 import builtins
 import importlib
 import re
@@ -83,3 +84,51 @@ def test_quoted_names_resolve():
         if not any(callable(getattr(home, name, None)) for home in homes):
             missing.append(f"{name}(")
     assert missing == []
+
+
+def call_graph() -> dict[str, set[str]]:
+    """``module.function`` -> the ``module.function`` names it calls by bare
+    name, for every top-level function of the package, by an ``ast`` walk: a
+    bare name resolves to the module's own function or to what it imports
+    from a sibling module."""
+    graph: dict[str, set[str]] = {}
+    for source in Path(tracebind.__file__).parent.glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        names = {node.name: f"{source.stem}.{node.name}" for node in functions}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                names.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        for node in functions:
+            graph[names[node.name]] = {
+                names[call.func.id]
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id in names
+            }
+    return graph
+
+
+def library_table() -> list[tuple[list[str], list[str]]]:
+    """The Library table's rows: the backticked names of each column."""
+    section = README.split("## Library", 1)[1]
+    rows = re.findall(r"^\| (.+) \| (.+) \|$", section, re.M)
+    return [(re.findall(r"`(\w+)`", left), re.findall(r"`([\w.]+)`", right)) for left, right in rows[1:]]
+
+
+def test_library_table_names_the_code_each_function_runs():
+    graph = call_graph()
+    rows = library_table()
+    assert len(rows) == 5
+    unreached = []
+    for lefts, rights in rows:
+        assert lefts and rights
+        for left in lefts:
+            function = getattr(tracebind, left)
+            reached, todo = set(), [f"{function.__module__.split('.')[-1]}.{left}"]
+            while todo:
+                for callee in graph.get(todo.pop(), ()):
+                    if callee not in reached:
+                        reached.add(callee)
+                        todo.append(callee)
+            unreached += [(left, right) for right in rights if right not in reached]
+    assert unreached == []
