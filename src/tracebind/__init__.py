@@ -6,8 +6,12 @@ evaluation window whether the ingredients merely each occur somewhere
 (weak persistence) or are jointly active at a single objective step
 (strong persistence), and computes the derived identity metrics and
 morphospace coordinates.  A deterministic simulator reproduces the
-architectural constructions behind every claim the toolkit tests.
+architectural constructions behind every claim the toolkit tests; its
+module and names load on first use, so code that only scores traces never
+imports it.
 """
+
+from importlib import import_module
 
 from .errors import (
     CapacityError,
@@ -56,24 +60,6 @@ from .metrics import (
     persistence_streaming,
     recovery,
     recovery_bound,
-)
-from .simulator import (
-    Action,
-    ArchitecturePreset,
-    RetrievalPolicy,
-    infer,
-    make_preset,
-    preset_probe,
-    retrieve,
-    run,
-    scenario_alternating,
-    scenario_capacity_limited,
-    scenario_drift_recover,
-    scenario_noncommutation,
-    scenario_rag_displacement,
-    step,
-    store,
-    tool,
 )
 from .windows import (
     INFINITE,
@@ -158,3 +144,15 @@ __all__ = [
     "window",
     "window_horizons",
 ]
+
+
+def __getattr__(name: str):
+    # every exported name not bound above is a simulator name (PEP 562)
+    if name != "simulator" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    simulator = import_module(".simulator", __name__)
+    return simulator if name == "simulator" else getattr(simulator, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "simulator"})

@@ -7,7 +7,9 @@ Commands:
   expected values
 - ``probe``    score consistency over a file of recorded outputs
 
-Trace files are read and written by :mod:`tracebind.trace`.
+Trace files are read and written by :mod:`tracebind.trace`.  Each scenario
+adapter imports :mod:`tracebind.simulator` when it runs, so ``analyze`` and
+``probe`` never load it.
 
 Exit codes: 0 success, 2 input/usage errors, 3 metric errors.
 """
@@ -37,19 +39,6 @@ from .metrics import (
     render_number,
     render_text,
     window_counts,
-)
-from .simulator import (
-    PROBE_IDENTITY,
-    context_identity,
-    probe_presets,
-    probe_script,
-    probe_window,
-    run,
-    scenario_alternating,
-    scenario_capacity_limited,
-    scenario_drift_recover,
-    scenario_noncommutation,
-    scenario_rag_displacement,
 )
 from .trace import (
     _checked_records,
@@ -181,6 +170,8 @@ def _state_records(states: Sequence[ScaffoldState]) -> list[dict]:
 
 
 def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
+    from .simulator import scenario_noncommutation
+
     states, identity, cfg = scenario_noncommutation()
     return ScenarioFiles(
         {"": _state_records(states)},
@@ -191,6 +182,8 @@ def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _alternating(args: argparse.Namespace) -> ScenarioFiles:
+    from .simulator import scenario_alternating
+
     states, identity, cfg = scenario_alternating(args.length)
     return ScenarioFiles(
         {"": _state_records(states)}, identity, cfg, tail={"expect": {"gap_ratio": "inf"}}
@@ -198,6 +191,8 @@ def _alternating(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _capacity(args: argparse.Namespace) -> ScenarioFiles:
+    from .simulator import scenario_capacity_limited
+
     states, identity = scenario_capacity_limited(args.c, args.k, args.length)
     cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
     if not cfg.eval_indices:
@@ -206,6 +201,8 @@ def _capacity(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
+    from .simulator import scenario_rag_displacement
+
     without_rag, with_rag, identity, cfg = scenario_rag_displacement(
         baseline_block_tokens=args.block,
         passage_tokens=args.passage,
@@ -220,6 +217,8 @@ def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
+    from .simulator import context_identity, scenario_drift_recover
+
     if args.k < 1:
         raise ParameterError("--k must be >= 1")
     if not 0 <= args.drift <= args.k:
@@ -250,6 +249,8 @@ def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
+    from .simulator import PROBE_IDENTITY, probe_presets, probe_script, probe_window, run
+
     presets = probe_presets()
     if args.preset not in presets:
         raise ParameterError(
