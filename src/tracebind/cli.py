@@ -20,10 +20,10 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import MetricError, ParameterError, TracebindError
-from .identity import GroundedIdentity, ScaffoldState, identity_to_document, load_identity_file
+from .identity import GroundedIdentity, identity_to_document, load_identity_file
 from .metrics import (
     MetricParams,
     MetricsReport,
@@ -150,7 +150,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 class ScenarioFiles:
     """What one ``simulate`` scenario writes, before anything is written.
 
-    ``traces`` maps a label to trace records; the label ``""`` names the
+    ``traces`` maps a label to records, read once; the label ``""`` names the
     lone trace of a scenario, any other label ``x`` names the files
     ``<base>.x.trace.jsonl`` and the sidecar keys ``trace_x`` and
     ``expect_x``.  ``head`` sidecar fields come right after the scenario
@@ -158,15 +158,11 @@ class ScenarioFiles:
     name, or appended when the sidecar has none.
     """
 
-    traces: dict[str, list[dict]]
+    traces: dict[str, Iterable[dict]]
     identity: GroundedIdentity
     cfg: WindowConfig
     head: dict = field(default_factory=dict)
     tail: dict[str, dict] = field(default_factory=dict)
-
-
-def _state_records(states: Sequence[ScaffoldState]) -> list[dict]:
-    return [state_record(state) for state in states]
 
 
 def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
@@ -174,7 +170,7 @@ def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
 
     states, identity, cfg = scenario_noncommutation()
     return ScenarioFiles(
-        {"": _state_records(states)},
+        {"": map(state_record, states)},
         identity,
         cfg,
         tail={"expect": {"occurs": True, "coinstantiated": False, "gap_ratio": "inf"}},
@@ -186,7 +182,7 @@ def _alternating(args: argparse.Namespace) -> ScenarioFiles:
 
     states, identity, cfg = scenario_alternating(args.length)
     return ScenarioFiles(
-        {"": _state_records(states)}, identity, cfg, tail={"expect": {"gap_ratio": "inf"}}
+        {"": map(state_record, states)}, identity, cfg, tail={"expect": {"gap_ratio": "inf"}}
     )
 
 
@@ -197,7 +193,7 @@ def _capacity(args: argparse.Namespace) -> ScenarioFiles:
     cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
     if not cfg.eval_indices:
         raise ParameterError("--delta must be less than --length")
-    return ScenarioFiles({"": _state_records(states)}, identity, cfg)
+    return ScenarioFiles({"": map(state_record, states)}, identity, cfg)
 
 
 def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
@@ -209,7 +205,7 @@ def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
         capacity=args.capacity,
     )
     return ScenarioFiles(
-        {"without": _state_records(without_rag), "with": _state_records(with_rag)},
+        {"without": map(state_record, without_rag), "with": map(state_record, with_rag)},
         identity,
         cfg,
         tail={"expect": {"p_strong_strictly_drops": True, "p_weak_preserved": True}},
@@ -258,7 +254,7 @@ def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
         )
     states = run(presets[args.preset], probe_script(args.cycles), skip_unsupported=True)
     return ScenarioFiles(
-        {"": _state_records(states)},
+        {"": map(state_record, states)},
         PROBE_IDENTITY,
         probe_window(len(states)),
         head={"preset": args.preset},

@@ -311,26 +311,33 @@ def _carried(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
 
 
 def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> ScaffoldState:
-    """Apply one action; deterministic in (state, action, preset)."""
+    """Apply one action; deterministic in (state, action, preset).
+
+    Only the component the action changes is built anew: the new state
+    shares the carried state's flag tuple and ``retrieved`` set (both
+    immutable) unless a tool call or a retrieval changes them.
+    """
     if not preset.supports(action):
         _, _, _, module = _ACTION_RULES[action.kind]
         raise FeatureError(f"preset {preset.name!r} has no {module}")
     kept = _carried(state, preset)
     context = kept.context
-    memory = dict(kept.memory)
-    flags = list(kept.policy_flags)
-    retrieved = set(kept.retrieved)
+    memory = kept.memory  # ScaffoldState copies it
+    flags = kept.policy_flags
+    retrieved = kept.retrieved
 
     if action.kind == "infer":
         context = _append_with_eviction(context, action.tokens, preset)
     elif action.kind == "retrieve":
-        for doc in preset.retrieval.resolve(action.query):
-            retrieved.add(doc)
+        docs = preset.retrieval.resolve(action.query)
+        for doc in docs:
             context = _append_with_eviction(
                 context, preset.retrieval.doc_tokens(doc), preset
             )
+        if docs:
+            retrieved = retrieved.union(docs)
     elif action.kind == "store":
-        memory[action.key] = action.value
+        memory = {**memory, action.key: action.value}
     elif action.kind == "tool":
         if action.flag_index is not None:
             if not 0 <= action.flag_index < preset.n_policy_flags:
@@ -338,13 +345,14 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
                     f"flag_index {action.flag_index} out of range for "
                     f"{preset.n_policy_flags} flags"
                 )
-            flags[action.flag_index] = action.flag_value
+            index = action.flag_index
+            flags = flags[:index] + (action.flag_value,) + flags[index + 1:]
 
     return ScaffoldState(
         context=context,
         memory=memory,
-        policy_flags=tuple(flags),
-        retrieved=frozenset(retrieved),
+        policy_flags=flags,
+        retrieved=retrieved,
         step_index=state.step_index + 1,
     )
 
@@ -422,7 +430,9 @@ def scenario_alternating(
     identity = context_identity(["g1", "g2"])
     preset = make_preset("prompted", context_capacity=1)
     initial = replace(preset.initial_state(), context=("g1",))
-    script = [infer("g2" if u % 2 else "g1") for u in range(1, length)]
+    # one Action per distinct step, shared by every step that takes it
+    even, odd = infer("g1"), infer("g2")
+    script = [odd if u % 2 else even for u in range(1, length)]
     states = run(preset, script, initial)
     cfg = WindowConfig.all_valid(horizon=1, stride=1, trace_length=length, horizon_max=8)
     return states, identity, cfg
@@ -443,13 +453,14 @@ def scenario_capacity_limited(
     identity = context_identity(ids)
     preset = make_preset("prompted", context_capacity=c)
 
-    def subset(u: int) -> tuple[str, ...]:
-        return tuple(ids[(u + j) % k] for j in range(c))
-
-    initial = replace(preset.initial_state(), context=subset(0))
+    # step u holds the subset starting at u mod k: at most k distinct Actions
+    actions = [
+        infer(*(ids[(u + j) % k] for j in range(c))) for u in range(min(k, length))
+    ]
+    initial = replace(preset.initial_state(), context=actions[0].tokens)
     if length == 1:
         return [initial], identity
-    script = [infer(*subset(u)) for u in range(1, length)]
+    script = [actions[u % k] for u in range(1, length)]
     states = run(preset, script, initial)
     return states, identity
 

@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator
 
 from .errors import FileFormatError, TracebindError
 from .identity import (
@@ -35,6 +35,7 @@ from .identity import (
 
 _STATE_KEYS = {"u", "C", "M", "pi", "D"}
 _ACTIVATION_KEYS = {"u", "F"}
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
 
 @dataclass(frozen=True)
@@ -340,6 +341,10 @@ def activation_record(act: ActivationSet) -> dict:
     return {"u": act.step_index, "F": sorted(act.active)}
 
 
-def write_trace(path: Path, records: Sequence[dict]) -> None:
-    lines = [json.dumps(record, separators=(",", ":")) for record in records]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_trace(path: Path, records: Iterable[dict]) -> None:
+    """Write one compact JSON line per record as soon as it is encoded, so no
+    record or line is kept; no record writes one empty line."""
+    with path.open("w", encoding="utf-8") as stream:
+        lines = map(_COMPACT, records)
+        stream.write(next(lines, "") + "\n")
+        stream.writelines(line + "\n" for line in lines)

@@ -7,6 +7,7 @@ import json
 import random
 import statistics
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,64 @@ class TestParseTrace:
         trace = parse_trace(path)
         with pytest.raises(FileFormatError, match="ghost"):
             trace.to_activations(context_identity(2))
+
+
+def reference_join(records) -> bytes:
+    """The bytes of one ``json.dumps`` line per record, joined, plus a newline."""
+    lines = [json.dumps(record, separators=(",", ":")) for record in records]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+NON_ASCII = ["Ålice", "日本語", "emoji \U0001f642", "ß", "\u00a0"]
+NEEDS_ESCAPES = ['quote " and backslash \\', "tab\tnewline\ncr\r", "\x00\x1f\x7f", "\u2028\u2029", "\ud800"]
+JSON_VALUES = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+class TestWriteTrace:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            pytest.param([], id="empty"),
+            pytest.param([{"u": 0, "F": NON_ASCII}, {"u": 1, "F": []}], id="non-ascii"),
+            pytest.param(
+                [{"u": u, "C": [t], "M": {t: t}, "pi": [0], "D": [t]} for u, t in enumerate(NEEDS_ESCAPES)],
+                id="escapes",
+            ),
+            pytest.param([state_record(s) for s in scenario_alternating(40)[0]], id="states"),
+        ],
+    )
+    def test_one_shot_generator_writes_the_joined_dumps(self, tmp_path, records):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, (record for record in records))
+        assert path.read_bytes() == reference_join(records)
+
+    @given(
+        st.lists(
+            st.dictionaries(st.text(), JSON_VALUES | st.lists(JSON_VALUES, max_size=3), max_size=4),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_records_write_the_joined_dumps(self, records):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "trace.jsonl"
+            write_trace(path, iter(records))
+            assert path.read_bytes() == reference_join(records)
+
+    def test_memory_does_not_grow_with_the_records(self, tmp_path):
+        def peak(n: int) -> int:
+            records = (
+                {"u": u, "C": [f"t{u}", "x"], "M": {"k": "v"}, "pi": [u % 2], "D": []}
+                for u in range(n)
+            )
+            tracemalloc.start()
+            try:
+                write_trace(tmp_path / f"{n}.jsonl", records)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= peak(2_000) + 64 * 1024
 
 
 class TestAnalyzeCommand:
@@ -643,6 +702,30 @@ class TestOnePass:
         assert seen == {"eval list", "window binds beyond horizon_max", "stride", "undefined gap"}
 
 
+def assert_analyze_agrees(tmp_path, capsys, sidecar, trace_name, expect):
+    """``analyze`` over a written trace, in the sidecar's window, reports what
+    the sidecar's ``expect`` section says."""
+    window = sidecar["window"]
+    code = main(
+        [
+            "analyze",
+            "--trace", str(tmp_path / trace_name),
+            "--identity", str(tmp_path / sidecar["identity"]),
+            "--delta", str(window["delta"]),
+            "--stride", str(window["stride"]),
+            "--eval", ",".join(str(t) for t in window["eval"]),
+            "--horizon-max", str(window["horizon_max"]),
+        ]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("p_weak", "p_strong"):
+        if key in expect:
+            assert f"{report[key]:.6f}" == expect[key], (trace_name, key)
+    if "gap_ratio" in expect:
+        assert report["gap_ratio"] == expect["gap_ratio"]
+
+
 class TestSimulateCommand:
     @pytest.mark.parametrize(
         "scenario", ["noncommutation", "alternating", "capacity", "drift-recover"]
@@ -698,7 +781,6 @@ class TestSimulateCommand:
             sidecar = json.loads(
                 (tmp_path / f"{base.name}.expect.json").read_text()
             )
-            window = sidecar["window"]
             traces = (
                 {"": sidecar["trace"]}
                 if "trace" in sidecar
@@ -709,26 +791,17 @@ class TestSimulateCommand:
             )
             for suffix, trace_name in traces.items():
                 expect = sidecar["expect" + suffix] if suffix else sidecar["expect"]
-                code = main(
-                    [
-                        "analyze",
-                        "--trace", str(tmp_path / trace_name),
-                        "--identity", str(tmp_path / sidecar["identity"]),
-                        "--delta", str(window["delta"]),
-                        "--stride", str(window["stride"]),
-                        "--eval", ",".join(str(t) for t in window["eval"]),
-                        "--horizon-max", str(window["horizon_max"]),
-                    ]
-                )
-                assert code == 0
-                report = json.loads(capsys.readouterr().out)
-                for key in ("p_weak", "p_strong"):
-                    if key in expect:
-                        assert f"{report[key]:.6f}" == expect[key], (
-                            scenario, suffix, key
-                        )
-                if "gap_ratio" in expect:
-                    assert report["gap_ratio"] == expect["gap_ratio"]
+                assert_analyze_agrees(tmp_path, capsys, sidecar, trace_name, expect)
+
+    def test_long_alternating_trace_is_the_reference_join(self, tmp_path, capsys):
+        assert main(["simulate", "alternating", "--length", "6000", "--out", str(tmp_path / "alt")]) == 0
+        capsys.readouterr()
+        states, _, _ = scenario_alternating(6000)
+        expected = reference_join([state_record(s) for s in states])
+        assert (tmp_path / "alt.trace.jsonl").read_bytes() == expected
+        sidecar = json.loads((tmp_path / "alt.expect.json").read_text())
+        assert sidecar["expect"] == {"p_weak": "1.000000", "p_strong": "0.000000", "gap_ratio": "inf"}
+        assert_analyze_agrees(tmp_path, capsys, sidecar, sidecar["trace"], sidecar["expect"])
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.5"])
     def test_drift_recover_rejects_bad_epsilon(self, tmp_path, epsilon):

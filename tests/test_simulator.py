@@ -8,7 +8,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tracebind.simulator as simulator
 from tracebind.errors import (
     CapacityError,
     FeatureError,
@@ -25,6 +28,8 @@ from tracebind.identity import (
 )
 from tracebind.metrics import persistence, recovery, recovery_bound
 from tracebind.simulator import (
+    PRESET_NAMES,
+    _ACTION_RULES,
     Action,
     RetrievalPolicy,
     infer,
@@ -41,6 +46,8 @@ from tracebind.simulator import (
     step,
     store,
     tool,
+    _append_with_eviction,
+    _carried,
 )
 from tracebind.windows import (
     INFINITE,
@@ -570,3 +577,145 @@ class TestSupports:
             else:
                 assert preset.supports(action)
                 assert skipped == [initial, stepped]
+
+
+# ---------------------------------------------------------------------------
+# step against a reference that copies every component
+# ---------------------------------------------------------------------------
+
+
+def reference_step(state, action, preset):
+    """The transition with every state component copied anew on every step."""
+    if not preset.supports(action):
+        _, _, _, module = _ACTION_RULES[action.kind]
+        raise FeatureError(f"preset {preset.name!r} has no {module}")
+    kept = _carried(state, preset)
+    context = kept.context
+    memory = dict(kept.memory)
+    flags = list(kept.policy_flags)
+    retrieved = set(kept.retrieved)
+    if action.kind == "infer":
+        context = _append_with_eviction(context, action.tokens, preset)
+    elif action.kind == "retrieve":
+        for doc in preset.retrieval.resolve(action.query):
+            retrieved.add(doc)
+            context = _append_with_eviction(context, preset.retrieval.doc_tokens(doc), preset)
+    elif action.kind == "store":
+        memory[action.key] = action.value
+    elif action.kind == "tool" and action.flag_index is not None:
+        if not 0 <= action.flag_index < preset.n_policy_flags:
+            raise StructuralError(
+                f"flag_index {action.flag_index} out of range for "
+                f"{preset.n_policy_flags} flags"
+            )
+        flags[action.flag_index] = action.flag_value
+    return ScaffoldState(
+        context=context,
+        memory=memory,
+        policy_flags=tuple(flags),
+        retrieved=frozenset(retrieved),
+        step_index=state.step_index + 1,
+    )
+
+
+def reference_run(preset, script, skip_unsupported):
+    states = [preset.initial_state()]
+    for index, action in enumerate(script):
+        try:
+            if skip_unsupported and not preset.supports(action):
+                kept = _carried(states[-1], preset)
+                states.append(replace(kept, step_index=states[-1].step_index + 1))
+            else:
+                states.append(reference_step(states[-1], action, preset))
+        except (CapacityError, FeatureError, StructuralError) as exc:
+            raise type(exc)(f"script step {index}: {exc}") from exc
+    return states
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (CapacityError, FeatureError, StructuralError) as exc:
+        return type(exc), str(exc)
+
+
+STEP_TOKENS = ["g0", "g1", "x", "y"]
+
+
+@st.composite
+def presets(draw):
+    """A valid preset of any name, with what that name allows drawn at random."""
+    name = draw(st.sampled_from(PRESET_NAMES))
+    capacity = draw(st.integers(1, 8))
+    pinned = ()
+    if name in ("prompted", "controller"):
+        pinned = tuple(draw(st.lists(st.sampled_from(STEP_TOKENS), max_size=min(2, capacity))))
+    retrieval = None
+    if name == "rag" or (name in ("memory", "controller") and draw(st.booleans())):
+        lengths = {"d0": draw(st.integers(0, 4)), "d1": draw(st.integers(0, 4))}
+        mode = draw(st.sampled_from(["identity_aware", "query_driven"]))
+        linked = {"g0": "d0"} if mode == "identity_aware" else {}
+        retrieval = RetrievalPolicy(mode, ingredient_docs=linked, injected_doc_lengths=lengths)
+    n_flags = draw(st.integers(1, 3))
+    return make_preset(name, capacity, pinned, retrieval, n_flags)
+
+
+actions = st.one_of(
+    st.lists(st.sampled_from(STEP_TOKENS), max_size=3).map(lambda tokens: infer(*tokens)),
+    st.sampled_from(["d0", "d1", "g0", "zz"]).map(retrieve),
+    st.builds(store, st.sampled_from(["k0", "k1"]), st.sampled_from(["v0", "v1"])),
+    st.builds(tool, st.none() | st.integers(0, 3), st.integers(0, 1)),
+)
+
+
+class TestStepSharesWhatItLeaves:
+    @settings(max_examples=400, deadline=None)
+    @given(preset=presets(), script=st.lists(actions, min_size=1, max_size=12), skip=st.booleans())
+    def test_states_equal_the_copying_reference(self, preset, script, skip):
+        # the reference copies every component, so a later step that changed
+        # an earlier state's component would leave that state unequal to it
+        states = outcome(run, preset, script, skip_unsupported=skip)
+        assert states == outcome(reference_run, preset, script, skip)
+        if isinstance(states, tuple) or not preset.context_persists:
+            return
+        for prev, action, new in zip(states, script, states[1:]):
+            if action.kind != "tool" or action.flag_index is None:
+                assert new.policy_flags is prev.policy_flags
+            if action.kind != "retrieve" or not preset.retrieval.resolve(action.query):
+                assert new.retrieved is prev.retrieved
+
+    def test_infer_shares_the_flags_and_documents(self):
+        policy = RetrievalPolicy(mode="query_driven", injected_doc_lengths={"doc": 1})
+        preset = controller(retrieval=policy)
+        before = run(preset, [retrieve("doc"), tool(1)])[-1]
+        after = step(before, infer("x"), preset)
+        assert after.policy_flags is before.policy_flags
+        assert after.retrieved is before.retrieved
+        assert after.memory == before.memory and after.memory is not before.memory
+
+
+class TestScenarioActionsBuiltOnce:
+    @pytest.mark.parametrize(
+        "build, distinct",
+        [
+            (lambda: scenario_alternating(50), 2),
+            (lambda: scenario_capacity_limited(2, 5, 50), 5),
+            (lambda: scenario_capacity_limited(3, 7, 4), 4),
+            (lambda: scenario_capacity_limited(1, 2, 1), 1),
+        ],
+        ids=["alternating", "capacity", "capacity-shorter-than-k", "capacity-one-step"],
+    )
+    def test_one_action_per_distinct_step(self, monkeypatch, build, distinct):
+        made = []
+
+        def counted(*tokens):
+            made.append(infer(*tokens))
+            return made[-1]
+
+        monkeypatch.setattr(simulator, "infer", counted)
+        states = build()[0]
+        monkeypatch.undo()
+        assert len(made) == distinct
+        assert [s.context for s in states[1:]] == [
+            made[u % len(made)].tokens for u in range(1, len(states))
+        ]
