@@ -40,13 +40,16 @@ from .metrics import (
     render_text,
     window_counts,
 )
-from .trace import (
+from .trace import (  # bench/traced.py and the tests import the records API from here
     _checked_records,
     _text_lines,
+    activation_lines,
     activation_record,
-    parse_trace,  # bench/traced.py imports it from here
+    parse_trace,
     read_masks,
+    state_lines,
     state_record,
+    write_lines,
     write_trace,
 )
 from .windows import DEFAULT_HORIZON_MAX, WindowConfig
@@ -150,7 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 class ScenarioFiles:
     """What one ``simulate`` scenario writes, before anything is written.
 
-    ``traces`` maps a label to records, read once; the label ``""`` names the
+    ``traces`` maps a label to its lines, read once; the label ``""`` names the
     lone trace of a scenario, any other label ``x`` names the files
     ``<base>.x.trace.jsonl`` and the sidecar keys ``trace_x`` and
     ``expect_x``.  ``head`` sidecar fields come right after the scenario
@@ -158,7 +161,7 @@ class ScenarioFiles:
     name, or appended when the sidecar has none.
     """
 
-    traces: dict[str, Iterable[dict]]
+    traces: dict[str, Iterable[str]]
     identity: GroundedIdentity
     cfg: WindowConfig
     head: dict = field(default_factory=dict)
@@ -170,7 +173,7 @@ def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
 
     states, identity, cfg = scenario_noncommutation()
     return ScenarioFiles(
-        {"": map(state_record, states)},
+        {"": state_lines(states)},
         identity,
         cfg,
         tail={"expect": {"occurs": True, "coinstantiated": False, "gap_ratio": "inf"}},
@@ -182,7 +185,7 @@ def _alternating(args: argparse.Namespace) -> ScenarioFiles:
 
     states, identity, cfg = scenario_alternating(args.length)
     return ScenarioFiles(
-        {"": map(state_record, states)}, identity, cfg, tail={"expect": {"gap_ratio": "inf"}}
+        {"": state_lines(states)}, identity, cfg, tail={"expect": {"gap_ratio": "inf"}}
     )
 
 
@@ -193,7 +196,7 @@ def _capacity(args: argparse.Namespace) -> ScenarioFiles:
     cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
     if not cfg.eval_indices:
         raise ParameterError("--delta must be less than --length")
-    return ScenarioFiles({"": map(state_record, states)}, identity, cfg)
+    return ScenarioFiles({"": state_lines(states)}, identity, cfg)
 
 
 def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
@@ -205,7 +208,7 @@ def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
         capacity=args.capacity,
     )
     return ScenarioFiles(
-        {"without": map(state_record, without_rag), "with": map(state_record, with_rag)},
+        {"without": state_lines(without_rag), "with": state_lines(with_rag)},
         identity,
         cfg,
         tail={"expect": {"p_strong_strictly_drops": True, "p_weak_preserved": True}},
@@ -230,7 +233,7 @@ def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
     bound = recovery_bound(reference, drifted, controllable, args.k, args.epsilon)
     measured = recovery(reference, drifted, recovered, args.k, args.epsilon)
     return ScenarioFiles(
-        {"": [activation_record(a) for a in (reference, drifted, recovered)]},
+        {"": activation_lines((reference, drifted, recovered))},
         context_identity(universe),
         WindowConfig.all_valid(0, 1, 3, DEFAULT_HORIZON_MAX),
         tail={
@@ -254,7 +257,7 @@ def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
         )
     states = run(presets[args.preset], probe_script(args.cycles), skip_unsupported=True)
     return ScenarioFiles(
-        {"": map(state_record, states)},
+        {"": state_lines(states)},
         PROBE_IDENTITY,
         probe_window(len(states)),
         head={"preset": args.preset},
@@ -289,11 +292,11 @@ def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
     base.parent.mkdir(parents=True, exist_ok=True)
     sidecar: dict = {"scenario": scenario, **files.head}
     written = []
-    for label, records in files.traces.items():
+    for label, lines in files.traces.items():
         name = f"{base.name}.{label}" if label else base.name
         suffix = f"_{label}" if label else ""
         path = base.with_name(f"{name}.trace.jsonl")
-        write_trace(path, records)
+        write_lines(path, lines)
         sidecar[f"trace{suffix}"] = path.name
         written.append((suffix, path))
     identity_path = base.with_name(base.name + ".identity.json")

@@ -72,9 +72,10 @@ class ScaffoldArchitecture:
             raise StructuralError(f"retrieved documents not in corpus: {sorted(stray)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaffoldState:
-    """One objective-time snapshot of everything the agent can see."""
+    """One objective-time snapshot of everything the agent can see, holding
+    only values a trace line spells and reads back the same."""
 
     context: tuple[str, ...]
     memory: Mapping[str, str]
@@ -84,13 +85,20 @@ class ScaffoldState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "context", tuple(self.context))
-        object.__setattr__(self, "memory", dict(self.memory))
+        object.__setattr__(self, "memory", memory := dict(self.memory))
         object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
         object.__setattr__(self, "retrieved", frozenset(self.retrieved))
+        if type(self.step_index) is not int:
+            raise StructuralError("step_index must be an integer")
         if self.step_index < 0:
             raise StructuralError("step_index must be >= 0")
         if not all(map(is_flag, self.policy_flags)):
             raise StructuralError("policy flags must be the integers 0 or 1")
+        strings = (*self.context, *memory, *memory.values(), *self.retrieved)
+        if not all(map(str.__instancecheck__, strings)):
+            raise StructuralError(
+                "context tokens, memory keys and values, and retrieved document ids must be strings"
+            )
 
 
 @dataclass(frozen=True)

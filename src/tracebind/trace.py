@@ -7,8 +7,11 @@ of two forms (never mixed within a file):
 - activation:  ``{"u": 0, "F": ["ingredient", ...]}``
 
 ``write_trace`` spells each record compact, and ``read_masks``, which
-``analyze`` runs, looks such lines up by their texts.  ``parse_trace``
-decodes every line in full, as the reference the tests compare against.
+``analyze`` runs, looks such lines up by their texts.  ``state_lines`` is
+the writer's half of that memo: it encodes each distinct state's text after
+``{"u":<step>,`` once, under the reader's cap and empty-or-drop rule, and
+``simulate`` writes its traces through it.  ``parse_trace`` decodes every
+line in full, as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Generator, Iterable, Iterator
 
@@ -341,10 +345,51 @@ def activation_record(act: ActivationSet) -> dict:
     return {"u": act.step_index, "F": sorted(act.active)}
 
 
-def write_trace(path: Path, records: Iterable[dict]) -> None:
-    """Write one compact JSON line per record as soon as it is encoded, so no
-    record or line is kept; no record writes one empty line."""
+def state_lines(states: Iterable[ScaffoldState]) -> Iterator[str]:
+    """The line of each state, ``_COMPACT(state_record(state))``, with the
+    text after ``{"u":<step>,`` encoded once per distinct ``(context,
+    policy_flags, retrieved, sorted memory items)``: equal keys spell equal
+    texts, since a state holds only strings and the ints 0 and 1.  The memo
+    is bounded as the reader's: a full one is emptied, or dropped if it was
+    hit less often than it holds tails, and the states left are then encoded
+    one by one with no Python frame per line."""
+    states = iter(states)
+    return chain(_memo_state_lines(states), map(_COMPACT, map(state_record, states)))
+
+
+def _memo_state_lines(states: Iterator[ScaffoldState]) -> Iterator[str]:
+    """:func:`state_lines` up to the state that drops the memo."""
+    memo: dict[tuple, str] = {}
+    hits = 0
+    for state in states:
+        key = (state.context, state.policy_flags, state.retrieved, tuple(sorted(state.memory.items())))
+        if (tail := memo.get(key)) is not None:
+            hits += 1
+            yield '{"u":%d,' % state.step_index + tail
+            continue
+        line = _COMPACT(state_record(state))
+        yield line
+        if len(memo) < _MAX_CACHED_TAILS:
+            memo[key] = line[line.index(",") + 1 :]  # u is an int: the first comma ends it
+        elif hits >= len(memo):
+            memo, hits = {}, 0
+        else:
+            return
+
+
+def activation_lines(acts: Iterable[ActivationSet]) -> Iterator[str]:
+    return map(_COMPACT, map(activation_record, acts))
+
+
+def write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each line with its newline as soon as it is made, so no line is
+    kept; no line writes one empty line."""
     with path.open("w", encoding="utf-8") as stream:
-        lines = map(_COMPACT, records)
+        lines = iter(lines)
         stream.write(next(lines, "") + "\n")
         stream.writelines(line + "\n" for line in lines)
+
+
+def write_trace(path: Path, records: Iterable[dict]) -> None:
+    """Write one compact JSON line per record, through :func:`write_lines`."""
+    write_lines(path, map(_COMPACT, records))

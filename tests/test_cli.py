@@ -8,6 +8,7 @@ import random
 import statistics
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,25 @@ from tracebind.cli import (
     write_trace,
 )
 from tracebind.errors import FileFormatError, MetricError, StructuralError
-from tracebind.identity import ScaffoldState, activation_mask, identity_to_document, ingredient_bits
+from tracebind.identity import (
+    ScaffoldState,
+    activation_mask,
+    identity_to_document,
+    ingredient_bits,
+    load_identity_file,
+)
 from tracebind.metrics import MetricParams, consistency, render_json
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
-from tracebind.simulator import make_preset, scenario_alternating
+from tracebind.simulator import (
+    make_preset,
+    probe_presets,
+    probe_script,
+    run,
+    scenario_alternating,
+    scenario_capacity_limited,
+    scenario_rag_displacement,
+)
+import tracebind.trace as trace_module
 from tracebind.windows import INFINITE, WindowConfig
 from conftest import context_identity, random_activations
 
@@ -41,6 +57,11 @@ def activation_lines(sets):
         json.dumps({"u": u, "F": sorted(active)}, separators=(",", ":"))
         for u, active in enumerate(sets)
     ]
+
+
+# what a caller may pass where a trace needs a string; 1, 1.0 and True are
+# equal keys that JSON spells three ways
+NOT_STRINGS = st.integers(-1, 2) | st.booleans() | st.floats(-1, 2) | st.none()
 
 
 def write_identity(path, identity, layers=None):
@@ -109,25 +130,33 @@ class TestParseTrace:
     @given(
         st.lists(
             st.tuples(
-                st.lists(st.text(max_size=3), max_size=4),
-                st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2),
+                st.lists(st.text(max_size=3) | NOT_STRINGS, max_size=4),
+                st.dictionaries(st.text(max_size=2) | NOT_STRINGS, st.text(max_size=2) | NOT_STRINGS, max_size=2),
                 st.lists(st.sampled_from([0, 1, True, False, 1.0, 0.0]), min_size=2, max_size=2),
-                st.sets(st.text(max_size=2), max_size=2),
+                st.sets(st.text(max_size=2) | NOT_STRINGS, max_size=2),
+                st.sampled_from([int, int, bool, float]),
             ),
             min_size=1,
             max_size=4,
         )
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_library_built_states_round_trip(self, components):
-        # a state the library accepts is one the trace reader accepts back
+        # the library accepts exactly the states the trace reader accepts back
         states = []
-        for u, (context, memory, flags, retrieved) in enumerate(components):
+        for u, (context, memory, flags, retrieved, step_type) in enumerate(components):
+            strings = (*context, *memory, *memory.values(), *retrieved)
+            valid = (
+                all(type(flag) is int for flag in flags)
+                and all(isinstance(value, str) for value in strings)
+                and step_type is int
+            )
             try:
-                states.append(ScaffoldState(tuple(context), memory, tuple(flags), retrieved, u))
+                states.append(ScaffoldState(tuple(context), memory, tuple(flags), retrieved, step_type(u)))
             except StructuralError:
-                assert not all(type(flag) is int for flag in flags)
+                assert not valid
                 return
+            assert valid
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder) / "trace.jsonl"
             write_trace(path, [state_record(s) for s in states])
@@ -281,6 +310,76 @@ class TestWriteTrace:
             finally:
                 tracemalloc.stop()
 
+        assert peak(20_000) <= peak(2_000) + 64 * 1024
+
+
+def distinct_states(start: int, count: int) -> list[ScaffoldState]:
+    """``count`` pairwise distinct states, with memory of up to two pairs."""
+    return [
+        ScaffoldState((f"t{i}", "x"), {f"k{j}": str(i) for j in range(i % 3)}, (i % 2,), {f"d{i % 5}"}, 0)
+        for i in range(start, start + count)
+    ]
+
+
+WORDS = st.sampled_from(["a", "Ålice", 'q"\\', "\u2028"])
+COMPONENTS = st.tuples(
+    st.lists(WORDS, max_size=2),
+    st.dictionaries(WORDS, WORDS, max_size=2),
+    st.lists(st.sampled_from([0, 1]), min_size=2, max_size=2),
+    st.sets(WORDS, max_size=2),
+)
+
+
+class TestStateLines:
+    """``state_lines`` writes each state as ``json.dumps(state_record(s))``
+    spells it, whether its text comes from the memo or is encoded anew."""
+
+    @staticmethod
+    def assert_writes_the_reference(path, states):
+        trace_module.write_lines(path, trace_module.state_lines(iter(states)))
+        assert path.read_bytes() == reference_join([state_record(s) for s in states])
+
+    @given(
+        COMPONENTS,
+        st.lists(st.tuples(st.integers(0, 3), COMPONENTS), max_size=5),
+        st.lists(st.integers(0, 5), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_and_distinct_states(self, base, variants, picks):
+        # the pool is a state and variants of it that change one component,
+        # and each pick repeats a pool state under a new step index
+        pool = [base] + [base[:i] + (other[i],) + base[i + 1 :] for i, other in variants]
+        pool = [ScaffoldState(tuple(c), m, tuple(f), d, 0) for c, m, f, d in pool]
+        states = [replace(pool[p % len(pool)], step_index=u) for u, p in enumerate(picks)]
+        with tempfile.TemporaryDirectory() as folder:
+            self.assert_writes_the_reference(Path(folder) / "trace.jsonl", states)
+
+    def test_memo_emptied_then_dropped(self, tmp_path):
+        first = distinct_states(0, trace_module._MAX_CACHED_TAILS)
+        states = first * 3  # fills the memo, then hits it 2,048 times
+        # the next miss finds it full and well hit, so empties it; the next
+        # 1,024 fill it with no hit, and the miss after them drops it
+        states += distinct_states(trace_module._MAX_CACHED_TAILS, trace_module._MAX_CACHED_TAILS + 2)
+        states += first[:100]  # written with no memo
+        states = [replace(s, step_index=u) for u, s in enumerate(states)]
+        self.assert_writes_the_reference(tmp_path / "trace.jsonl", states)
+
+    @pytest.mark.parametrize("repeats", [1, 2], ids=["distinct", "each-twice"])
+    def test_memory_does_not_grow_with_the_states(self, tmp_path, repeats):
+        # twice each keeps the memo emptied and refilled; once drops it
+        def peak(n: int) -> int:
+            states = (
+                ScaffoldState((f"t{u // repeats}", "x"), {}, (u % 2,), frozenset(), u)
+                for u in range(n)
+            )
+            tracemalloc.start()
+            try:
+                trace_module.write_lines(tmp_path / f"{n}.jsonl", trace_module.state_lines(states))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # the first run leaves its memo's key tuples on the interpreter's free list
         assert peak(20_000) <= peak(2_000) + 64 * 1024
 
 
@@ -802,6 +901,52 @@ class TestSimulateCommand:
         sidecar = json.loads((tmp_path / "alt.expect.json").read_text())
         assert sidecar["expect"] == {"p_weak": "1.000000", "p_strong": "0.000000", "gap_ratio": "inf"}
         assert_analyze_agrees(tmp_path, capsys, sidecar, sidecar["trace"], sidecar["expect"])
+
+    @pytest.mark.parametrize(
+        "argv, traces, gap_defined",
+        [
+            pytest.param(
+                ["capacity", "--length", "5000"],
+                lambda: {"": scenario_capacity_limited(2, 3, 5000)[0]},
+                True,
+                id="capacity",
+            ),
+            *[
+                pytest.param(
+                    ["preset-probe", "--preset", preset, "--cycles", "1000"],
+                    lambda preset=preset: {
+                        "": run(probe_presets()[preset], probe_script(1000), skip_unsupported=True)
+                    },
+                    preset not in ("stateless", "prompted"),  # where no window ever binds
+                    id=f"preset-probe-{preset}",
+                )
+                for preset in ("stateless", "prompted", "rag", "memory", "controller")
+            ],
+            pytest.param(
+                ["rag-displacement"],
+                lambda: dict(zip(("without", "with"), scenario_rag_displacement()[:2])),
+                True,
+                id="rag-displacement",
+            ),
+        ],
+    )
+    def test_scenario_traces_are_the_reference_join(self, tmp_path, capsys, argv, traces, gap_defined):
+        # all but rag-displacement run past the writer's 1,024-entry memo
+        assert main(["simulate", *argv, "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        sidecar = json.loads((tmp_path / "s.expect.json").read_text())
+        identity, _ = load_identity_file(tmp_path / sidecar["identity"])
+        window = sidecar["window"]
+        cfg = WindowConfig(window["delta"], window["stride"], window["eval"], window["horizon_max"])
+        for label, states in traces().items():
+            suffix = f"_{label}" if label else ""
+            name = sidecar[f"trace{suffix}"]
+            expect = sidecar[f"expect{suffix}"]
+            assert (tmp_path / name).read_bytes() == reference_join([state_record(s) for s in states])
+            oracle = oracle_persistence(parse_trace(tmp_path / name).to_activations(identity), identity, cfg)
+            assert [f"{oracle.p_weak:.6f}", f"{oracle.p_strong:.6f}"] == [expect["p_weak"], expect["p_strong"]]
+            if gap_defined:
+                assert_analyze_agrees(tmp_path, capsys, sidecar, name, expect)
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.5"])
     def test_drift_recover_rejects_bad_epsilon(self, tmp_path, epsilon):

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,45 @@ class TestScaffoldStateValidation:
         # them, so a state holding them could not round-trip through a file
         with pytest.raises(StructuralError):
             make_state(flags=flags)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param({"context": (1,)}, id="int-token"),
+            pytest.param({"context": ("a", None)}, id="none-token"),
+            pytest.param({"memory": {"k": True}}, id="bool-value"),
+            pytest.param({"memory": {1: "x", "b": "y"}}, id="int-key-among-str"),
+            pytest.param({"memory": {1.0: "x"}}, id="float-key"),
+            pytest.param({"retrieved": {None}}, id="none-doc"),
+            pytest.param({"retrieved": {"d", 1}}, id="int-doc"),
+        ],
+    )
+    def test_components_must_be_strings(self, fields):
+        # the trace reader refuses each of these, and 1, 1.0 and True are
+        # equal values that JSON spells three ways
+        with pytest.raises(StructuralError, match="must be strings"):
+            make_state(**fields)
+
+    @pytest.mark.parametrize("step", [True, 1.0, "1", None])
+    def test_step_index_must_be_an_int(self, step):
+        with pytest.raises(StructuralError, match="step_index must be an integer"):
+            make_state(step=step)
+
+    def test_negative_step_index_is_refused(self):
+        with pytest.raises(StructuralError, match="step_index must be >= 0"):
+            make_state(step=-1)
+
+    def test_slots_keep_replace_equality_and_repr(self):
+        state = make_state(context=("a",), memory={"k": "v"}, flags=(0, 1), retrieved=("d",), step=3)
+        assert not hasattr(state, "__dict__")
+        assert replace(state, step_index=4) == make_state(("a",), {"k": "v"}, (0, 1), ("d",), 4)
+        assert replace(state, step_index=4) != state
+        assert repr(state) == (
+            "ScaffoldState(context=('a',), memory={'k': 'v'}, policy_flags=(0, 1), "
+            "retrieved=frozenset({'d'}), step_index=3)"
+        )
+        with pytest.raises(AttributeError):
+            state.step_index = 5
 
 
 class TestActivationSetOp:
