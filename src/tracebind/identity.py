@@ -194,8 +194,12 @@ class ActivationSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "active", frozenset(self.active))
+        if type(self.step_index) is not int:
+            raise StructuralError("step_index must be an integer")
         if self.step_index < 0:
             raise StructuralError("step_index must be >= 0")
+        if not all(map(str.__instancecheck__, self.active)):
+            raise StructuralError("active ingredient ids must be strings")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ def oracle_persistence(
     """Triple-nested-loop persistence: per window, per ingredient, per step."""
     if not cfg.eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
-    k = identity.k
+    ids = identity.ingredient_ids
     n_weak = 0
     n_strong = 0
     per_window = []
@@ -62,7 +62,7 @@ def oracle_persistence(
                 occur = False
         coinst = False
         for u in steps:
-            if len(activations[u].active) == k:
+            if ids <= activations[u].active:
                 coinst = True
         n_weak += 1 if occur else 0
         n_strong += 1 if coinst else 0

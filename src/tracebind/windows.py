@@ -1,13 +1,11 @@
 """Windowing of activation traces and the two window predicates.
 
 A window at layer time ``t`` covers objective steps ``s*t .. s*t + delta``.
-``occurs`` asks whether every ingredient shows up somewhere in the window;
-``coinstantiated`` asks whether some single step holds all of them at once.
-The gap between the two is what the rest of the toolkit measures.
-
-Windows are never truncated: a layer time whose window would overrun the
-trace is out of range.  Missing minima are reported as ``INFINITE``
-(``math.inf``), which sorts above every finite horizon.
+Both predicates test set membership: ``occurs`` (Arpeggio) asks whether
+each ingredient id is in some step's set, ``coinstantiated`` (Chord)
+whether one step's set holds them all; the toolkit measures the gap between
+the two.  Windows are never truncated: a window that would overrun the
+trace is out of range.  Missing minima are ``INFINITE`` (``math.inf``).
 
 Persistence and the gap read one fold, ``start_horizons``, over the steps
 as k-bit masks (bit i = the i-th ingredient id in sorted order; see
@@ -15,7 +13,9 @@ as k-bit masks (bit i = the i-th ingredient id in sorted order; see
 window start: a window of horizon ``delta`` occurs iff its weak horizon is
 at most ``delta``, and co-instantiates iff its strong one is, and the gap
 ratio compares the two.  The fold reads each step at most once, in step
-order, at a cost per step that grows with neither k nor the cap.
+order, at a cost per step that grows with neither k nor the cap.  A
+statement over a subset G of the ids is scored by the same fold over the
+padded masks ``m | (full & ~G)``, which hold every id outside G.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ def occurs(segment: WindowSegment, identity: GroundedIdentity) -> bool:
 
 
 def coinstantiated(segment: WindowSegment, identity: GroundedIdentity) -> bool:
-    """True iff some single step of the window activates all k ingredients."""
-    k = identity.k
-    return any(len(act.active) == k for act in segment.activation_sets)
+    """True iff some single step's set holds every ingredient id."""
+    return diamond(segment, identity.ingredient_ids)
 
 
 def diamond(segment: WindowSegment, ingredient_subset: Iterable[str]) -> bool:

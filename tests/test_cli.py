@@ -26,6 +26,7 @@ from tracebind.cli import (
 )
 from tracebind.errors import FileFormatError, MetricError, StructuralError
 from tracebind.identity import (
+    ActivationSet,
     ScaffoldState,
     activation_mask,
     identity_to_document,
@@ -161,6 +162,34 @@ class TestParseTrace:
             path = Path(folder) / "trace.jsonl"
             write_trace(path, [state_record(s) for s in states])
             assert parse_trace(path).states == tuple(states)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sets(st.text(max_size=2) | NOT_STRINGS, max_size=3),
+                st.sampled_from([int, int, bool, float]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_library_built_activation_sets_round_trip(self, components):
+        # the library accepts exactly the activation sets the trace reader
+        # accepts back, and refuses the rest with StructuralError
+        acts = []
+        for u, (active, step_type) in enumerate(components):
+            valid = all(isinstance(i, str) for i in active) and step_type is int
+            try:
+                acts.append(ActivationSet(step_type(u), active))
+            except StructuralError:
+                assert not valid
+                return
+            assert valid
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "trace.jsonl"
+            trace_module.write_lines(path, trace_module.activation_lines(acts))
+            assert parse_trace(path).activations == tuple(acts)
 
     def test_activation_round_trip(self, tmp_path):
         sets = [{"g0"}, {"g0", "g1"}, set()]
@@ -801,11 +830,10 @@ class TestOnePass:
         assert seen == {"eval list", "window binds beyond horizon_max", "stride", "undefined gap"}
 
 
-def assert_analyze_agrees(tmp_path, capsys, sidecar, trace_name, expect):
-    """``analyze`` over a written trace, in the sidecar's window, reports what
-    the sidecar's ``expect`` section says."""
+def analyze_in_window(tmp_path, sidecar, trace_name):
+    """The exit code of ``analyze`` over a written trace, in the sidecar's window."""
     window = sidecar["window"]
-    code = main(
+    return main(
         [
             "analyze",
             "--trace", str(tmp_path / trace_name),
@@ -816,7 +844,12 @@ def assert_analyze_agrees(tmp_path, capsys, sidecar, trace_name, expect):
             "--horizon-max", str(window["horizon_max"]),
         ]
     )
-    assert code == 0
+
+
+def assert_analyze_agrees(tmp_path, capsys, sidecar, trace_name, expect):
+    """``analyze`` over a written trace, in the sidecar's window, reports what
+    the sidecar's ``expect`` section says."""
+    assert analyze_in_window(tmp_path, sidecar, trace_name) == 0
     report = json.loads(capsys.readouterr().out)
     for key in ("p_weak", "p_strong"):
         if key in expect:
@@ -947,6 +980,11 @@ class TestSimulateCommand:
             assert [f"{oracle.p_weak:.6f}", f"{oracle.p_strong:.6f}"] == [expect["p_weak"], expect["p_strong"]]
             if gap_defined:
                 assert_analyze_agrees(tmp_path, capsys, sidecar, name, expect)
+            else:
+                # no window has a finite weak horizon, so analyze scores no gap
+                assert analyze_in_window(tmp_path, sidecar, name) == 3
+                message = "gap ratio is undefined: no evaluated window has a finite weak horizon"
+                assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "-0.5"])
     def test_drift_recover_rejects_bad_epsilon(self, tmp_path, epsilon):

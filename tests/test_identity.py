@@ -240,6 +240,24 @@ class TestScaffoldStateValidation:
             state.step_index = 5
 
 
+class TestActivationSetValidation:
+    @pytest.mark.parametrize("step", [True, 1.0, "1", None])
+    def test_step_index_must_be_an_int(self, step):
+        # the trace reader refuses "u":true and "u":1.0
+        with pytest.raises(StructuralError, match="step_index must be an integer"):
+            ActivationSet(step, {"a"})
+
+    @pytest.mark.parametrize(
+        "active",
+        [{1}, {1, "a"}, {None}, {"a", 1.5}, {True}],
+        ids=["int", "int-among-str", "none", "float-among-str", "bool"],
+    )
+    def test_ids_must_be_strings(self, active):
+        # a trace line sorts its ids, and {1, "a"} cannot be sorted
+        with pytest.raises(StructuralError, match="ingredient ids must be strings"):
+            ActivationSet(0, active)
+
+
 class TestActivationSetOp:
     def test_full_conjunction(self):
         state = make_state(

@@ -13,7 +13,7 @@ from conftest import (
     random_activations,
 )
 from tracebind.errors import OutOfRangeError, ParameterError, StructuralError
-from tracebind.identity import ActivationSet, ingredient_bits
+from tracebind.identity import ActivationSet, GroundedIdentity, ingredient_bits
 from tracebind.metrics import persistence
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.windows import (
@@ -148,13 +148,26 @@ class TestOccursCoinstantiated:
         seg = segment_of({"0"}, {"0", "1"})
         assert coinstantiated(seg, PQ) is True
 
+    def test_foreign_ids_do_not_count(self):
+        # Chord is membership, not a count: the step {"0", "x"} holds two
+        # ids but not both ingredients, so it does not co-instantiate PQ
+        acts = activations_from_sets([{"0", "x"}, {"0"}])
+        seg = WindowSegment(start=0, activation_sets=tuple(acts))
+        assert occurs(seg, PQ) is False
+        assert coinstantiated(seg, PQ) is False
+        result = oracle_persistence(acts, PQ, WindowConfig(1, 1, (0,)))
+        assert (result.p_weak, result.p_strong) == (0.0, 0.0)
+        assert oracle_minimal_horizons(acts, PQ, 1, 0, 1) == (INFINITE, INFINITE)
+
     def test_coinst_implies_occurs_randomized(self):
+        # the steps also draw ids g4 and g5, outside the identity
         rng = random.Random(42)
         identity = context_identity(4)
+        universe = context_identity(6)
         checked = 0
         for _ in range(12_000):
             length = rng.randint(1, 6)
-            acts = random_activations(rng, length, identity)
+            acts = random_activations(rng, length, universe)
             seg = WindowSegment(start=0, activation_sets=tuple(acts))
             if coinstantiated(seg, identity):
                 assert occurs(seg, identity)
@@ -178,10 +191,12 @@ class TestDiamond:
             diamond(seg, set())
 
     def test_full_set_diamond_equals_coinstantiated(self):
+        # the steps also draw ids g3 and g4, outside the identity
         rng = random.Random(17)
         identity = context_identity(3)
+        universe = context_identity(5)
         for _ in range(200):
-            acts = random_activations(rng, rng.randint(1, 8), identity)
+            acts = random_activations(rng, rng.randint(1, 8), universe)
             seg = WindowSegment(start=0, activation_sets=tuple(acts))
             assert diamond(seg, identity.ingredient_ids) == coinstantiated(
                 seg, identity
@@ -421,6 +436,43 @@ class TestMaskFolds:
         stream = iter(activations_from_sets([{"g0", "g1"}] * 3))
         with pytest.raises(OutOfRangeError, match="window at t=1 needs step 3, stream ended at step 2"):
             persistence(stream, context_identity(2), WindowConfig(1, 2, (0, 1)))
+
+
+class TestPaddedMasks:
+    def test_padded_fold_scores_a_subset_statement(self):
+        # a statement over a subset G of the ids is scored by the unchanged
+        # k-bit fold over the masks m | (full & ~G): its horizons and window
+        # flags, with delta as the cap, are the oracle's on the identity
+        # restricted to G, whose steps also hold ids outside G
+        rng = random.Random(1_919)
+        for _ in range(2_000):
+            k = rng.randint(1, 6)
+            full = (1 << k) - 1
+            identity = context_identity(k)
+            bits = ingredient_bits(identity)
+            target = rng.randint(1, full)
+            restricted = GroundedIdentity(
+                tuple(spec for spec in identity.ingredients if bits[spec.ingredient_id] & target)
+            )
+            delta = rng.randint(0, 12)
+            n = rng.randint(delta + 1, delta + 30)
+            p_full = rng.choice([0.0, 0.1, 0.3])
+            masks = [full if rng.random() < p_full else rng.getrandbits(k) for _ in range(n)]
+            acts = activations_from_sets(
+                [{i for i, bit in bits.items() if m & bit} for m in masks]
+            )
+            padded = [m | (full & ~target) for m in masks]
+            stride = rng.randint(1, 3)
+            ts = range((n - 1) // stride + 1)
+            assert list(start_horizons(padded, k, (stride * t for t in ts), delta)) == [
+                (stride * t, *oracle_minimal_horizons(acts, restricted, stride, t, delta))
+                for t in ts
+            ]
+            cfg = WindowConfig.all_valid(delta, stride, n, delta)
+            occur, coinst = window_flags(padded, k, cfg)
+            assert [
+                (t, bool(o), bool(c)) for t, o, c in zip(cfg.eval_indices, occur, coinst)
+            ] == list(oracle_persistence(acts, restricted, cfg).per_window)
 
 
 class Watched(Sequence):
