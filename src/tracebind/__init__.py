@@ -6,9 +6,10 @@ evaluation window whether the ingredients merely each occur somewhere
 (weak persistence) or are jointly active at a single objective step
 (strong persistence), and computes the derived identity metrics and
 morphospace coordinates.  A deterministic simulator reproduces the
-architectural constructions behind every claim the toolkit tests; its
-module and names load on first use, so code that only scores traces never
-imports it.
+architectural constructions behind every claim the toolkit tests.  The
+object-level API over states, activation sets and window segments
+(:mod:`tracebind.sets`) and the simulator load on first use, with their
+names, so code that only scores traces imports neither.
 """
 
 from importlib import import_module
@@ -27,51 +28,25 @@ from .errors import (
     TracebindError,
 )
 from .identity import (
-    ActivationSet,
     GroundedIdentity,
     IngredientSpec,
     LayeredIdentitySpec,
-    ScaffoldArchitecture,
-    ScaffoldState,
-    activation_set,
-    activation_sets,
     check_compositionality,
-    detect_grounding_failures,
-    evaluate_ingredient,
     ground,
     identity_to_document,
     load_identity_file,
     parse_identity_document,
-    state_distance,
 )
 from .metrics import (
     GapResult,
     MetricParams,
     MetricsReport,
     MorphospacePoint,
-    PersistenceResult,
     consistency,
-    continuity,
-    gap_ratio,
-    identifiability,
     jaccard_similarity,
     morphospace,
-    persistence,
-    persistence_streaming,
-    recovery,
-    recovery_bound,
 )
-from .windows import (
-    INFINITE,
-    WindowConfig,
-    WindowSegment,
-    coinstantiated,
-    diamond,
-    minimal_horizons,
-    occurs,
-    window,
-    window_horizons,
-)
+from .windows import INFINITE, WindowConfig
 
 __version__ = "0.1.0"
 
@@ -147,12 +122,15 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # every exported name not bound above is a simulator name (PEP 562)
-    if name != "simulator" and name not in __all__:
+    # every exported name not bound above is served from tracebind.sets, or
+    # else from the simulator, which loads the sets itself (PEP 562)
+    if name in ("sets", "simulator"):
+        return import_module(f".{name}", __name__)
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    simulator = import_module(".simulator", __name__)
-    return simulator if name == "simulator" else getattr(simulator, name)
+    sets = import_module(".sets", __name__)
+    return getattr(sets if hasattr(sets, name) else import_module(".simulator", __name__), name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, "simulator"})
+    return sorted({*globals(), *__all__, "sets", "simulator"})

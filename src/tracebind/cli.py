@@ -8,8 +8,8 @@ Commands:
 - ``probe``    score consistency over a file of recorded outputs
 
 Trace files are read and written by :mod:`tracebind.trace`.  Each scenario
-adapter imports :mod:`tracebind.simulator` when it runs, so ``analyze`` and
-``probe`` never load it.
+adapter imports :mod:`tracebind.simulator` when it runs, which loads
+:mod:`tracebind.sets`, so ``analyze`` and ``probe`` load neither.
 
 Exit codes: 0 success, 2 input/usage errors, 3 metric errors.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,17 +28,16 @@ from .identity import GroundedIdentity, identity_to_document, load_identity_file
 from .metrics import (
     MetricParams,
     MetricsReport,
-    consistency,
     continuity_terms,
+    counted_consistency,
     counted_gap,
     counted_persistence,
     identifiable_count,
     output_pairs,
-    recovery,
-    recovery_bound,
     render_json,
     render_number,
     render_text,
+    token_set_counts,
     window_counts,
 )
 from .trace import (  # bench/traced.py and the tests import the records API from here
@@ -45,7 +45,6 @@ from .trace import (  # bench/traced.py and the tests import the records API fro
     _text_lines,
     activation_lines,
     activation_record,
-    parse_trace,
     read_masks,
     state_lines,
     state_record,
@@ -53,6 +52,13 @@ from .trace import (  # bench/traced.py and the tests import the records API fro
     write_trace,
 )
 from .windows import DEFAULT_HORIZON_MAX, WindowConfig
+
+
+def __getattr__(name: str):
+    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
+    if name not in {"parse_trace", "recovery", "recovery_bound"}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".sets", __package__), name)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,7 @@ def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
+    from .sets import recovery, recovery_bound
     from .simulator import context_identity, scenario_drift_recover
 
     if args.k < 1:
@@ -339,11 +346,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    lines = list(_text_lines(args.outputs))
-    score = consistency(lines, delta_cons=args.delta_cons)
+    # the lines stream: only each distinct token set and its count are kept
+    counts = token_set_counts(_text_lines(args.outputs))
+    score = counted_consistency(counts, delta_cons=args.delta_cons)
     doc = {
         "consistency": score,
-        "pairs": output_pairs(len(lines)),
+        "pairs": output_pairs(counts.total()),
         "delta_cons": args.delta_cons,
     }
     _emit(doc, args)

@@ -1,11 +1,12 @@
-"""Scaffold states, grounded identities, ingredient activation, and grounding maps.
+"""Grounded identities, the step masks they compile to, and grounding maps.
 
 An identity is a conjunction of concrete ingredient conditions over scaffold
 state components (context tokens, memory pairs, policy flags, retrieved
-documents).  This module decides which ingredients are active in a given
-state, measures distance between activation sets, and handles the layered
-grounding maps that connect narrative and functional identity statements to
-those ingredients.
+documents).  This module compiles an identity into a function from a
+state's components to its step mask, loads identity spec files, and handles
+the layered grounding maps that connect narrative and functional identity
+statements to those ingredients.  Scaffold states and activation sets live
+in :mod:`tracebind.sets`; this module serves their names on first use.
 
 Everything here is immutable and pure: repeated evaluation of the same
 inputs always agrees, and values can be shared freely across threads.
@@ -15,15 +16,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import (
-    FileFormatError,
-    GroundingLookupError,
-    StreamOrderError,
-    StructuralError,
-)
+from .errors import FileFormatError, GroundingLookupError, StructuralError
+
+
+def __getattr__(name: str):
+    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
+    if name not in {"ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "activation_mask",
+                    "activation_masks", "activation_set", "activation_sets",
+                    "detect_grounding_failures", "evaluate_ingredient", "state_distance"}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".sets", __package__), name)
+
 
 # The IngredientSpec fields each ingredient kind sets, in file-record order.
 _KIND_FIELDS = {
@@ -38,67 +45,6 @@ def is_flag(value) -> bool:
     """True iff ``value`` is the integer 0 or 1; bool and float compare equal
     to them, so the type is checked by name."""
     return type(value) is int and value in (0, 1)
-
-
-@dataclass(frozen=True)
-class ScaffoldArchitecture:
-    """Static description of a scaffold: capacities and component spaces."""
-
-    n_policy_flags: int
-    context_capacity: int
-    corpus: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if self.context_capacity < 1:
-            raise StructuralError("context_capacity must be >= 1")
-        if self.n_policy_flags < 0:
-            raise StructuralError("n_policy_flags must be >= 0")
-        object.__setattr__(self, "corpus", frozenset(self.corpus))
-
-    def check_state(self, state: ScaffoldState) -> None:
-        """Raise StructuralError if ``state`` is not realizable here."""
-        if len(state.context) > self.context_capacity:
-            raise StructuralError(
-                f"context length {len(state.context)} exceeds capacity "
-                f"{self.context_capacity}"
-            )
-        if len(state.policy_flags) != self.n_policy_flags:
-            raise StructuralError(
-                f"policy flag vector has length {len(state.policy_flags)}, "
-                f"architecture declares {self.n_policy_flags}"
-            )
-        stray = state.retrieved - self.corpus
-        if stray:
-            raise StructuralError(f"retrieved documents not in corpus: {sorted(stray)}")
-
-
-@dataclass(frozen=True, slots=True)
-class ScaffoldState:
-    """One objective-time snapshot of everything the agent can see, holding
-    only values a trace line spells and reads back the same."""
-
-    context: tuple[str, ...]
-    memory: Mapping[str, str]
-    policy_flags: tuple[int, ...]
-    retrieved: frozenset[str]
-    step_index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "context", tuple(self.context))
-        object.__setattr__(self, "memory", memory := dict(self.memory))
-        object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
-        object.__setattr__(self, "retrieved", frozenset(self.retrieved))
-        if type(self.step_index) is not int:
-            raise StructuralError("step_index must be an integer")
-        if self.step_index < 0:
-            raise StructuralError("step_index must be >= 0")
-        if not all(map(is_flag, self.policy_flags)):
-            raise StructuralError("policy flags must be the integers 0 or 1")
-        strings = (*self.context, *memory, *memory.values(), *self.retrieved)
-        if not all(map(str.__instancecheck__, strings)):
-            raise StructuralError(
-                "context tokens, memory keys and values, and retrieved document ids must be strings"
-            )
 
 
 @dataclass(frozen=True)
@@ -186,23 +132,6 @@ class GroundedIdentity:
 
 
 @dataclass(frozen=True)
-class ActivationSet:
-    """The ingredient ids active at one objective step."""
-
-    step_index: int
-    active: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "active", frozenset(self.active))
-        if type(self.step_index) is not int:
-            raise StructuralError("step_index must be an integer")
-        if self.step_index < 0:
-            raise StructuralError("step_index must be >= 0")
-        if not all(map(str.__instancecheck__, self.active)):
-            raise StructuralError("active ingredient ids must be strings")
-
-
-@dataclass(frozen=True)
 class LayeredIdentitySpec:
     """Grounding maps between narrative (layer 2), functional (layer 1), and
     ingredient-level (layer 0) identity statements.
@@ -247,14 +176,6 @@ class LayeredIdentitySpec:
                     )
 
 
-def evaluate_ingredient(
-    state: ScaffoldState, spec: IngredientSpec, arch: ScaffoldArchitecture
-) -> bool:
-    """Decide whether one ingredient condition holds in ``state``: the
-    one-ingredient case of :func:`activation_sets`."""
-    return bool(activation_set(state, GroundedIdentity((spec,)), arch).active)
-
-
 def _contains_subsequence(tokens: Sequence[str], pattern: Sequence[str]) -> bool:
     n, m = len(tokens), len(pattern)
     if m == 0 or m > n:
@@ -270,48 +191,6 @@ def _contains_subsequence(tokens: Sequence[str], pattern: Sequence[str]) -> bool
                 return True
     except ValueError:
         return False
-
-
-def activation_set(
-    state: ScaffoldState, identity: GroundedIdentity, arch: ScaffoldArchitecture
-) -> ActivationSet:
-    """Map a state to the set of identity ingredients active in it: the
-    one-state case of :func:`activation_sets`."""
-    return activation_sets((state,), identity, arch)[0]
-
-
-def activation_sets(
-    states: Iterable[ScaffoldState],
-    identity: GroundedIdentity,
-    arch: ScaffoldArchitecture,
-) -> list[ActivationSet]:
-    """Activation sets of a whole trajectory, in step order: the
-    :func:`state_matcher` mask of each state, decoded into the ids of its
-    set bits.  A policy flag index outside ``arch`` or outside a state's
-    flags raises :class:`StructuralError`."""
-    match = state_matcher(identity, arch.n_policy_flags)
-    bits = ingredient_bits(identity).items()
-    result = []
-    for state in states:
-        flags = state.policy_flags
-        try:
-            mask = match(state.context, state.memory, flags, state.retrieved)
-        except IndexError:
-            index = next(s.flag_index for s in identity.ingredients
-                         if s.kind == "policy" and s.flag_index >= len(flags))
-            raise StructuralError(
-                f"flag_index {index} out of range for state with {len(flags)} flags"
-            ) from None
-        active = frozenset(ingredient for ingredient, bit in bits if mask & bit)
-        result.append(ActivationSet(step_index=state.step_index, active=active))
-    return result
-
-
-def state_distance(a: ActivationSet, b: ActivationSet, k: int) -> float:
-    """Normalized symmetric-difference distance ``|a ^ b| / k`` in [0, 1]."""
-    if k < 1:
-        raise StructuralError("ingredient universe size k must be >= 1")
-    return len(a.active ^ b.active) / k
 
 
 # ---------------------------------------------------------------------------
@@ -330,42 +209,6 @@ def ingredient_bits(identity: GroundedIdentity) -> dict[str, int]:
     return {
         ingredient: 1 << i for i, ingredient in enumerate(sorted(identity.ingredient_ids))
     }
-
-
-def activation_mask(act: ActivationSet, bits: Mapping[str, int]) -> int:
-    """The step mask of one activation set; an id without a bit raises
-    :class:`StructuralError`."""
-    try:
-        # the ids of a set are distinct, so the sum of their bits is their OR
-        return sum(map(bits.__getitem__, act.active))
-    except KeyError:
-        raise StructuralError(
-            f"activation set at step {act.step_index} contains ids outside "
-            f"the identity universe"
-        ) from None
-
-
-def activation_masks(
-    activations: Iterable[ActivationSet], bits: Mapping[str, int], last: int
-) -> list[int]:
-    """The masks of steps ``0 .. last``, each of the first 65,536 distinct
-    sets encoded once and any later set at each step; a step out of order
-    raises :class:`StreamOrderError`, and steps after ``last`` are read only
-    for their order."""
-    memo: dict[frozenset[str], int] = {}
-    masks = []
-    for expected, act in enumerate(activations):
-        if act.step_index != expected:
-            raise StreamOrderError(f"expected step {expected}, got {act.step_index}")
-        if expected > last:
-            continue
-        mask = memo.get(act.active)
-        if mask is None:
-            mask = activation_mask(act, bits)
-            if len(memo) < 65_536:
-                memo[act.active] = mask
-        masks.append(mask)
-    return masks
 
 
 def state_matcher(
@@ -472,34 +315,6 @@ def check_compositionality(spec: LayeredIdentitySpec) -> list[str]:
         if compose_grounding(spec, label) != spec.map_2_to_0.get(label, frozenset()):
             violations.append(label)
     return violations
-
-
-def detect_grounding_failures(
-    activations: Sequence[ActivationSet],
-    statement: Sequence[str],
-    layer_m_evaluator: Sequence[bool],
-    identity: GroundedIdentity,
-    spec: LayeredIdentitySpec,
-    m: int = 2,
-) -> list[int]:
-    """Steps where the layer-``m`` statement is endorsed but its grounded
-    conjunction is not fully active.
-
-    ``layer_m_evaluator`` supplies one externally judged boolean per
-    objective step (e.g. from a classifier over logged self-reports).
-    """
-    if len(layer_m_evaluator) != len(activations):
-        raise StructuralError(
-            f"evaluator series has length {len(layer_m_evaluator)}, "
-            f"trajectory has {len(activations)} steps"
-        )
-    spec.validate_against(identity)
-    required = ground(statement, spec, m)
-    failures = []
-    for act, endorsed in zip(activations, layer_m_evaluator):
-        if endorsed and not required <= act.active:
-            failures.append(act.step_index)
-    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""The identity metrics computed from activation traces.
+"""The identity metrics computed from step masks.
 
 Persistence counts windows: weak persistence is the fraction of evaluated
 windows where every ingredient occurs somewhere, strong persistence the
 fraction where some single step holds the full conjunction.  The gap ratio
-compares the minimal horizons needed for each.  Identifiability, continuity,
-consistency, and recovery are the auxiliary metrics over the activation-set
-distance; morphospace compresses everything into three coordinates
-(coherence, availability, binding).
+compares the minimal horizons needed for each.  Identifiability, continuity
+and consistency are the auxiliary metrics; morphospace compresses
+everything into three coordinates (coherence, availability, binding).  The
+metrics over activation sets, recovery among them, are in ``sets``.
 """
 
 from __future__ import annotations
@@ -15,33 +15,22 @@ import json
 import sys
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import dataclass
+from importlib import import_module
 from itertools import accumulate
-from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    MetricError,
-    OutOfRangeError,
-    ParameterError,
-    StructuralError,
-)
-from .identity import (
-    ActivationSet,
-    GroundedIdentity,
-    activation_masks,
-    ingredient_bits,
-    state_distance,
-)
-from .windows import INFINITE, WindowConfig, start_horizons, window_horizons
+from .errors import MetricError, OutOfRangeError, ParameterError, StructuralError
+from .windows import INFINITE, WindowConfig, start_horizons
 
 
-@dataclass(frozen=True)
-class PersistenceResult:
-    """Weak/strong persistence scores plus the per-window flags behind them."""
-
-    p_weak: float
-    p_strong: float
-    per_window: tuple[tuple[int, bool, bool], ...]
+def __getattr__(name: str):
+    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
+    if name not in {"ActivationSet", "PersistenceResult", "activation_masks", "continuity",
+                    "gap_ratio", "identifiability", "persistence", "persistence_streaming",
+                    "recovery", "recovery_bound", "state_distance", "window_horizons"}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".sets", __package__), name)
 
 
 @dataclass(frozen=True)
@@ -51,7 +40,7 @@ class GapResult:
     Layer times whose weak horizon is already infinite carry no gap
     information; they are excluded from the median and surface only in
     ``undefined_count``.  ``per_t`` holds ``(t, w_weak, w_strong)`` for each
-    layer time from :func:`gap_ratio`; :func:`counted_gap`, which ``analyze``
+    layer time from :func:`sets.gap_ratio`; :func:`counted_gap`, which ``analyze``
     reads, keeps no per-window record and leaves it empty.
     """
 
@@ -123,42 +112,6 @@ def _horizons(
     return start_horizons(masks, k, map(cfg.stride.__mul__, cfg.eval_indices), cap)
 
 
-def persistence(
-    activations: Iterable[ActivationSet],
-    identity: GroundedIdentity,
-    cfg: WindowConfig,
-) -> PersistenceResult:
-    """Window-counting persistence scores.
-
-    Per layer time: the occur flag checks each ingredient for presence
-    anywhere in the window, the coinst flag looks for a step that holds the
-    full conjunction.  Scores are counts over ``|T|``.
-
-    Any iterable in step order is read: :func:`identity.activation_masks`
-    encodes the steps up to the last window's end, and
-    :func:`windows.start_horizons` runs over them with the window horizon as
-    its cap, so the cost is linear in the trace length.
-    """
-    if not cfg.eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    last_end = cfg.stride * cfg.eval_indices[-1] + cfg.horizon
-    masks = activation_masks(activations, ingredient_bits(identity), last_end)
-    delta = cfg.horizon
-    horizons = _horizons(masks, identity.k, cfg, delta)
-    per_window = tuple([
-        (t, w_weak <= delta, w_strong <= delta)
-        for t, (_, w_weak, w_strong) in zip(cfg.eval_indices, horizons)
-    ])
-    return PersistenceResult(
-        p_weak=sum(occurs for _, occurs, _ in per_window) / len(per_window),
-        p_strong=sum(coinst for _, _, coinst in per_window) / len(per_window),
-        per_window=per_window,
-    )
-
-
-persistence_streaming = persistence
-
-
 def window_counts(
     masks: Sequence[int], k: int, cfg: WindowConfig
 ) -> Counter[tuple[int | float, int | float]]:
@@ -213,29 +166,6 @@ def counted_gap(
     return GapResult(lower if total % 2 else (lower + upper) / 2, undefined)
 
 
-def gap_ratio(
-    activations: Sequence[ActivationSet],
-    identity: GroundedIdentity,
-    stride: int,
-    eval_indices: Sequence[int],
-    horizon_max: int,
-) -> GapResult:
-    """Median over layer times of ``(w_strong + 1) / (w_weak + 1)``.
-
-    An infinite strong horizon over a finite weak one contributes an
-    infinite term.  Layer times with an infinite weak horizon are undefined
-    and excluded; if every layer time is undefined the ratio itself is
-    undefined and a :class:`MetricError` is raised.  A repeated layer time
-    adds one term per occurrence.  Steps are encoded as
-    :func:`windows.window_horizons` encodes them.
-    """
-    if not eval_indices:
-        raise ParameterError("evaluation index set T must be non-empty")
-    per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
-    horizons = Counter((w_weak, w_strong) for _, w_weak, w_strong in per_t)
-    return replace(counted_gap(horizons, horizon_max), per_t=tuple(per_t))
-
-
 def identifiable_count(
     masks: Sequence[int],
     reference: int,
@@ -256,14 +186,6 @@ def identifiable_count(
     return sum((masks[u] ^ ref).bit_count() / k <= delta_i for u in steps)
 
 
-def identifiability(
-    current: ActivationSet, reference: ActivationSet, k: int, delta_i: float
-) -> int:
-    """1 iff the current activation set is within ``delta_i`` of the
-    reference: one term of :func:`identifiable_count`."""
-    return 1 if state_distance(current, reference, k) <= delta_i else 0
-
-
 def continuity_terms(
     masks: Sequence[int], k: int, steps: Sequence[int]
 ) -> Iterator[float]:
@@ -278,27 +200,6 @@ def continuity_terms(
         if u < 1 or u >= n:
             raise OutOfRangeError(f"continuity step {u} needs a predecessor in range")
         yield 1.0 - (masks[u] ^ masks[u - 1]).bit_count() / k
-
-
-def continuity(
-    activations: Sequence[ActivationSet],
-    k: int,
-    step_range: Sequence[int] | None = None,
-) -> tuple[list[float], float]:
-    """Stepwise continuity ``1 - d(F_u, F_{u-1})`` and its mean over the range.
-
-    ``step_range`` defaults to every step with a predecessor.
-    """
-    if step_range is None:
-        step_range = range(1, len(activations))
-    # any one-to-one id -> bit map keeps the distances, so no identity is needed
-    ids: set[str] = set()
-    for act in activations:
-        ids |= act.active
-    bits = {ingredient: 1 << i for i, ingredient in enumerate(ids)}
-    masks = activation_masks(activations, bits, len(activations) - 1)
-    per_step = list(continuity_terms(masks, k, list(step_range)))
-    return per_step, sum(per_step) / len(per_step)
 
 
 def _tokens(text: str) -> frozenset[str]:
@@ -316,27 +217,37 @@ def jaccard_similarity(a: str, b: str) -> float:
     return shared / (len(ta) + len(tb) - shared)
 
 
-def consistency(outputs: Sequence[str], delta_cons: float = MetricParams.delta_cons) -> float:
-    """Fraction of unordered output pairs whose :func:`jaccard_similarity`
-    clears the threshold ``delta_cons`` in [0, 1].
+def token_set_counts(outputs: Iterable[str]) -> Counter[frozenset[str]]:
+    """How many of ``outputs``, read once, have each token set."""
+    return Counter(map(_tokens, outputs))
 
-    Each output is tokenised once, and each distinct token set is scored
-    once, as an ``int`` with one bit per token: two sets share as many
-    tokens as their masks' ``&`` has bits.  A set seen ``c`` times adds its
-    ``c * (c - 1) // 2`` pairs of identical outputs, which clear every
-    threshold; two distinct sets seen ``ca`` and ``cb`` times add ``ca * cb``
-    pairs when their Jaccard clears it.  The cost is O(n) to tokenise plus
-    one popcount per pair of distinct sets.
+
+def consistency(outputs: Iterable[str], delta_cons: float = MetricParams.delta_cons) -> float:
+    """Fraction of unordered output pairs whose :func:`jaccard_similarity`
+    clears the threshold ``delta_cons`` in [0, 1]: :func:`counted_consistency`
+    of :func:`token_set_counts`, so ``outputs`` is read once, as it comes."""
+    return counted_consistency(token_set_counts(outputs), delta_cons)
+
+
+def counted_consistency(counts: Counter[frozenset[str]], delta_cons: float) -> float:
+    """:func:`consistency` of outputs counted by token set.
+
+    Each distinct token set is scored once, as an ``int`` with one bit per
+    token: two sets share as many tokens as their masks' ``&`` has bits.  A
+    set seen ``c`` times adds its ``c * (c - 1) // 2`` pairs of identical
+    outputs, which clear every threshold; two distinct sets seen ``ca`` and
+    ``cb`` times add ``ca * cb`` pairs when their Jaccard clears it.  The
+    cost is one popcount per pair of distinct sets.
     """
     if not 0.0 <= delta_cons <= 1.0:
         raise ParameterError("delta_cons must be in [0, 1]")
-    n = len(outputs)
+    n = counts.total()
     if n < 2:
         raise ParameterError("consistency needs at least two outputs")
     bits: dict[str, int] = {}
     sets = []
     hits = 0
-    for token_set, count in Counter(map(_tokens, outputs)).items():
+    for token_set, count in counts.items():
         mask = 0
         for token in token_set:
             mask |= 1 << bits.setdefault(token, len(bits))
@@ -354,48 +265,6 @@ def consistency(outputs: Sequence[str], delta_cons: float = MetricParams.delta_c
 def output_pairs(n: int) -> int:
     """The unordered pairs of ``n`` outputs: what :func:`consistency` divides by."""
     return n * (n - 1) // 2
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon < INFINITE:
-        raise ParameterError("epsilon must be finite and >= 0")
-
-
-def recovery(
-    reference: ActivationSet,
-    drifted: ActivationSet,
-    recovered: ActivationSet,
-    k: int,
-    epsilon: float,
-) -> float:
-    """How much of the drift the corrective interventions undid, in [0, 1].
-
-    ``epsilon`` regularizes the ratio and must be finite and >= 0; with
-    ``epsilon == 0`` a run with no drift at all counts as fully recovered.
-    """
-    _check_epsilon(epsilon)
-    d_recov = state_distance(recovered, reference, k)
-    d_drift = state_distance(drifted, reference, k)
-    if epsilon == 0.0 and d_drift == 0:
-        return 1.0
-    return max(0.0, 1.0 - d_recov / (d_drift + epsilon))
-
-
-def recovery_bound(
-    reference: ActivationSet,
-    drifted: ActivationSet,
-    controllable: Iterable[str],
-    k: int,
-    epsilon: float,
-) -> float:
-    """Upper bound on recovery when interventions only reach ``controllable``
-    ingredients: ``(|P & D| + eps*k) / (|D| + eps*k)`` over the drift set D."""
-    _check_epsilon(epsilon)
-    drift_set = reference.active ^ drifted.active
-    reachable = len(frozenset(controllable) & drift_set)
-    if epsilon == 0.0 and not drift_set:
-        return 1.0
-    return (reachable + epsilon * k) / (len(drift_set) + epsilon * k)
 
 
 def morphospace(

@@ -11,9 +11,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import OutOfRangeError, ParameterError
-from .identity import ActivationSet, GroundedIdentity, ScaffoldState
-from .metrics import PersistenceResult
-from .windows import INFINITE, WindowConfig, WindowSegment, coinstantiated, occurs
+from .identity import GroundedIdentity
+from .sets import (
+    ActivationSet, PersistenceResult, ScaffoldState, WindowSegment, coinstantiated, occurs,
+)
+from .windows import INFINITE, WindowConfig
 
 
 def oracle_activation_set(state: ScaffoldState, identity: GroundedIdentity) -> ActivationSet:

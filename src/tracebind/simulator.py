@@ -34,16 +34,15 @@ from .errors import (
     ScenarioError,
     StructuralError,
 )
-from .identity import (
+from .identity import GroundedIdentity, IngredientSpec, is_flag
+from .sets import (
     ActivationSet,
-    GroundedIdentity,
-    IngredientSpec,
+    PersistenceResult,
     ScaffoldArchitecture,
     ScaffoldState,
     activation_sets,
-    is_flag,
+    persistence,
 )
-from .metrics import PersistenceResult, persistence
 from .windows import WindowConfig
 
 # Per action kind: the payload fields it must set and those it may also set,

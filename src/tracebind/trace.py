@@ -10,58 +10,38 @@ of two forms (never mixed within a file):
 ``analyze`` runs, looks such lines up by their texts.  ``state_lines`` is
 the writer's half of that memo: it encodes each distinct state's text after
 ``{"u":<step>,`` once, under the reader's cap and empty-or-drop rule, and
-``simulate`` writes its traces through it.  ``parse_trace`` decodes every
-line in full, as the reference the tests compare against.
+``simulate`` writes its traces through it.  ``sets.parse_trace`` decodes
+every line in full into states or activation sets, through the same
+checks, as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from importlib import import_module
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
 
 from .errors import FileFormatError, TracebindError
-from .identity import (
-    ActivationSet,
-    GroundedIdentity,
-    ScaffoldArchitecture,
-    ScaffoldState,
-    activation_sets,
-    ingredient_bits,
-    is_flag,
-    load_json,
-    state_matcher,
-)
+from .identity import GroundedIdentity, ingredient_bits, is_flag, load_json, state_matcher
+
+if TYPE_CHECKING:
+    from .sets import ActivationSet, ScaffoldState
+
+
+def __getattr__(name: str):
+    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
+    if name not in {"ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "TraceData",
+                    "activation_sets", "parse_trace"}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".sets", __package__), name)
 
 
 _STATE_KEYS = {"u", "C", "M", "pi", "D"}
 _ACTIVATION_KEYS = {"u", "F"}
 _COMPACT = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
-
-
-@dataclass(frozen=True)
-class TraceData:
-    """A parsed trace: either raw states or precomputed activation sets."""
-
-    form: str
-    states: tuple[ScaffoldState, ...] = ()
-    activations: tuple[ActivationSet, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.states) if self.form == "state" else len(self.activations)
-
-    def to_activations(self, identity: GroundedIdentity) -> list[ActivationSet]:
-        if self.form == "activation":
-            encode = _mask_encoder(self.form, None, identity)
-            for act in self.activations:
-                encode({"u": act.step_index, "F": act.active})
-            return list(self.activations)
-        # activation reads nothing of the architecture but its flag count
-        arch = ScaffoldArchitecture(len(self.states[0].policy_flags), context_capacity=1)
-        return activation_sets(self.states, identity, arch)
 
 
 def _check_strings(value, located: Callable[[str], FileFormatError], name: str) -> None:
@@ -181,30 +161,6 @@ def _checked_records(path: str | Path) -> Iterator[tuple[str, dict]]:
         raise FileFormatError(f"{path}: empty trace")
 
 
-def parse_trace(path: str | Path) -> TraceData:
-    """Parse a line-delimited trace file into one state or activation set per
-    step, with the per-line checks of :func:`read_masks` (which ``analyze``
-    uses instead), each line fully decoded."""
-    states = []
-    activations = []
-    for form, record in _checked_records(path):
-        if form == "activation":
-            activations.append(
-                ActivationSet(step_index=record["u"], active=frozenset(record["F"]))
-            )
-        else:
-            states.append(
-                ScaffoldState(
-                    context=tuple(record["C"]),
-                    memory=record["M"],
-                    policy_flags=tuple(record["pi"]),
-                    retrieved=frozenset(record["D"]),
-                    step_index=record["u"],
-                )
-            )
-    return TraceData(form=form, states=tuple(states), activations=tuple(activations))
-
-
 def _mask_encoder(form: str, first: dict | None, identity: GroundedIdentity) -> Callable[[dict], int]:
     if form == "state":
         match = state_matcher(identity, len(first["pi"]))
@@ -267,7 +223,7 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     the full decode, so every message is the same.  A full memo is emptied,
     or dropped if it was hit less often than it holds texts.
 
-    Raises what ``parse_trace(path).to_activations(identity)`` raises: a
+    Raises what ``sets.parse_trace(path).to_activations(identity)`` raises: a
     fault in any line comes first, then a stray ingredient id at its first
     step, or a policy flag index outside the first record's ``pi``.
     """

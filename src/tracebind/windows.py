@@ -1,9 +1,9 @@
-"""Windowing of activation traces and the two window predicates.
+"""Windowing of step masks and the one window fold.
 
 A window at layer time ``t`` covers objective steps ``s*t .. s*t + delta``.
-Both predicates test set membership: ``occurs`` (Arpeggio) asks whether
-each ingredient id is in some step's set, ``coinstantiated`` (Chord)
-whether one step's set holds them all; the toolkit measures the gap between
+Two predicates decide it: ``occurs`` (Arpeggio), each ingredient id active
+at some step, and ``coinstantiated`` (Chord), one step holding them all
+(over window segments, in ``sets``); the toolkit measures the gap between
 the two.  Windows are never truncated: a window that would overrun the
 trace is out of range.  Missing minima are ``INFINITE`` (``math.inf``).
 
@@ -24,12 +24,21 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from importlib import import_module
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .errors import OutOfRangeError, ParameterError, StructuralError
-from .identity import ActivationSet, GroundedIdentity, activation_masks, ingredient_bits
+from .errors import OutOfRangeError, ParameterError
+
+
+def __getattr__(name: str):
+    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
+    if name not in {"ActivationSet", "WindowSegment", "activation_masks", "coinstantiated",
+                    "diamond", "minimal_horizons", "occurs", "window", "window_horizons"}:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".sets", __package__), name)
+
 
 INFINITE = math.inf
 
@@ -77,64 +86,6 @@ class WindowConfig:
         last = (trace_length - 1 - self.horizon) // self.stride
         kept = self.eval_indices[: bisect_right(self.eval_indices, last)]
         return WindowConfig(self.horizon, self.stride, kept, self.horizon_max)
-
-
-@dataclass(frozen=True)
-class WindowSegment:
-    """The activation sets of one window, in objective-step order."""
-
-    start: int
-    activation_sets: tuple[ActivationSet, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "activation_sets", tuple(self.activation_sets))
-        if not self.activation_sets:
-            raise StructuralError("a window segment cannot be empty")
-        for offset, act in enumerate(self.activation_sets):
-            if act.step_index != self.start + offset:
-                raise StructuralError(
-                    f"segment steps must be consecutive from {self.start}; "
-                    f"found step {act.step_index} at offset {offset}"
-                )
-
-
-def window(
-    activations: Sequence[ActivationSet], cfg: WindowConfig, t: int
-) -> WindowSegment:
-    """Slice out the window at layer time ``t``."""
-    start = cfg.stride * t
-    end = start + cfg.horizon
-    if t < 0 or end >= len(activations):
-        raise OutOfRangeError(
-            f"window at t={t} covers steps {start}..{end}, trace has "
-            f"{len(activations)} steps"
-        )
-    return WindowSegment(start=start, activation_sets=tuple(activations[start : end + 1]))
-
-
-def occurs(segment: WindowSegment, identity: GroundedIdentity) -> bool:
-    """True iff every ingredient is active at some step of the window."""
-    covered: set[str] = set()
-    for act in segment.activation_sets:
-        covered |= act.active
-    return identity.ingredient_ids <= covered
-
-
-def coinstantiated(segment: WindowSegment, identity: GroundedIdentity) -> bool:
-    """True iff some single step's set holds every ingredient id."""
-    return diamond(segment, identity.ingredient_ids)
-
-
-def diamond(segment: WindowSegment, ingredient_subset: Iterable[str]) -> bool:
-    """Within-window existential lift: some single step holds the whole subset.
-
-    ``occurs`` is the conjunction of ``diamond`` over singletons;
-    ``coinstantiated`` is ``diamond`` of the full ingredient set.
-    """
-    subset = frozenset(ingredient_subset)
-    if not subset:
-        raise StructuralError("diamond needs a non-empty ingredient subset")
-    return any(subset <= act.active for act in segment.activation_sets)
 
 
 def start_horizons(
@@ -207,52 +158,3 @@ def start_horizons(
         yield s, end - s if covered == full else INFINITE, strong
 
 
-def window_horizons(
-    activations: Sequence[ActivationSet],
-    identity: GroundedIdentity,
-    stride: int,
-    eval_indices: Sequence[int],
-    horizon_max: int,
-) -> list[tuple[int, int | float, int | float]]:
-    """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
-    the given order and with its duplicates: :func:`start_horizons` of the
-    distinct window starts ``stride*t``.  A start outside the trace raises
-    :class:`OutOfRangeError` before any step is read.  The steps are encoded
-    by :func:`identity.activation_masks` up to the last step a window can
-    reach, the last start plus ``horizon_max`` or the trace end."""
-    n = len(activations)
-    for t in eval_indices:
-        start = stride * t
-        if t < 0 or not 0 <= start < n:
-            raise OutOfRangeError(
-                f"window start {start} is outside the trace of length {n}"
-            )
-    starts = sorted({stride * t for t in eval_indices})
-    last = min(n - 1, starts[-1] + horizon_max) if starts else -1
-    masks = activation_masks(activations, ingredient_bits(identity), last)
-    found = {
-        s: (w_weak, w_strong)
-        for s, w_weak, w_strong in start_horizons(masks, identity.k, starts, horizon_max)
-    }
-    return [(t, *found[stride * t]) for t in eval_indices]
-
-
-def minimal_horizons(
-    activations: Sequence[ActivationSet],
-    identity: GroundedIdentity,
-    stride: int,
-    t: int,
-    horizon_max: int,
-) -> tuple[int | float, int | float]:
-    """Least horizons at which the window starting at ``stride*t`` first
-    satisfies ``occurs`` and ``coinstantiated``.
-
-    The search stops at ``horizon_max`` or the trace end, whichever comes
-    first; a minimum not found by then is ``INFINITE``.  The strong horizon
-    is never smaller than the weak one.  This is :func:`window_horizons`
-    for a single start.
-    """
-    ((_, w_weak, w_strong),) = window_horizons(
-        activations, identity, stride, (t,), horizon_max
-    )
-    return w_weak, w_strong

@@ -1129,6 +1129,29 @@ class TestProbeCommand:
         assert main(["probe", str(path), f"--delta-cons={delta}"]) == 0
         assert "consistency = 1.000000" in capsys.readouterr().out
 
+    # the outputs are read before --delta-cons is checked, and their count
+    # after it: a missing or non-UTF-8 file comes first, too few outputs last
+    @pytest.mark.parametrize(
+        "content, delta, message",
+        [
+            (None, "2", "No such file or directory"),
+            (b"a b\n\xff c\n", "2", "outs.txt:2: not UTF-8 text"),
+            (b"lonely\n", "2", "delta_cons must be in [0, 1]"),
+            (b"", "2", "delta_cons must be in [0, 1]"),
+            (b"lonely\n", "0.5", "consistency needs at least two outputs"),
+            (b"", "0.5", "consistency needs at least two outputs"),
+        ],
+    )
+    def test_fault_order(self, tmp_path, capsys, content, delta, message):
+        path = tmp_path / "outs.txt"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["probe", str(path), f"--delta-cons={delta}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tracebind: ")
+        assert message in captured.err
+
     def test_json_format(self, tmp_path, capsys):
         path = tmp_path / "outs.txt"
         write_lines(path, ["a b", "a b"])

@@ -3,18 +3,22 @@
 Each CLI run here is a child process started with ``PYTHONPATH=src`` and
 ``-X importtime``, so its stdout is the command's real output and its stderr
 lists every module the run imported.  ``analyze`` and ``probe`` must print
-their committed goldens without loading ``tracebind.simulator`` or
-``tracebind.oracle``; only ``simulate`` loads the simulator.  The package
-serves the simulator's names on first use (PEP 562), and the last tests pin
-that contract.
+their committed goldens loading exactly the mask path, and none of
+``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``; only
+``simulate`` loads the simulator and the sets.  The package and the modules
+that held the object-level API before serve its names on first use
+(PEP 562), and the last tests pin that contract, the last of them by
+reading each command-path module's imports without running anything.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -23,7 +27,12 @@ import tracebind
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-UNUSED_BY_SCORING = {"tracebind.simulator", "tracebind.oracle"}
+UNUSED_BY_SCORING = {"tracebind.sets", "tracebind.simulator", "tracebind.oracle"}
+# every tracebind module that analyze and probe load, with no other
+SCORING_MODULES = {
+    "tracebind", "tracebind.cli", "tracebind.errors", "tracebind.identity",
+    "tracebind.metrics", "tracebind.trace", "tracebind.windows",
+}
 
 SIMULATOR_NAMES = [
     "Action", "ArchitecturePreset", "RetrievalPolicy", "infer", "make_preset",
@@ -31,6 +40,36 @@ SIMULATOR_NAMES = [
     "scenario_drift_recover", "scenario_noncommutation", "scenario_rag_displacement",
     "step", "store", "tool",
 ]
+
+# each name of tracebind.sets, by a module that serves it on first use
+MOVED_NAMES = {
+    "tracebind": [
+        "ActivationSet", "PersistenceResult", "ScaffoldArchitecture", "ScaffoldState",
+        "WindowSegment", "activation_set", "activation_sets", "coinstantiated", "continuity",
+        "detect_grounding_failures", "diamond", "evaluate_ingredient", "gap_ratio",
+        "identifiability", "minimal_horizons", "occurs", "persistence", "persistence_streaming",
+        "recovery", "recovery_bound", "state_distance", "window", "window_horizons",
+    ],
+    "tracebind.identity": [
+        "ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "activation_mask",
+        "activation_masks", "activation_set", "activation_sets", "detect_grounding_failures",
+        "evaluate_ingredient", "state_distance",
+    ],
+    "tracebind.windows": [
+        "ActivationSet", "WindowSegment", "activation_masks", "coinstantiated", "diamond",
+        "minimal_horizons", "occurs", "window", "window_horizons",
+    ],
+    "tracebind.metrics": [
+        "ActivationSet", "PersistenceResult", "activation_masks", "continuity", "gap_ratio",
+        "identifiability", "persistence", "persistence_streaming", "recovery", "recovery_bound",
+        "state_distance", "window_horizons",
+    ],
+    "tracebind.trace": [
+        "ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "TraceData", "activation_sets",
+        "parse_trace",
+    ],
+    "tracebind.cli": ["parse_trace", "recovery", "recovery_bound"],
+}
 
 
 def fresh_python(*args: str, cwd: Path = ROOT) -> tuple[int, bytes, str, set[str]]:
@@ -73,7 +112,7 @@ def test_analyze_prints_its_golden_without_the_simulator(case, fmt):
     )
     assert (code, err) == (0, "")
     assert out == Path(f"{trace}.analyze.{fmt}").read_bytes()
-    assert "tracebind.cli" in modules
+    assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
     assert modules.isdisjoint(UNUSED_BY_SCORING)
 
 
@@ -87,7 +126,7 @@ def test_analyze_with_a_faulty_identity_loads_no_simulator(tmp_path):
     )
     assert (code, out) == (2, b"")
     assert err.startswith(f"tracebind: {identity}")
-    assert "tracebind.cli" in modules
+    assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
     assert modules.isdisjoint(UNUSED_BY_SCORING)
 
 
@@ -101,7 +140,7 @@ def test_probe_prints_its_golden_without_the_simulator(delta, fmt):
     )
     assert (code, err) == (0, "")
     assert out == (folder / f"outputs.probe.{delta}.{fmt}").read_bytes()
-    assert "tracebind.cli" in modules
+    assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
     assert modules.isdisjoint(UNUSED_BY_SCORING)
 
 
@@ -111,22 +150,34 @@ def test_simulate_loads_the_simulator(tmp_path):
     )
     assert (code, err) == (0, "")
     assert out == b"wrote alternating scenario files next to alternating\n"
-    assert "tracebind.simulator" in modules
+    assert {"tracebind.sets", "tracebind.simulator"} <= modules
     for name in ("alternating.trace.jsonl", "alternating.identity.json", "alternating.expect.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "alternating" / name).read_bytes()
 
 
 def test_simulator_names_load_on_first_use():
+    # a name of the sets loads the sets alone; a simulator name loads both
     code, out, err, _ = fresh_python(
         "-c",
         "import json, sys, tracebind\n"
         "lazy = sorted(set(tracebind.__all__) - set(vars(tracebind)))\n"
-        "before = 'tracebind.simulator' in sys.modules\n"
-        "served = tracebind.simulator is sys.modules['tracebind.simulator']\n"
-        "print(json.dumps([lazy, before, served, tracebind.simulator.__name__]))\n",
+        "loaded = lambda: [m for m in ('tracebind.sets', 'tracebind.simulator') if m in sys.modules]\n"
+        "before = loaded()\n"
+        "tracebind.persistence\n"
+        "after_sets = loaded()\n"
+        "tracebind.run\n"
+        "served = [tracebind.sets is sys.modules['tracebind.sets'],\n"
+        "          tracebind.simulator is sys.modules['tracebind.simulator']]\n"
+        "print(json.dumps([lazy, before, after_sets, loaded(), served]))\n",
     )
     assert (code, err) == (0, "")
-    assert json.loads(out) == [sorted(SIMULATOR_NAMES), False, True, "tracebind.simulator"]
+    assert json.loads(out) == [
+        sorted(SIMULATOR_NAMES + MOVED_NAMES["tracebind"]),
+        [],
+        ["tracebind.sets"],
+        ["tracebind.sets", "tracebind.simulator"],
+        [True, True],
+    ]
 
 
 @pytest.mark.parametrize("name", SIMULATOR_NAMES)
@@ -137,8 +188,19 @@ def test_simulator_names_are_the_simulator_objects(name):
     assert getattr(tracebind, name) is getattr(tracebind.simulator, name)
 
 
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in MOVED_NAMES.items() for name in names]
+)
+def test_moved_names_are_the_sets_objects(module, name):
+    import tracebind.sets
+
+    served = import_module(module)
+    assert name not in vars(served)
+    assert getattr(served, name) is getattr(tracebind.sets, name)
+
+
 def test_dir_lists_every_exported_name():
-    assert set(tracebind.__all__) | {"simulator"} <= set(dir(tracebind))
+    assert set(tracebind.__all__) | {"sets", "simulator"} <= set(dir(tracebind))
 
 
 def test_star_import_binds_every_exported_name():
@@ -150,3 +212,58 @@ def test_star_import_binds_every_exported_name():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="^module 'tracebind' has no attribute 'no_such_name'$"):
         tracebind.no_such_name
+
+
+@pytest.mark.parametrize("module", sorted(MOVED_NAMES))
+def test_unknown_name_of_a_serving_module_is_an_attribute_error(module):
+    served = import_module(module)
+    with pytest.raises(AttributeError, match=f"^module '{module}' has no attribute 'no_such_name'$"):
+        served.no_such_name
+
+
+COMMAND_PATH = ["__init__", "__main__", "errors", "identity", "windows", "metrics", "trace", "cli"]
+
+
+def imported_at_load(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` for each module, and each ``module.name``, that the
+    source's import statements name where they run as the module loads: at
+    top level or in a class body, ``if``, ``try`` or ``with``, but not in a
+    function or under ``if TYPE_CHECKING:``.  A relative import names a
+    ``tracebind`` module."""
+    found = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["tracebind" if node.level else "", node.module]))
+            found += [(node.lineno, name) for name in [module, *(f"{module}.{a.name}" for a in node.names)]]
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            todo += getattr(node, field, [])
+    return found
+
+
+def test_the_guard_sees_what_runs_at_load():
+    source = (
+        "from .sets import persistence\n"
+        "from . import simulator\n"
+        "import tracebind.oracle\n"
+        "if TYPE_CHECKING:\n    from .sets import ActivationSet\n"
+        "def f():\n    from .simulator import run\n"
+        "try:\n    pass\nexcept ImportError:\n    from .oracle import oracle_persistence\n"
+    )
+    found = {(line, module) for line, module in imported_at_load(source) if module in UNUSED_BY_SCORING}
+    assert found == {(1, "tracebind.sets"), (2, "tracebind.simulator"), (3, "tracebind.oracle"),
+                     (11, "tracebind.oracle")}
+
+
+@pytest.mark.parametrize("module", COMMAND_PATH)
+def test_command_path_modules_import_no_library_module_at_load(module):
+    source = (ROOT / "src" / "tracebind" / f"{module}.py").read_text(encoding="utf-8")
+    assert [(line, name) for line, name in imported_at_load(source) if name in UNUSED_BY_SCORING] == []

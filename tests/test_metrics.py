@@ -41,6 +41,7 @@ from tracebind.metrics import (
     MetricsReport,
     consistency,
     continuity,
+    counted_consistency,
     counted_gap,
     gap_ratio,
     identifiability,
@@ -53,6 +54,7 @@ from tracebind.metrics import (
     render_json,
     render_number,
     render_text,
+    token_set_counts,
     window_counts,
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
@@ -428,6 +430,15 @@ class TestConsistency:
     def test_too_few_outputs(self):
         with pytest.raises(ParameterError):
             consistency(["only one"])
+
+    def test_reads_a_one_shot_iterator_once(self):
+        outputs = ["a b", "a b", "a c", "", "", "b c d"]
+        stream = iter(outputs)
+        assert consistency(stream, delta_cons=0.3) == consistency(outputs, delta_cons=0.3)
+        assert next(stream, None) is None
+        counts = token_set_counts(iter(outputs))
+        assert counts.total() == len(outputs)
+        assert counted_consistency(counts, 0.3) == consistency(outputs, delta_cons=0.3)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf"), -0.01, 1.01])
     def test_threshold_outside_unit_interval_rejected(self, delta):
