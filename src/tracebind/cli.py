@@ -28,7 +28,7 @@ from .identity import GroundedIdentity, identity_to_document, load_identity_file
 from .metrics import (
     MetricParams,
     MetricsReport,
-    continuity_terms,
+    changed_bits,
     counted_consistency,
     counted_gap,
     counted_persistence,
@@ -40,11 +40,10 @@ from .metrics import (
     token_set_counts,
     window_counts,
 )
-from .trace import (  # bench/traced.py and the tests import the records API from here
+from .trace import (  # bench/traced.py imports state_record and write_trace from here
     _checked_records,
     _text_lines,
     activation_lines,
-    activation_record,
     read_masks,
     state_lines,
     state_record,
@@ -55,8 +54,8 @@ from .windows import DEFAULT_HORIZON_MAX, WindowConfig
 
 
 def __getattr__(name: str):
-    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
-    if name not in {"parse_trace", "recovery", "recovery_bound"}:
+    # the tracebind.sets names bench/ imports from this module, served on first use (PEP 562)
+    if name != "parse_trace":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(".sets", __package__), name)
 
@@ -94,7 +93,7 @@ def build_report(
     n = len(masks)
     if n < 2:
         raise MetricError("continuity is undefined for a one-step trace")
-    continuity_mean = sum(continuity_terms(masks, k, range(1, n))) / (n - 1)
+    continuity_mean = (k * (n - 1) - sum(changed_bits(masks, k, range(1, n)))) / (k * (n - 1))
     starts = (cfg.stride * t for t in cfg.eval_indices)
     hits = identifiable_count(masks, ref_index, k, params.delta_i, starts)
     return MetricsReport(

@@ -6,7 +6,7 @@ documents).  This module compiles an identity into a function from a
 state's components to its step mask, loads identity spec files, and handles
 the layered grounding maps that connect narrative and functional identity
 statements to those ingredients.  Scaffold states and activation sets live
-in :mod:`tracebind.sets`; this module serves their names on first use.
+in :mod:`tracebind.sets`; only the bench imports ``ActivationSet`` from here.
 
 Everything here is immutable and pure: repeated evaluation of the same
 inputs always agrees, and values can be shared freely across threads.
@@ -24,10 +24,8 @@ from .errors import FileFormatError, GroundingLookupError, StructuralError
 
 
 def __getattr__(name: str):
-    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
-    if name not in {"ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "activation_mask",
-                    "activation_masks", "activation_set", "activation_sets",
-                    "detect_grounding_failures", "evaluate_ingredient", "state_distance"}:
+    # the tracebind.sets names bench/ imports from this module, served on first use (PEP 562)
+    if name != "ActivationSet":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(".sets", __package__), name)
 

@@ -25,10 +25,8 @@ from .windows import INFINITE, WindowConfig, start_horizons
 
 
 def __getattr__(name: str):
-    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
-    if name not in {"ActivationSet", "PersistenceResult", "activation_masks", "continuity",
-                    "gap_ratio", "identifiability", "persistence", "persistence_streaming",
-                    "recovery", "recovery_bound", "state_distance", "window_horizons"}:
+    # the tracebind.sets names bench/ imports from this module, served on first use (PEP 562)
+    if name not in {"continuity", "gap_ratio", "identifiability", "persistence"}:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(".sets", __package__), name)
 
@@ -186,11 +184,8 @@ def identifiable_count(
     return sum((masks[u] ^ ref).bit_count() / k <= delta_i for u in steps)
 
 
-def continuity_terms(
-    masks: Sequence[int], k: int, steps: Sequence[int]
-) -> Iterator[float]:
-    """Stepwise continuity ``1 - d(F_u, F_{u-1})`` of step masks, for each
-    step ``u`` of ``steps`` in order."""
+def changed_bits(masks: Sequence[int], k: int, steps: Sequence[int]) -> Iterator[int]:
+    """``|F_u ^ F_{u-1}|`` per step ``u`` of ``steps``; a continuity mean divides their sum once."""
     if not steps:
         raise ParameterError("continuity needs at least one step with a predecessor")
     if k < 1:
@@ -199,7 +194,15 @@ def continuity_terms(
     for u in steps:
         if u < 1 or u >= n:
             raise OutOfRangeError(f"continuity step {u} needs a predecessor in range")
-        yield 1.0 - (masks[u] ^ masks[u - 1]).bit_count() / k
+        yield (masks[u] ^ masks[u - 1]).bit_count()
+
+
+def continuity_terms(
+    masks: Sequence[int], k: int, steps: Sequence[int]
+) -> Iterator[float]:
+    """Stepwise continuity ``1 - d(F_u, F_{u-1})`` of step masks, for each
+    step ``u`` of ``steps`` in order."""
+    return (1.0 - changed / k for changed in changed_bits(masks, k, steps))
 
 
 def _tokens(text: str) -> frozenset[str]:

@@ -2,8 +2,8 @@
 
 Each function here takes these objects, encodes them to step masks and runs
 the mask path that the commands run.  ``analyze`` and ``probe`` never load
-this module; ``simulate``, the oracle and library callers do.  The package
-and the modules that held these names before serve them on first use.
+this module; ``simulate``, the oracle and library callers do.  Import each
+name from here; the package serves the public ones on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .identity import (
     is_flag,
     state_matcher,
 )
-from .metrics import GapResult, _horizons, continuity_terms, counted_gap
+from .metrics import GapResult, _horizons, changed_bits, continuity_terms, counted_gap
 from .trace import _checked_records, _mask_encoder
 from .windows import INFINITE, WindowConfig, start_horizons
 
@@ -431,8 +431,8 @@ def continuity(
         ids |= act.active
     bits = {ingredient: 1 << i for i, ingredient in enumerate(ids)}
     masks = activation_masks(activations, bits, len(activations) - 1)
-    per_step = list(continuity_terms(masks, k, list(step_range)))
-    return per_step, sum(per_step) / len(per_step)
+    terms = list(continuity_terms(masks, k, list(step_range)))
+    return terms, (k * len(terms) - sum(changed_bits(masks, k, step_range))) / (k * len(terms))
 
 
 def _check_epsilon(epsilon: float) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import json
-from importlib import import_module
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
@@ -29,14 +28,6 @@ from .identity import GroundedIdentity, ingredient_bits, is_flag, load_json, sta
 
 if TYPE_CHECKING:
     from .sets import ActivationSet, ScaffoldState
-
-
-def __getattr__(name: str):
-    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
-    if name not in {"ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "TraceData",
-                    "activation_sets", "parse_trace"}:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(".sets", __package__), name)
 
 
 _STATE_KEYS = {"u", "C", "M", "pi", "D"}

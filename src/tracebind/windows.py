@@ -24,20 +24,11 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from importlib import import_module
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ParameterError
-
-
-def __getattr__(name: str):
-    # tracebind.sets names served here on first use, for imports from this module (PEP 562)
-    if name not in {"ActivationSet", "WindowSegment", "activation_masks", "coinstantiated",
-                    "diamond", "minimal_horizons", "occurs", "window", "window_horizons"}:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(".sets", __package__), name)
 
 
 INFINITE = math.inf

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import random
 
-from tracebind.identity import (
-    ActivationSet,
-    GroundedIdentity,
-    IngredientSpec,
-    ScaffoldArchitecture,
-)
+from tracebind.identity import GroundedIdentity, IngredientSpec
+from tracebind.sets import ActivationSet, ScaffoldArchitecture
 from tracebind.windows import WindowConfig
 
 

@@ -16,37 +16,31 @@ from conftest import (
     context_identity,
     random_activations,
 )
-from tracebind.cli import main, parse_trace
-from tracebind.identity import (
+from tracebind.cli import main
+from tracebind.identity import LayeredIdentitySpec, check_compositionality, load_identity_file
+from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
+from tracebind.sets import (
     ActivationSet,
-    LayeredIdentitySpec,
+    WindowSegment,
     activation_sets,
-    check_compositionality,
+    coinstantiated,
     detect_grounding_failures,
-    load_identity_file,
-    state_distance,
-)
-from tracebind.metrics import (
+    minimal_horizons,
+    occurs,
+    parse_trace,
     persistence,
     persistence_streaming,
     recovery,
     recovery_bound,
+    state_distance,
 )
-from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.simulator import (
     make_preset,
     scenario_alternating,
     scenario_drift_recover,
     scenario_rag_displacement,
 )
-from tracebind.windows import (
-    INFINITE,
-    WindowConfig,
-    WindowSegment,
-    coinstantiated,
-    minimal_horizons,
-    occurs,
-)
+from tracebind.windows import INFINITE, WindowConfig
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,7 +198,7 @@ def test_criterion_05_capacity_void(capsys):
 
 def test_criterion_06_rag_non_monotonicity(capsys):
     without_rag, with_rag, identity, cfg = scenario_rag_displacement()
-    from tracebind.identity import ScaffoldArchitecture
+    from tracebind.sets import ScaffoldArchitecture
 
     arch = ScaffoldArchitecture(
         n_policy_flags=1,
@@ -276,7 +270,7 @@ def test_criterion_08_worked_example(capsys):
     )
     segment = WindowSegment(start=0, activation_sets=tuple(acts))
     w_weak, w_strong = minimal_horizons(acts, identity, 1, 0, 16)
-    from tracebind.metrics import gap_ratio
+    from tracebind.sets import gap_ratio
 
     gap = gap_ratio(acts, identity, 1, (0,), 16)
     ok = (

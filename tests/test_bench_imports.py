@@ -2,8 +2,10 @@
 
 ``bench/`` is outside the tier-1 test paths, so a refactor could break
 ``bench/run.py --trace 1`` without a failing test here.  These tests import
-every name the bench scripts take from ``tracebind``, and pin the module
-layout ``bench/run.py`` checks before it runs.
+every name the bench scripts take from ``tracebind``, pin the names of
+``tracebind.sets`` that the modules which held them before still serve for
+the bench alone, and pin the module layout ``bench/run.py`` checks before it
+runs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import tracebind.cli
+import tracebind.sets
 import tracebind.trace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,9 +44,23 @@ def test_every_name_the_bench_imports_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
 
 
+@pytest.mark.parametrize(
+    "module", ["tracebind.cli", "tracebind.identity", "tracebind.metrics", "tracebind.trace",
+               "tracebind.windows"]
+)
+def test_old_homes_serve_only_the_names_the_bench_imports(module):
+    # the names of tracebind.sets a module serves on first use are exactly
+    # those the bench takes from it; repointing the bench empties both
+    served = importlib.import_module(module)
+    lazy = {name for name in dir(tracebind.sets) if name not in vars(served) and hasattr(served, name)}
+    bench = {name for found, name in bench_imports() if found == module and name not in vars(served)}
+    assert lazy == bench
+
+
 @pytest.mark.parametrize("name", ["parse_trace", "state_record", "write_trace"])
 def test_cli_serves_the_trace_module_objects(name):
-    assert getattr(tracebind.cli, name) is getattr(tracebind.trace, name)
+    home = tracebind.sets if name == "parse_trace" else tracebind.trace
+    assert getattr(tracebind.cli, name) is getattr(home, name)
 
 
 def test_cli_source_file_exists():

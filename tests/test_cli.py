@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import random
@@ -9,32 +10,19 @@ import statistics
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracebind.cli import (
-    activation_record,
-    build_parser,
-    build_report,
-    main,
-    parse_trace,
-    state_record,
-    write_trace,
-)
+from tracebind.cli import build_parser, build_report, main
 from tracebind.errors import FileFormatError, MetricError, StructuralError
-from tracebind.identity import (
-    ActivationSet,
-    ScaffoldState,
-    activation_mask,
-    identity_to_document,
-    ingredient_bits,
-    load_identity_file,
-)
-from tracebind.metrics import MetricParams, consistency, render_json
+from tracebind.identity import identity_to_document, ingredient_bits, load_identity_file
+from tracebind.metrics import MetricParams, consistency, continuity_terms, render_json, render_number
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
+from tracebind.sets import ActivationSet, ScaffoldState, activation_mask, parse_trace
 from tracebind.simulator import (
     make_preset,
     probe_presets,
@@ -45,6 +33,7 @@ from tracebind.simulator import (
     scenario_rag_displacement,
 )
 import tracebind.trace as trace_module
+from tracebind.trace import activation_record, state_record, write_trace
 from tracebind.windows import INFINITE, WindowConfig
 from conftest import context_identity, random_activations
 
@@ -408,8 +397,14 @@ class TestStateLines:
             finally:
                 tracemalloc.stop()
 
-        peak(2_000)  # the first run leaves its memo's key tuples on the interpreter's free list
-        assert peak(20_000) <= peak(2_000) + 64 * 1024
+        # a full collection empties the free lists the first run fills, so
+        # none may run between the runs
+        gc.disable()
+        try:
+            peak(2_000)  # the first run leaves its memo's key tuples on the interpreter's free list
+            assert peak(20_000) <= peak(2_000) + 64 * 1024
+        finally:
+            gc.enable()
 
 
 class TestAnalyzeCommand:
@@ -634,6 +629,31 @@ class TestAnalyzeCommand:
         assert captured.err.startswith("tracebind: metric error:")
         assert "continuity" in captured.err
 
+    def test_continuity_tie_renders_half_to_even(self, tmp_path, capsys):
+        # k = 12, 33 steps, 189 changed bits: the exact mean 1 - 189/384 =
+        # 65/128 = 0.5078125 is a tie at the sixth decimal
+        changed = [6] * 32
+        changed[15:19] = [5] * 4
+        changed[31] = 7
+        masks = [(1 << 12) - 1]  # every id at step 0, so the gap is defined
+        for bits in changed:
+            masks.append(masks[-1] ^ ((1 << bits) - 1))
+        trace_path = tmp_path / "trace.jsonl"
+        write_lines(trace_path, activation_lines(
+            [{f"g{i}" for i in range(12) if mask >> i & 1} for mask in masks]
+        ))
+        identity_path = tmp_path / "identity.json"
+        write_identity(identity_path, context_identity(12))
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--identity", str(identity_path),
+             "--delta", "1"]
+        )
+        assert code == 0
+        assert '"continuity_mean": 0.507812,' in capsys.readouterr().out
+        # the float terms, summed in step order, land above the tie
+        terms = continuity_terms(masks, 12, range(1, 33))
+        assert render_number(sum(terms) / 32) == "0.507813"
+
     def test_duplicate_trace_key_is_usage_error(self, tmp_path, capsys):
         # the second "F" used to win: a full step, p_strong 0.5 and exit 0
         trace_path = tmp_path / "trace.jsonl"
@@ -828,6 +848,26 @@ class TestOnePass:
                 assert report.gap.ratio == statistics.median(terms)
                 assert report.gap.undefined_count == len(horizons) - len(terms)
         assert seen == {"eval list", "window binds beyond horizon_max", "stride", "undefined gap"}
+
+    def test_continuity_renders_the_exact_mean(self):
+        # the rendered mean is the exact mean rounded half to even; half the
+        # cases take a (k, n) whose k * (n - 1) is a multiple of 128, where
+        # a mean can be a tie at the sixth decimal
+        rng = random.Random(8_128)
+        ties = 0
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                k, n = rng.choice([(4, 33), (8, 17), (8, 33), (8, 49), (12, 33)])
+            else:
+                k, n = rng.randint(1, 12), rng.randint(2, 60)
+            full = (1 << k) - 1
+            masks = [full] + [rng.randrange(full + 1) for _ in range(n - 1)]
+            report = build_report(masks, k, WindowConfig(0, 1, range(n), 0), MetricParams(), 0)
+            changed = sum((masks[u] ^ masks[u - 1]).bit_count() for u in range(1, n))
+            exact = 1 - Fraction(changed, k * (n - 1))
+            ties += (exact * 2_000_000).denominator == 1 and (exact * 1_000_000).denominator != 1
+            assert Fraction(render_number(report.continuity_mean)) == round(exact, 6)
+        assert ties > 100
 
 
 def analyze_in_window(tmp_path, sidecar, trace_name):

@@ -5,10 +5,12 @@ Each CLI run here is a child process started with ``PYTHONPATH=src`` and
 lists every module the run imported.  ``analyze`` and ``probe`` must print
 their committed goldens loading exactly the mask path, and none of
 ``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``; only
-``simulate`` loads the simulator and the sets.  The package and the modules
-that held the object-level API before serve its names on first use
-(PEP 562), and the last tests pin that contract, the last of them by
-reading each command-path module's imports without running anything.
+``simulate`` loads the simulator and the sets.  The package serves the
+object-level API's names on first use (PEP 562), and three of the modules
+that held them before serve the few that ``bench/`` still imports from
+them.  The last tests pin that contract, that the tests import each name
+from its one home, and, by reading each command-path module's imports
+without running anything, that those modules load no library module.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ SIMULATOR_NAMES = [
     "step", "store", "tool",
 ]
 
-# each name of tracebind.sets, by a module that serves it on first use
+# each name of tracebind.sets, by a module that serves it on first use: the
+# package, and the old homes for the names bench/ still imports from them
 MOVED_NAMES = {
     "tracebind": [
         "ActivationSet", "PersistenceResult", "ScaffoldArchitecture", "ScaffoldState",
@@ -50,26 +53,35 @@ MOVED_NAMES = {
         "identifiability", "minimal_horizons", "occurs", "persistence", "persistence_streaming",
         "recovery", "recovery_bound", "state_distance", "window", "window_horizons",
     ],
+    "tracebind.identity": ["ActivationSet"],
+    "tracebind.metrics": ["continuity", "gap_ratio", "identifiability", "persistence"],
+    "tracebind.cli": ["parse_trace"],
+}
+# the names of tracebind.sets the old homes served before, and serve no more
+RETIRED_NAMES = {
     "tracebind.identity": [
-        "ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "activation_mask",
-        "activation_masks", "activation_set", "activation_sets", "detect_grounding_failures",
-        "evaluate_ingredient", "state_distance",
+        "ScaffoldArchitecture", "ScaffoldState", "activation_mask", "activation_masks",
+        "activation_set", "activation_sets", "detect_grounding_failures", "evaluate_ingredient",
+        "state_distance",
     ],
     "tracebind.windows": [
         "ActivationSet", "WindowSegment", "activation_masks", "coinstantiated", "diamond",
         "minimal_horizons", "occurs", "window", "window_horizons",
     ],
     "tracebind.metrics": [
-        "ActivationSet", "PersistenceResult", "activation_masks", "continuity", "gap_ratio",
-        "identifiability", "persistence", "persistence_streaming", "recovery", "recovery_bound",
-        "state_distance", "window_horizons",
+        "ActivationSet", "PersistenceResult", "activation_masks", "persistence_streaming",
+        "recovery", "recovery_bound", "state_distance", "window_horizons",
     ],
     "tracebind.trace": [
         "ActivationSet", "ScaffoldArchitecture", "ScaffoldState", "TraceData", "activation_sets",
         "parse_trace",
     ],
-    "tracebind.cli": ["parse_trace", "recovery", "recovery_bound"],
+    "tracebind.cli": ["recovery", "recovery_bound"],
 }
+
+
+def pairs(table: dict[str, list[str]]) -> list[tuple[str, str]]:
+    return [(module, name) for module, names in table.items() for name in names]
 
 
 def fresh_python(*args: str, cwd: Path = ROOT) -> tuple[int, bytes, str, set[str]]:
@@ -188,15 +200,24 @@ def test_simulator_names_are_the_simulator_objects(name):
     assert getattr(tracebind, name) is getattr(tracebind.simulator, name)
 
 
-@pytest.mark.parametrize(
-    "module, name", [(module, name) for module, names in MOVED_NAMES.items() for name in names]
-)
+@pytest.mark.parametrize("module, name", pairs(MOVED_NAMES) + pairs(RETIRED_NAMES))
 def test_moved_names_are_the_sets_objects(module, name):
+    # each has its one home in tracebind.sets; a module that still serves it
+    # serves that object, and none binds it
     import tracebind.sets
 
     served = import_module(module)
     assert name not in vars(served)
-    assert getattr(served, name) is getattr(tracebind.sets, name)
+    assert getattr(vars(tracebind.sets)[name], "__module__", "tracebind.sets") == "tracebind.sets"
+    if name in MOVED_NAMES.get(module, ()):
+        assert getattr(served, name) is getattr(tracebind.sets, name)
+
+
+@pytest.mark.parametrize("module, name", pairs(RETIRED_NAMES))
+def test_retired_names_are_attribute_errors(module, name):
+    served = import_module(module)
+    with pytest.raises(AttributeError, match=f"^module '{module}' has no attribute '{name}'$"):
+        getattr(served, name)
 
 
 def test_dir_lists_every_exported_name():
@@ -214,11 +235,27 @@ def test_unknown_name_is_an_attribute_error():
         tracebind.no_such_name
 
 
-@pytest.mark.parametrize("module", sorted(MOVED_NAMES))
+@pytest.mark.parametrize("module", sorted({*MOVED_NAMES, *RETIRED_NAMES}))
 def test_unknown_name_of_a_serving_module_is_an_attribute_error(module):
     served = import_module(module)
     with pytest.raises(AttributeError, match=f"^module '{module}' has no attribute 'no_such_name'$"):
         served.no_such_name
+
+
+def test_the_tests_import_each_name_from_its_home():
+    # from tracebind import ... is the public API, and exempt
+    strays = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tracebind."):
+                namespace = vars(import_module(node.module))
+                strays += [
+                    f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name not in namespace
+                    or getattr(namespace[alias.name], "__module__", node.module) != node.module
+                ]
+    assert strays == []
 
 
 COMMAND_PATH = ["__init__", "__main__", "errors", "identity", "windows", "metrics", "trace", "cli"]

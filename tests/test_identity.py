@@ -21,23 +21,25 @@ from tracebind.errors import (
     StructuralError,
 )
 from tracebind.identity import (
-    ActivationSet,
     GroundedIdentity,
     IngredientSpec,
     LayeredIdentitySpec,
-    ScaffoldArchitecture,
-    ScaffoldState,
-    activation_set,
     check_compositionality,
-    detect_grounding_failures,
-    evaluate_ingredient,
     ground,
     identity_to_document,
     load_identity_file,
     parse_identity_document,
-    state_distance,
 )
 from tracebind.oracle import oracle_activation_set
+from tracebind.sets import (
+    ActivationSet,
+    ScaffoldArchitecture,
+    ScaffoldState,
+    activation_set,
+    detect_grounding_failures,
+    evaluate_ingredient,
+    state_distance,
+)
 
 ARCH = plain_architecture()
 

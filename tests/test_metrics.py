@@ -27,30 +27,16 @@ from tracebind.errors import (
     StreamOrderError,
     StructuralError,
 )
-from tracebind.identity import (
-    ActivationSet,
-    GroundedIdentity,
-    IngredientSpec,
-    activation_mask,
-    ingredient_bits,
-    state_distance,
-)
+from tracebind.identity import GroundedIdentity, IngredientSpec, ingredient_bits
 from tracebind.metrics import (
     GapResult,
     MetricParams,
     MetricsReport,
     consistency,
-    continuity,
     counted_consistency,
     counted_gap,
-    gap_ratio,
-    identifiability,
     jaccard_similarity,
     morphospace,
-    persistence,
-    persistence_streaming,
-    recovery,
-    recovery_bound,
     render_json,
     render_number,
     render_text,
@@ -58,7 +44,21 @@ from tracebind.metrics import (
     window_counts,
 )
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
-from tracebind.windows import INFINITE, WindowConfig, minimal_horizons, window_horizons
+from tracebind.sets import (
+    ActivationSet,
+    activation_mask,
+    continuity,
+    gap_ratio,
+    identifiability,
+    minimal_horizons,
+    persistence,
+    persistence_streaming,
+    recovery,
+    recovery_bound,
+    state_distance,
+    window_horizons,
+)
+from tracebind.windows import INFINITE, WindowConfig
 
 
 def alternating_trace(length: int):

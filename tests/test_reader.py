@@ -16,6 +16,7 @@ import json
 import random
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,20 +31,14 @@ from tracebind.trace import (
     _text_lines,
     activation_record,
     context_text_matcher,
-    parse_trace,
     read_masks,
     state_record,
     write_trace,
 )
 from tracebind.errors import FileFormatError, TracebindError
 from tracebind.identity import (
-    ActivationSet,
     GroundedIdentity,
     IngredientSpec,
-    ScaffoldArchitecture,
-    ScaffoldState,
-    activation_mask,
-    activation_sets,
     ingredient_bits,
     load_identity_file,
     load_json,
@@ -51,16 +46,25 @@ from tracebind.identity import (
 )
 from tracebind.metrics import (
     MetricParams,
-    continuity,
     continuity_terms,
     counted_persistence,
-    identifiability,
     identifiable_count,
     window_counts,
 )
 from tracebind.oracle import oracle_activation_set, oracle_minimal_horizons, oracle_persistence
+from tracebind.sets import (
+    ActivationSet,
+    ScaffoldArchitecture,
+    ScaffoldState,
+    activation_mask,
+    activation_sets,
+    continuity,
+    identifiability,
+    parse_trace,
+    window_horizons,
+)
 from tracebind.simulator import probe_presets
-from tracebind.windows import WindowConfig, window_horizons
+from tracebind.windows import WindowConfig
 from conftest import context_identity, random_window_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,7 +182,8 @@ class TestMatchesObjectPathAndOracle:
             if n > 1:
                 per_step, mean = continuity(acts, k)
                 assert list(continuity_terms(masks, k, range(1, n))) == per_step
-                assert sum(continuity_terms(masks, k, range(1, n))) / (n - 1) == mean
+                changed = sum((masks[u] ^ masks[u - 1]).bit_count() for u in range(1, n))
+                assert mean == float(1 - Fraction(changed, k * (n - 1)))
             ref = rng.randrange(n)
             starts = [cfg.stride * t for t in cfg.eval_indices]
             assert identifiable_count(masks, ref, k, 0.25, starts) == sum(

@@ -19,14 +19,20 @@ from tracebind.errors import (
     ScenarioError,
     StructuralError,
 )
-from tracebind.identity import (
-    GroundedIdentity,
-    IngredientSpec,
+from tracebind.identity import GroundedIdentity, IngredientSpec
+from tracebind.sets import (
+    ScaffoldArchitecture,
     ScaffoldState,
+    WindowSegment,
     activation_set,
     activation_sets,
+    coinstantiated,
+    minimal_horizons,
+    occurs,
+    persistence,
+    recovery,
+    recovery_bound,
 )
-from tracebind.metrics import persistence, recovery, recovery_bound
 from tracebind.simulator import (
     PRESET_NAMES,
     _ACTION_RULES,
@@ -49,14 +55,7 @@ from tracebind.simulator import (
     _append_with_eviction,
     _carried,
 )
-from tracebind.windows import (
-    INFINITE,
-    WindowConfig,
-    WindowSegment,
-    coinstantiated,
-    minimal_horizons,
-    occurs,
-)
+from tracebind.windows import INFINITE, WindowConfig
 
 
 def controller(capacity=16, pin=(), retrieval=None, n_flags=2):
@@ -385,8 +384,6 @@ class TestScenarioRagDisplacement:
         base_acts = activation_sets(without_rag, identity, arch_base)
         base = persistence(base_acts, identity, cfg)
         policy_corpus = frozenset({"d0", "d1", "d2", "passage"})
-        from tracebind.identity import ScaffoldArchitecture
-
         arch_rag = ScaffoldArchitecture(
             n_policy_flags=1,
             context_capacity=12,
@@ -402,8 +399,6 @@ class TestScenarioRagDisplacement:
         without_rag, with_rag, identity, cfg = scenario_rag_displacement(
             passage_tokens=0
         )
-        from tracebind.identity import ScaffoldArchitecture
-
         arch = ScaffoldArchitecture(
             n_policy_flags=1,
             context_capacity=12,

@@ -13,21 +13,20 @@ from conftest import (
     random_activations,
 )
 from tracebind.errors import OutOfRangeError, ParameterError, StructuralError
-from tracebind.identity import ActivationSet, GroundedIdentity, ingredient_bits
-from tracebind.metrics import persistence
+from tracebind.identity import GroundedIdentity, ingredient_bits
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
-from tracebind.windows import (
-    INFINITE,
-    WindowConfig,
+from tracebind.sets import (
+    ActivationSet,
     WindowSegment,
     coinstantiated,
     diamond,
     minimal_horizons,
     occurs,
-    start_horizons,
+    persistence,
     window,
     window_horizons,
 )
+from tracebind.windows import INFINITE, WindowConfig, start_horizons
 
 
 def window_flags(masks, k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
