@@ -395,6 +395,8 @@ def render_json(value, indent: int = 0) -> str:
     Mapping insertion order is preserved, so documents built from the same
     inputs serialize to the same bytes.
     """
+    if type(value) is int:  # the bulk of a sidecar, its eval list; a bool is not one
+        return str(value)
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:

@@ -75,10 +75,15 @@ class ScaffoldState:
     step_index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "context", tuple(self.context))
+        # an exact tuple or frozenset cannot change, so it is kept; memory is
+        # copied, so no state shares a dict its caller may change
+        if type(self.context) is not tuple:
+            object.__setattr__(self, "context", tuple(self.context))
         object.__setattr__(self, "memory", memory := dict(self.memory))
-        object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
-        object.__setattr__(self, "retrieved", frozenset(self.retrieved))
+        if type(self.policy_flags) is not tuple:
+            object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
+        if type(self.retrieved) is not frozenset:
+            object.__setattr__(self, "retrieved", frozenset(self.retrieved))
         if type(self.step_index) is not int:
             raise StructuralError("step_index must be an integer")
         if self.step_index < 0:

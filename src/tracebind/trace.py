@@ -45,6 +45,7 @@ def _check_strings(value, located: Callable[[str], FileFormatError], name: str) 
 
 _BLOCK_BYTES = 16 * 1024
 _MAX_CACHED_TAILS = 1024
+_MAX_CACHED_LINES = 64
 
 
 def _text_lines(path: str | Path) -> Iterator[str]:
@@ -214,6 +215,15 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     the full decode, so every message is the same.  A full memo is emptied,
     or dropped if it was hit less often than it holds texts.
 
+    A state line that its field texts served is also kept whole: its text
+    after ``{"u":<step>,"C":[`` and its mask, in a second memo of at most
+    ``_MAX_CACHED_LINES`` (64) texts under the same rule, so a later line of
+    that text is one lookup.  No line decoded in full is kept there.  This
+    pays only where whole lines repeat: ``simulate alternating --length
+    6000`` writes 2 distinct texts in 6,000 lines, while the benchmark's
+    ``state-session`` trace has 10,000 in 10,000, so its memo is dropped
+    unhit at step 113, and activation traces have no state line.
+
     Raises what ``sets.parse_trace(path).to_activations(identity)`` raises: a
     fault in any line comes first, then a stray ingredient id at its first
     step, or a policy flag index outside the first record's ``pi``.
@@ -224,6 +234,9 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     masks: list[int] = []
     memo: dict[str, int] | None = None
     hits = 0
+    # whole state texts after the head, once their field texts served them
+    lines: dict[str, int] = {}
+    room, line_hits = _MAX_CACHED_LINES, 0
     encode = context = parts = None
     fault: TracebindError | None = None
     for index, line in enumerate(_text_lines(path)):
@@ -236,18 +249,30 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
                     masks.append(mask)
                     continue
                 texts = (tail,)
-        elif memo is not None and "\\" not in line and line.startswith(head := f'{{"u":{index},"C":['):
+        elif memo is not None and line.startswith(head := f'{{"u":{index},"C":['):
+            # a whole text stored below passed every check that does not read u
+            if room and (mask := lines.get(rest := line[len(head):])) is not None:
+                hits += 1  # its field texts' hit too, so their memo keeps its rule
+                line_hits += 1
+                masks.append(mask)
+                continue
             # each text keeps its separator, so no two fields share a text; no
             # string of a valid record holds a separator's quote unescaped, so
             # on a valid record this split is the true one
             c_end = line.find('],"M":{', len(head))
             m_end = line.find('},"pi":[', c_end)
-            if (d_end := line.find('],"D":[', m_end)) > 0:
+            if "\\" not in line and (d_end := line.find('],"D":[', m_end)) > 0:
                 texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
                 cached = memo.get(texts[0]), memo.get(texts[1]), memo.get(texts[2])
                 if None not in cached and (plain := context(line[len(head) : c_end])) is not None:
                     hits += 1
                     masks.append(plain + sum(cached))  # disjoint bits
+                    if room:
+                        if len(lines) < room:
+                            lines[rest] = masks[-1]
+                        else:  # full: emptied, or dropped if hit less often than it holds texts
+                            room = room if line_hits >= len(lines) else 0
+                            lines, line_hits = {}, 0
                     continue
         form, record = check.send((index, line))
         if fault is not None:

@@ -241,6 +241,28 @@ class TestScaffoldStateValidation:
         with pytest.raises(AttributeError):
             state.step_index = 5
 
+    def test_tuples_and_frozensets_are_kept(self):
+        context, flags, retrieved = ("a", "b"), (0, 1), frozenset({"d"})
+        state = ScaffoldState(context, {"k": "v"}, flags, retrieved, 0)
+        assert state.context is context
+        assert state.policy_flags is flags
+        assert state.retrieved is retrieved
+
+    def test_other_containers_are_converted(self):
+        state = ScaffoldState(["a"], {"k": "v"}, [0, 1], {"d"}, 0)
+        assert (type(state.context), type(state.policy_flags), type(state.retrieved)) == (
+            tuple, tuple, frozenset
+        )
+        assert state == make_state(("a",), {"k": "v"}, (0, 1), ("d",), 0)
+
+    def test_memory_is_never_the_callers_dict(self):
+        memory = {"k": "v"}
+        state = ScaffoldState(("a",), memory, (0,), frozenset(), 0)
+        assert state.memory is not memory
+        memory["k"] = "w"
+        memory["other"] = "x"
+        assert state.memory == {"k": "v"}
+
 
 class TestActivationSetValidation:
     @pytest.mark.parametrize("step", [True, 1.0, "1", None])

@@ -803,6 +803,13 @@ class TestRendering:
         with pytest.raises(MetricError):
             render_json({"x": value})
 
+    def test_render_json_ints_and_bools(self):
+        # an exact int takes the short path; a bool is an int that is not one
+        rendered = render_json([0, 1, True, False, 2**70, -3, 1.5])
+        assert rendered == "[0, 1, true, false, 1180591620717411303424, -3, 1.500000]"
+        assert render_json(7) == "7"
+        assert render_json(True) == "true"
+
     def test_render_json_parses_back(self):
         import json
 

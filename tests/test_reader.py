@@ -11,6 +11,7 @@ readers and the CLI: only ``TracebindError`` may escape them.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -27,6 +28,7 @@ import tracebind.trace as trace_module
 from tracebind.cli import SCENARIOS, build_report, main
 from tracebind.trace import (
     _BLOCK_BYTES,
+    _MAX_CACHED_LINES,
     _MAX_CACHED_TAILS,
     _text_lines,
     activation_record,
@@ -35,7 +37,7 @@ from tracebind.trace import (
     state_record,
     write_trace,
 )
-from tracebind.errors import FileFormatError, TracebindError
+from tracebind.errors import FileFormatError, StructuralError, TracebindError
 from tracebind.identity import (
     GroundedIdentity,
     IngredientSpec,
@@ -693,6 +695,104 @@ class TestStateMemo:
         calls = counted_decodes(monkeypatch)
         assert read_masks(path, STATE_IDENTITY) == expected
         assert len(calls) <= 1 + distinct
+
+
+class TestLineMemo:
+    """``read_masks`` keeps the whole text after the head of a state line
+    that its field texts served, with its mask, so a later line of the same
+    text is one lookup.  A full memo is emptied, or dropped if it was hit
+    less often than it holds texts; no line decoded in full is kept."""
+
+    def pool(self, rng: random.Random, size: int) -> list[dict]:
+        """``size`` distinct records without ``u``, each a plain context."""
+        return [
+            {"C": [*rng.choices(VOCAB, k=rng.randint(0, 5)), f"t{i}"],
+             **{name: rng.choice(pool) for name, pool in STATE_POOLS.items()}}
+            for i in range(size)
+        ]
+
+    def lines(self, rng: random.Random) -> list[str]:
+        """Phases of lines drawn from pools of 1 to three times the bound, so
+        the memo is hit, fills and is emptied, or fills and is dropped."""
+        sizes = [1, 2, 8, _MAX_CACHED_LINES - 1, _MAX_CACHED_LINES + 1, 3 * _MAX_CACHED_LINES]
+        records = []
+        for _ in range(rng.randint(1, 4)):
+            pool = self.pool(rng, rng.choice(sizes))
+            records += rng.choices(pool, k=rng.randint(1, 4 * _MAX_CACHED_LINES))
+        return [compact({"u": u, **rec}) for u, rec in enumerate(records)]
+
+    FAULTS = {
+        "u": lambda u, rest: '{"u":%d,' % (u + 1) + rest,
+        "pi length": lambda u, rest: '{"u":%d,' % u + rest.replace('"pi":[', '"pi":[0,'),
+        "flag": lambda u, rest: '{"u":%d,' % u + rest.replace('"pi":[', '"pi":[2,'),
+        "json": lambda u, rest: '{"u":%d,' % u + rest + "x",
+        "escaped token": lambda u, rest: '{"u":%d,' % u + rest.replace('"C":["', '"C":["\\u0049', 1),
+        "escaped quote": lambda u, rest: '{"u":%d,' % u + rest.replace('"C":["', '"C":["\\"', 1),
+    }
+
+    def test_same_outcome_as_the_object_path(self, tmp_path):
+        rng = random.Random(7_020)
+        path = tmp_path / "trace.jsonl"
+        # a policy flag index outside every pi raises at the first step
+        outside = GroundedIdentity(
+            (*STATE_IDENTITY.ingredients, IngredientSpec(ingredient_id="far", kind="policy", flag_index=2))
+        )
+        kinds = set()
+        for _ in range(6):
+            lines = self.lines(rng)
+            for identity in (STATE_IDENTITY, outside):
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                kinds.add(assert_same_outcome(path, identity)[0])
+            for fault in self.FAULTS.values():
+                # after the repeats, on a text the memo may hold
+                u = rng.randrange(len(lines) // 2, len(lines))
+                faulty = lines.copy()
+                faulty[u] = fault(u, lines[u][len('{"u":%d,' % u):])
+                path.write_text("\n".join(faulty) + "\n", encoding="utf-8")
+                kinds.add(assert_same_outcome(path, STATE_IDENTITY)[0])
+        assert kinds == {"ok", FileFormatError, StructuralError}
+
+    def test_simulated_alternating_trace_is_read_by_lookup(self, tmp_path, monkeypatch, capsys):
+        main(["simulate", "alternating", "--length", "6000", "--out", str(tmp_path / "alternating")])
+        path = tmp_path / "alternating.trace.jsonl"
+        identity, _ = load_identity_file(tmp_path / "alternating.identity.json")
+        expected = object_path_masks(path, identity)
+        matched: list = []
+
+        def counted_matcher(identity: GroundedIdentity):
+            match = context_text_matcher(identity)
+            return lambda body: matched.append(body) or match(body)
+
+        calls = counted_decodes(monkeypatch)
+        monkeypatch.setattr(trace_module, "context_text_matcher", counted_matcher)
+        assert read_masks(path, identity) == expected
+        # two lines decoded in full, two served by their field texts
+        assert len(calls) <= 2
+        assert len(matched) <= 4
+
+    def test_memory_does_not_grow_with_distinct_lines(self, tmp_path):
+        # every line distinct: the memo fills once, is never hit, and is dropped
+        def held(n: int) -> int:
+            path = tmp_path / f"{n}.jsonl"
+            write_trace(path, (
+                {"u": u, "C": ["I", "am", "Ada", f"t{u}"], "M": {"team": "audit"}, "pi": [u % 2, 1], "D": []}
+                for u in range(n)
+            ))
+            tracemalloc.start()
+            try:
+                masks = read_masks(path, STATE_IDENTITY)
+                current, peak = tracemalloc.get_traced_memory()
+                assert len(masks) == n
+                return peak - current  # what the read held beyond its result
+            finally:
+                tracemalloc.stop()
+
+        gc.disable()
+        try:
+            held(2_000)
+            assert held(20_000) <= held(2_000) + 64 * 1024
+        finally:
+            gc.enable()
 
 
 def reference_lines(path: Path) -> tuple:
