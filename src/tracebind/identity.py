@@ -470,6 +470,15 @@ def parse_identity_document(
     return identity, layers
 
 
+def _split_lines(text: str) -> list[str]:
+    """``text``'s lines as JSON Lines reads them: broken at ``\\n``, ``\\r\\n`` and ``\\r``
+    only, not at U+2028 as ``str.splitlines`` is, and no empty line after a last break."""
+    if "\r" in text:  # a replace that finds nothing still costs a scan
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
 def load_identity_file(
     path: str | Path,
 ) -> tuple[GroundedIdentity, LayeredIdentitySpec | None]:
@@ -484,7 +493,7 @@ def load_identity_file(
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    lines = [(n, line) for n, line in enumerate(_split_lines(text), start=1) if line.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty identity spec")
     ingredients = []

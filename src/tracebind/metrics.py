@@ -17,7 +17,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from importlib import import_module
-from itertools import accumulate
+from itertools import accumulate, filterfalse, islice
+from operator import itemgetter, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MetricError, OutOfRangeError, ParameterError, StructuralError
@@ -118,7 +119,7 @@ def window_counts(
     ``max(delta, horizon_max)``, so that :func:`counted_persistence` and
     :func:`counted_gap` both read the same counts."""
     found = _horizons(masks, k, cfg, max(cfg.horizon, cfg.horizon_max))
-    return Counter((w_weak, w_strong) for _, w_weak, w_strong in found)
+    return Counter(map(itemgetter(1, 2), found))
 
 
 def counted_persistence(
@@ -181,7 +182,8 @@ def identifiable_count(
     if k < 1:
         raise StructuralError("ingredient universe size k must be >= 1")
     ref = masks[reference]
-    return sum((masks[u] ^ ref).bit_count() / k <= delta_i for u in steps)
+    counts = Counter(map(masks.__getitem__, steps))
+    return sum(count for mask, count in counts.items() if (mask ^ ref).bit_count() / k <= delta_i)
 
 
 def changed_bits(masks: Sequence[int], k: int, steps: Sequence[int]) -> Iterator[int]:
@@ -190,11 +192,15 @@ def changed_bits(masks: Sequence[int], k: int, steps: Sequence[int]) -> Iterator
         raise ParameterError("continuity needs at least one step with a predecessor")
     if k < 1:
         raise StructuralError("ingredient universe size k must be >= 1")
-    n = len(masks)
-    for u in steps:
-        if u < 1 or u >= n:
-            raise OutOfRangeError(f"continuity step {u} needs a predecessor in range")
-        yield (masks[u] ^ masks[u - 1]).bit_count()
+    valid = range(1, len(masks))
+    # a range holds every value between its ends, so its ends decide
+    if not all(map(valid.__contains__, (steps[0], steps[-1]) if isinstance(steps, range) else steps)):
+        bad = next(filterfalse(valid.__contains__, steps))
+        raise OutOfRangeError(f"continuity step {bad} needs a predecessor in range")
+    if isinstance(steps, range) and steps.step > 0:  # sliced in place
+        now = islice(masks, steps.start, steps.stop, steps.step)
+        return map(int.bit_count, map(xor, now, islice(masks, steps.start - 1, None, steps.step)))
+    return ((masks[u] ^ masks[u - 1]).bit_count() for u in steps)
 
 
 def continuity_terms(

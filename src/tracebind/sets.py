@@ -23,7 +23,7 @@ from .identity import (
     is_flag,
     state_matcher,
 )
-from .metrics import GapResult, _horizons, changed_bits, continuity_terms, counted_gap
+from .metrics import GapResult, _horizons, changed_bits, counted_gap
 from .trace import _checked_records, _mask_encoder
 from .windows import INFINITE, WindowConfig, start_horizons
 
@@ -436,8 +436,8 @@ def continuity(
         ids |= act.active
     bits = {ingredient: 1 << i for i, ingredient in enumerate(ids)}
     masks = activation_masks(activations, bits, len(activations) - 1)
-    terms = list(continuity_terms(masks, k, list(step_range)))
-    return terms, (k * len(terms) - sum(changed_bits(masks, k, step_range))) / (k * len(terms))
+    changed = list(changed_bits(masks, k, step_range))
+    return [1.0 - c / k for c in changed], (k * len(changed) - sum(changed)) / (k * len(changed))
 
 
 def _check_epsilon(epsilon: float) -> None:

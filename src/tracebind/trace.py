@@ -17,14 +17,13 @@ checks, as the reference the tests compare against.
 
 from __future__ import annotations
 
-import io
 import json
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
 
 from .errors import FileFormatError, TracebindError
-from .identity import GroundedIdentity, ingredient_bits, is_flag, load_json, state_matcher
+from .identity import GroundedIdentity, _split_lines, ingredient_bits, is_flag, load_json, state_matcher
 
 if TYPE_CHECKING:
     from .sets import ActivationSet, ScaffoldState
@@ -49,27 +48,31 @@ _MAX_CACHED_LINES = 64
 
 
 def _text_lines(path: str | Path) -> Iterator[str]:
-    """Each line of the file, split as ``str.splitlines`` splits the whole
-    text.  A block of bytes, read on to the end of its last line so that no
-    character and no CR LF pair straddles a cut, is decoded at once; one
-    that is not UTF-8 is decoded again newline by newline, so the error
-    names its line."""
-    lineno = 0
-    with open(path, "rb") as stream:
-        while data := stream.read(_BLOCK_BYTES) + stream.readline():
-            try:
-                lines = data.decode("utf-8").splitlines()
-            except UnicodeDecodeError:
-                lines = []
-                for raw in io.BytesIO(data):
-                    try:
-                        lines += raw.decode("utf-8").splitlines()
-                    except UnicodeDecodeError as exc:
-                        yield from lines
-                        where = f"{path}:{lineno + len(lines) + 1}"
-                        raise FileFormatError(f"{where}: not UTF-8 text: {exc}") from None
-            lineno += len(lines)
-            yield from lines
+    """Each line of the file, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only (see
+    :func:`identity._split_lines`).  A block of bytes, read on to the end of
+    its last line so that no character and no CR LF pair straddles a cut, is
+    decoded at once; one that is not UTF-8 is decoded again line by line, so
+    the error names its line."""
+
+    def blocks() -> Iterator[list[str]]:
+        lineno = 0
+        with open(path, "rb") as stream:
+            while data := stream.read(_BLOCK_BYTES) + stream.readline():
+                try:
+                    lines = _split_lines(data.decode("utf-8"))
+                except UnicodeDecodeError:
+                    lines = []
+                    for raw in data.splitlines():  # the same breaks, on bytes
+                        try:
+                            lines.append(raw.decode("utf-8"))
+                        except UnicodeDecodeError as exc:
+                            yield lines
+                            where = f"{path}:{lineno + len(lines) + 1}"
+                            raise FileFormatError(f"{where}: not UTF-8 text: {exc}") from None
+                lineno += len(lines)
+                yield lines
+
+    return chain.from_iterable(blocks())
 
 
 def _line_checks(path: str | Path) -> Generator[tuple, tuple[int, str], None]:
@@ -206,14 +209,18 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     """The step masks of a trace file (bit i = the i-th ingredient id in
     sorted order), read line by line with no per-step object.
 
-    A line spelled as ``write_trace`` writes it is looked up by its texts
-    after ``{"u":<step>,``: ``F``, or, on a state line with no backslash,
-    ``M``, ``pi`` and ``D`` after a ``C`` of plain strings (see
-    :func:`context_text_matcher`), each text with the separator before
-    it and the last with the closing brace.  A text that passed every check
+    The first line is decoded in full and fixes the form.  A loop for that
+    form looks each later line spelled as ``write_trace`` writes it up by
+    its texts after ``{"u":<step>,``: ``F``, or, on a state line with no
+    backslash, ``M``, ``pi`` and ``D`` after a ``C`` of plain strings (see
+    :func:`context_text_matcher`), each text with the separator before it
+    and the last with the closing brace.  A text that passed every check
     once gives its bits again.  Any other line, a stray id included, gets
     the full decode, so every message is the same.  A full memo is emptied,
-    or dropped if it was hit less often than it holds texts.
+    or dropped if it was hit less often than it holds texts; there, or once
+    a stray id or flag index is held, a plain loop that decodes every line
+    in full takes the rest, as it does from line 2 for a state identity
+    with no context matcher.
 
     A state line that its field texts served is also kept whole: its text
     after ``{"u":<step>,"C":[`` and its mask, in a second memo of at most
@@ -230,74 +237,90 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     """
     check = _line_checks(path)
     next(check)
-    form = None
     masks: list[int] = []
-    memo: dict[str, int] | None = None
-    hits = 0
-    # whole state texts after the head, once their field texts served them
-    lines: dict[str, int] = {}
-    room, line_hits = _MAX_CACHED_LINES, 0
-    encode = context = parts = None
-    fault: TracebindError | None = None
-    for index, line in enumerate(_text_lines(path)):
-        texts: tuple[str, ...] = ()
-        if memo is not None and form == "activation":
-            # the text after the head decodes the same way after any head
-            if line.startswith(head := f'{{"u":{index},"F":'):
-                if (mask := memo.get(tail := line[len(head):])) is not None:
-                    hits += 1
-                    masks.append(mask)
-                    continue
-                texts = (tail,)
-        elif memo is not None and line.startswith(head := f'{{"u":{index},"C":['):
-            # a whole text stored below passed every check that does not read u
-            if room and (mask := lines.get(rest := line[len(head):])) is not None:
-                hits += 1  # its field texts' hit too, so their memo keeps its rule
-                line_hits += 1
-                masks.append(mask)
-                continue
-            # each text keeps its separator, so no two fields share a text; no
-            # string of a valid record holds a separator's quote unescaped, so
-            # on a valid record this split is the true one
-            c_end = line.find('],"M":{', len(head))
-            m_end = line.find('},"pi":[', c_end)
-            if "\\" not in line and (d_end := line.find('],"D":[', m_end)) > 0:
-                texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
-                cached = memo.get(texts[0]), memo.get(texts[1]), memo.get(texts[2])
-                if None not in cached and (plain := context(line[len(head) : c_end])) is not None:
-                    hits += 1
-                    masks.append(plain + sum(cached))  # disjoint bits
-                    if room:
-                        if len(lines) < room:
-                            lines[rest] = masks[-1]
-                        else:  # full: emptied, or dropped if hit less often than it holds texts
-                            room = room if line_hits >= len(lines) else 0
-                            lines, line_hits = {}, 0
-                    continue
+    form = encode = fault = None
+
+    def decode(index: int, line: str) -> int | None:
+        # every check, then the mask appended; None once a stray id or flag index is held
+        nonlocal form, encode, fault
         form, record = check.send((index, line))
-        if fault is not None:
-            continue
         try:
-            if encode is None:
-                encode = _mask_encoder(form, record, identity)
-                context = context_text_matcher(identity)
-                memo = {} if context or form == "activation" else None
-                # the bits each memo text decides: all, or those of M, pi and D
-                bits = ingredient_bits(identity)
-                parts = [sum(bits[s.ingredient_id] for s in identity.ingredients if s.kind == kind)
-                         for kind in ("memory", "policy", "retrieval")] if form == "state" else [-1]
-            mask = encode(record)
+            if fault is None:
+                encode = encode or _mask_encoder(form, record, identity)
+                masks.append(mask := encode(record))
+                return mask
         except TracebindError as exc:
             fault = exc
-            continue
-        masks.append(mask)
-        if texts and len(memo) + len(texts) <= _MAX_CACHED_TAILS:
-            memo.update(zip(texts, [mask & part for part in parts]))
-        elif texts:
-            memo = {} if hits >= len(memo) else None
-            hits = 0
-    if form is None:
+        return None
+
+    lines = enumerate(_text_lines(path))
+    if (first := next(lines, None)) is None:
         raise FileFormatError(f"{path}: empty trace")
+    decode(*first)
+    memo, hits = {}, 0
+    if form == "activation":
+        for index, line in lines:
+            # the text after the head decodes the same way after any head
+            if not line.startswith(head := f'{{"u":{index},"F":'):
+                if decode(index, line) is None:
+                    break
+            elif (mask := memo.get(tail := line[len(head):])) is not None:
+                hits += 1
+                masks.append(mask)
+            elif (mask := decode(index, line)) is None:
+                break
+            elif len(memo) < _MAX_CACHED_TAILS:
+                memo[tail] = mask
+            elif hits < len(memo):  # full and dropped
+                break
+            else:  # full and emptied
+                memo, hits = {}, 0
+    elif context := context_text_matcher(identity):
+        # whole state texts after the head, once their field texts served them
+        whole: dict[str, int] = {}
+        room, whole_hits = _MAX_CACHED_LINES, 0
+        # the bits each field text decides: those of M, pi and D
+        bits = ingredient_bits(identity)
+        parts = [sum(bits[s.ingredient_id] for s in identity.ingredients if s.kind == kind)
+                 for kind in ("memory", "policy", "retrieval")]
+        for index, line in lines:
+            texts: tuple[str, ...] = ()
+            if line.startswith(head := f'{{"u":{index},"C":['):
+                # a whole text stored below passed every check that does not read u
+                if room and (mask := whole.get(rest := line[len(head):])) is not None:
+                    hits += 1  # its field texts' hit too, so their memo keeps its rule
+                    whole_hits += 1
+                    masks.append(mask)
+                    continue
+                # each text keeps its separator, so no two fields share a text; no
+                # string of a valid record holds a separator's quote unescaped, so
+                # on a valid record this split is the true one
+                d_end = line.rfind('],"D":[')
+                m_end = line.rfind('},"pi":[', 0, d_end)
+                c_end = line.rfind('],"M":{', 0, m_end)
+                if "\\" not in line and 0 < c_end < m_end < d_end:
+                    texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
+                    if ((m := memo.get(texts[0])) is not None and (p := memo.get(texts[1])) is not None
+                            and (d := memo.get(texts[2])) is not None
+                            and (plain := context(line[len(head) : c_end])) is not None):
+                        hits += 1
+                        masks.append(mask := plain + m + p + d)  # disjoint bits
+                        if room and len(whole) < room:
+                            whole[rest] = mask
+                        elif room:  # full: emptied, or dropped if hit less often than it holds texts
+                            room = room if whole_hits >= len(whole) else 0
+                            whole, whole_hits = {}, 0
+                        continue
+            if (mask := decode(index, line)) is None:
+                break
+            if texts and len(memo) + len(texts) <= _MAX_CACHED_TAILS:
+                memo.update(zip(texts, [mask & part for part in parts]))
+            elif texts and hits < len(memo):  # full and dropped
+                break
+            elif texts:  # full and emptied
+                memo, hits = {}, 0
+    for index, line in lines:
+        decode(index, line)
     if fault is not None:
         raise fault
     return masks

@@ -258,12 +258,16 @@ class TestParseTrace:
         with pytest.raises(FileFormatError, match=r"trace\.jsonl:2: invalid JSON: integer literal too long"):
             parse_trace(path)
 
-    def test_lines_split_as_splitlines_does(self, tmp_path):
-        # a form feed or U+2028 ends a line, as it did when the whole text
-        # was split with str.splitlines
+    def test_lines_split_as_json_lines_does(self, tmp_path):
+        # only LF, CR LF and CR end a line: U+2028 and U+0085 stay inside
+        # their strings, and a form feed is a character of its line
         path = tmp_path / "trace.jsonl"
-        path.write_text('{"u":0,"F":[]}\x0c{"u":1,"F":[]}\u2028{"u":2,"F":[]}\r\n', encoding="utf-8")
-        assert len(parse_trace(path)) == 3
+        path.write_text('{"u":0,"F":["a\u2028b"]}\r{"u":1,"F":["c\x85"]}\r\n{"u":2,"F":[]}\n', encoding="utf-8")
+        acts = parse_trace(path).activations
+        assert [act.active for act in acts] == [{"a\u2028b"}, {"c\x85"}, set()]
+        path.write_text('{"u":0,"F":[]}\x0c{"u":1,"F":[]}\n', encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"trace\.jsonl:1: invalid JSON: Extra data"):
+            parse_trace(path)
 
     def test_stray_ingredient_in_activation_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -32,9 +32,11 @@ from tracebind.metrics import (
     GapResult,
     MetricParams,
     MetricsReport,
+    changed_bits,
     consistency,
     counted_consistency,
     counted_gap,
+    identifiable_count,
     jaccard_similarity,
     morphospace,
     render_json,
@@ -414,6 +416,75 @@ class TestContinuity:
             per_step, mean = continuity(acts, 5)
             assert all(0.0 <= c <= 1.0 for c in per_step)
             assert 0.0 <= mean <= 1.0
+
+
+class TestFoldsOverMasks:
+    """``changed_bits`` and ``identifiable_count`` run as C-level maps over
+    the masks; each equals its per-step definition, and bad input raises as
+    it did when each step was a Python-level iteration."""
+
+    @staticmethod
+    def changed(masks: list[int], steps) -> list[int]:
+        return [(masks[u] ^ masks[u - 1]).bit_count() for u in steps]
+
+    def test_changed_bits_names_the_first_bad_step(self):
+        rng = random.Random(12_001)
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            masks = [rng.getrandbits(5) for _ in range(n)]
+            steps = [rng.randrange(1, n) for _ in range(rng.randint(0, 10))]
+            for _ in range(rng.randint(1, 3)):
+                bad = rng.choice([0, -1, -rng.randint(2, 40), n, n + rng.randint(1, 40)])
+                steps.insert(rng.randint(0, len(steps)), bad)
+            first = next(u for u in steps if not 1 <= u < n)
+            message = f"continuity step {first} needs a predecessor in range"
+            with pytest.raises(OutOfRangeError) as caught:
+                list(changed_bits(masks, 5, steps))
+            assert str(caught.value) == message
+
+    def test_changed_bits_over_ranges_and_lists(self):
+        rng = random.Random(12_002)
+        for _ in range(500):
+            n = rng.randint(1, 30)
+            masks = [rng.getrandbits(6) for _ in range(n)]
+            steps = range(rng.randint(-3, n + 3), rng.randint(-3, n + 3), rng.choice([1, 2, 3, -1, -2]))
+            for given in (steps, list(steps), tuple(steps)):
+                if not steps:
+                    with pytest.raises(ParameterError, match="at least one step with a predecessor"):
+                        list(changed_bits(masks, 6, given))
+                elif all(1 <= u < n for u in steps):
+                    assert list(changed_bits(masks, 6, given)) == self.changed(masks, steps)
+                else:
+                    first = next(u for u in steps if not 1 <= u < n)
+                    with pytest.raises(OutOfRangeError) as caught:
+                        list(changed_bits(masks, 6, given))
+                    assert str(caught.value) == f"continuity step {first} needs a predecessor in range"
+
+    def test_changed_bits_checks_steps_then_k(self):
+        masks = [0, 1, 3]
+        for k in (0, -1):
+            with pytest.raises(ParameterError, match="at least one step with a predecessor"):
+                list(changed_bits(masks, k, []))
+            with pytest.raises(ParameterError, match="at least one step with a predecessor"):
+                list(changed_bits(masks, k, range(1, 1)))
+            with pytest.raises(StructuralError, match="ingredient universe size k must be >= 1"):
+                list(changed_bits(masks, k, range(1, 3)))
+            with pytest.raises(StructuralError, match="ingredient universe size k must be >= 1"):
+                list(changed_bits(masks, k, [5]))
+
+    def test_identifiable_count_equals_the_per_step_sum(self):
+        rng = random.Random(12_003)
+        for _ in range(400):
+            n, k = rng.randint(1, 40), rng.randint(1, 8)
+            masks = [rng.getrandbits(k) for _ in range(n)]
+            reference = rng.randrange(n)
+            delta_i = rng.choice([0.0, 0.125, 0.25, 0.5, 1.0])
+            starts = range(rng.randrange(n), n, rng.randint(1, 4))
+            picked = [rng.randrange(n) for _ in range(rng.randint(0, 12))]
+            for steps in (starts, picked):
+                expected = sum((masks[u] ^ masks[reference]).bit_count() / k <= delta_i for u in steps)
+                for given in (steps, list(steps), (u for u in steps)):
+                    assert identifiable_count(masks, reference, k, delta_i, given) == expected
 
 
 class TestConsistency:

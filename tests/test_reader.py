@@ -15,6 +15,7 @@ import gc
 import io
 import json
 import random
+import re
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -41,6 +42,7 @@ from tracebind.errors import FileFormatError, StructuralError, TracebindError
 from tracebind.identity import (
     GroundedIdentity,
     IngredientSpec,
+    _split_lines,
     ingredient_bits,
     load_identity_file,
     load_json,
@@ -795,18 +797,128 @@ class TestLineMemo:
             gc.enable()
 
 
+class TestHandOffs:
+    """``read_masks`` decodes the first line in full, reads the rest with the
+    loop for its form, and hands what is left to a loop that decodes every
+    line in full where a memo is dropped, or from line 2 when a state
+    identity leaves no context matcher.  Each case puts faults on the first
+    line or on every line around a hand-off, and compares each outcome with
+    the object path's."""
+
+    # the activation identity: 16 ids, so 2**16 distinct F texts
+    WIDE = context_identity(16)
+
+    def records(self, rng: random.Random, form: str, length: int) -> list[dict]:
+        """Compact records whose texts after the head are all distinct: the
+        memo fills with texts met once, and is dropped."""
+        if form == "activation":
+            ids = sorted(self.WIDE.ingredient_ids)
+            sets = rng.sample(range(1 << 16), length)
+            return [{"u": u, "F": [i for b, i in enumerate(ids) if sets[u] >> b & 1]} for u in range(length)]
+        return [
+            {"u": u, "C": rng.choices(VOCAB, k=rng.randint(0, 6)), "M": {"team": rng.choice(VALUES), "n": str(u)},
+             "pi": [rng.randint(0, 1), rng.randint(0, 1)], "D": rng.choice(STATE_POOLS["D"])}
+            for u in range(length)
+        ]
+
+    def faults(self, form: str) -> list:
+        """Two line faults, and a third of each form: a stray id, held until
+        the end, or a pi longer than the first record's."""
+        third = (lambda rec: {**rec, "F": [*rec["F"], "ghost"]}) if form == "activation" else (
+            lambda rec: {**rec, "pi": [*rec["pi"], 0]})
+        return [
+            lambda rec: compact({**rec, "u": rec["u"] + 1}),
+            lambda rec: compact(rec) + "x",
+            lambda rec: compact(third(rec)),
+        ]
+
+    def check(self, path: Path, lines: list[str], identity: GroundedIdentity) -> tuple:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return assert_same_outcome(path, identity)
+
+    @pytest.mark.parametrize("form", ["activation", "state"])
+    def test_faults_around_the_dropped_memo(self, tmp_path, form):
+        rng = random.Random(f"hand-off {form}")
+        identity = self.WIDE if form == "activation" else STATE_IDENTITY
+        records = self.records(rng, form, _MAX_CACHED_TAILS + 30)
+        lines = [compact(rec) for rec in records]
+        assert self.check(tmp_path / "trace.jsonl", lines, identity)[0] == "ok"
+        # the memo is full near line _MAX_CACHED_TAILS: a fault on every line
+        # around it, so one lands on the line that drops the memo and the next
+        kinds = set()
+        for u in range(_MAX_CACHED_TAILS - 12, _MAX_CACHED_TAILS + 6):
+            faulty = lines.copy()
+            faulty[u] = rng.choice(self.faults(form))(records[u])
+            kinds.add(self.check(tmp_path / "trace.jsonl", faulty, identity)[0])
+        assert kinds == {FileFormatError}
+        if form == "activation":
+            # a stray id held before the drop, then a line fault after it
+            faulty = lines.copy()
+            faulty[5] = self.faults(form)[2](records[5])
+            faulty[-3] = self.faults(form)[0](records[-3])
+            assert "expected u=" in self.check(tmp_path / "trace.jsonl", faulty, identity)[1]
+
+    @pytest.mark.parametrize("form", ["activation", "state"])
+    def test_faulty_first_line(self, tmp_path, form):
+        rng = random.Random(f"first line {form}")
+        # in the state form, a flag index outside the first record's pi
+        outside = GroundedIdentity(
+            (*STATE_IDENTITY.ingredients, IngredientSpec(ingredient_id="far", kind="policy", flag_index=2))
+        )
+        identity = self.WIDE if form == "activation" else outside
+        kinds = set()
+        for _ in range(20):
+            records = self.records(rng, form, rng.randint(1, 40))
+            lines = [compact(rec) for rec in records]
+            first = [rng.choice(["{broken", lines[0] + "x", "", lines[0]])]
+            if form == "activation":
+                first.append(self.faults(form)[2](records[0]))
+            for lines[0] in first:
+                kinds.add(self.check(tmp_path / "trace.jsonl", lines, identity)[0])
+                if len(lines) > 1:
+                    u = rng.randrange(1, len(lines))
+                    faulty = lines.copy()
+                    faulty[u] = rng.choice(self.faults(form))(records[u])
+                    kinds.add(self.check(tmp_path / "trace.jsonl", faulty, identity)[0])
+        assert kinds == {FileFormatError, StructuralError} if form == "state" else {FileFormatError}
+
+    def test_state_identity_without_a_context_matcher(self, tmp_path, monkeypatch):
+        rng = random.Random(7_030)
+        identity = GroundedIdentity(
+            (*STATE_IDENTITY.ingredients, IngredientSpec(ingredient_id="comma", kind="context", context_pattern=("a,b",)))
+        )
+        assert context_text_matcher(identity) is None
+        kinds = set()
+        for _ in range(10):
+            records = self.records(rng, "state", rng.randint(2, 60))
+            lines = [compact(rec) for rec in records]
+            kinds.add(self.check(tmp_path / "trace.jsonl", lines, identity)[0])
+            # line 2, where the plain loop starts, and one more
+            for u in {1, rng.randrange(1, len(lines))}:
+                faulty = lines.copy()
+                faulty[u] = rng.choice(self.faults("state"))(records[u])
+                kinds.add(self.check(tmp_path / "trace.jsonl", faulty, identity)[0])
+        assert kinds == {"ok", FileFormatError}
+        self.check(tmp_path / "trace.jsonl", lines, identity)
+        calls = counted_decodes(monkeypatch)
+        read_masks(tmp_path / "trace.jsonl", identity)
+        assert len(calls) == len(lines)
+
+
 def reference_lines(path: Path) -> tuple:
-    """The lines of a file as a newline-at-a-time reader gives them: each
-    run of bytes up to a ``\n`` decoded alone, then split as
-    ``str.splitlines`` splits it; or the message of the first line that is
-    not UTF-8."""
+    """The lines of a file under the JSON Lines rule: its bytes broken at
+    each ``\\n``, ``\\r\\n`` or ``\\r``, with no empty line after a final
+    break, and each line decoded alone; or the message of the first line
+    that is not UTF-8."""
+    pieces = re.split(rb"\r\n|\r|\n", path.read_bytes())
+    if not pieces[-1]:
+        pieces.pop()
     lines: list[str] = []
-    with open(path, "rb") as stream:
-        for raw in stream:
-            try:
-                lines += raw.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                return "error", f"{path}:{len(lines) + 1}: not UTF-8 text: {exc}", lines
+    for raw in pieces:
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            return "error", f"{path}:{len(lines) + 1}: not UTF-8 text: {exc}", lines
     return "ok", lines
 
 
@@ -894,6 +1006,82 @@ class TestBlockReader:
     def test_truncated_character_at_the_end(self, tmp_path):
         got = self.check(tmp_path, self.filler(_BLOCK_BYTES) + b"abc\xe2\x80")
         assert got[0] == "error" and "unexpected end of data" in got[1]
+
+
+class TestLineRule:
+    """Both readers, the trace reader's ``_text_lines`` and the identity
+    loader, break lines where JSON Lines does: at ``\\n``, ``\\r\\n`` and
+    ``\\r`` only.  U+2028, U+2029, U+0085 and form feeds, which
+    ``str.splitlines`` also breaks at, stay inside their line."""
+
+    PIECES = [
+        b"\n", b"\r\n", b"\r", "\u2028".encode(), "\u2029".encode(), "\u0085".encode(), b"\x0c", b"\x0b",
+        b"\x1c", b"\xef\xbb\xbf", "\u00e9".encode(), "\U0001f600".encode(), b'{"u":0,"F":[]}',
+    ]
+    INVALID = [b"\xff", b"\xc3", b"\xe2\x80", b"\xed\xa0\x80"]
+
+    def random_bytes(self, rng: random.Random) -> bytes:
+        """One to three blocks of text lines and separators, with the pieces
+        dense around the block boundaries; invalid UTF-8 in some files."""
+        data = bytearray()
+        size = rng.randint(1, 3) * _BLOCK_BYTES + rng.randint(-64, 64)
+        while len(data) < size:
+            near = abs(len(data) % _BLOCK_BYTES - _BLOCK_BYTES // 2) > _BLOCK_BYTES // 2 - 48
+            if near or rng.random() < 0.05:
+                data += rng.choice(self.PIECES)
+            else:
+                data += b"x" * rng.randint(1, 300) + rng.choice([b"\n", b"\r\n", b"\r"])
+        if rng.random() < 0.3:
+            at = rng.randrange(len(data))
+            data[at:at] = rng.choice(self.INVALID)
+        return bytes(data)
+
+    def test_random_bytes_across_block_boundaries(self, tmp_path):
+        rng = random.Random(13_001)
+        path = tmp_path / "lines.txt"
+        kinds = set()
+        for _ in range(80):
+            data = self.random_bytes(rng)
+            path.write_bytes(data)
+            expected = reference_lines(path)
+            assert block_lines(path) == expected
+            kinds.add(expected[0])
+            if expected[0] == "ok":
+                # the identity loader's splitter, on the whole text
+                assert _split_lines(data.decode("utf-8")) == expected[1]
+        assert kinds == {"ok", "error"}
+
+    def test_identity_records_with_separators_inside_strings(self, tmp_path):
+        rng = random.Random(13_002)
+        path = tmp_path / "identity.jsonl"
+        inside = ["\u2028", "\u2029", "\u0085", "\u00e9", ""]
+        for _ in range(40):
+            ids = [f"a{rng.choice(inside)}b{i}" for i in range(rng.randint(2, 6))]
+            records = [
+                json.dumps({"id": id_, "kind": "retrieval", "doc_id": f"d{rng.choice(inside)}"}, ensure_ascii=False)
+                for id_ in ids
+            ]
+            lines = []
+            for record in records:
+                # blank lines, none empty, so that no CR and LF pair up across one
+                lines += [rng.choice([" ", "\t", "\x0c"]) for _ in range(rng.randint(0, 2))] + [record]
+            breaks = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines]
+            path.write_bytes("".join(map(str.__add__, lines, breaks)).encode("utf-8"))
+            identity, layers = load_identity_file(path)
+            assert sorted(identity.ingredient_ids) == sorted(ids) and layers is None
+            # a fault on the last record names its line under the same rule
+            lines[-1] = lines[-1].replace('"retrieval"', '"unknown"')
+            path.write_bytes("".join(map(str.__add__, lines, breaks)).encode("utf-8"))
+            with pytest.raises(FileFormatError, match=f"identity.jsonl:{len(lines)}: "):
+                load_identity_file(path)
+
+    def test_a_trace_line_holding_u2028_loads(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"u":0,"F":["a\u2028b","c"]}\n{"u":1,"F":["c"]}\n', encoding="utf-8")
+        identity = GroundedIdentity(
+            tuple(IngredientSpec(ingredient_id=i, kind="context", context_pattern=(i,)) for i in ("a\u2028b", "c"))
+        )
+        assert assert_same_outcome(path, identity) == ("ok", [3, 2])
 
 
 class TestNoPerStepObjects:
