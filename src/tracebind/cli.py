@@ -50,7 +50,7 @@ from .trace import (  # bench/traced.py imports state_record and write_trace fro
     write_lines,
     write_trace,
 )
-from .windows import DEFAULT_HORIZON_MAX, WindowConfig
+from .windows import DEFAULT_HORIZON_MAX, WindowConfig, window_starts
 
 
 def __getattr__(name: str):
@@ -94,8 +94,7 @@ def build_report(
     if n < 2:
         raise MetricError("continuity is undefined for a one-step trace")
     continuity_mean = (k * (n - 1) - sum(changed_bits(masks, k, range(1, n)))) / (k * (n - 1))
-    starts = (cfg.stride * t for t in cfg.eval_indices)
-    hits = identifiable_count(masks, ref_index, k, params.delta_i, starts)
+    hits = identifiable_count(masks, ref_index, k, params.delta_i, window_starts(cfg))
     return MetricsReport(
         p_weak=p_weak,
         p_strong=p_strong,

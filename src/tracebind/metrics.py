@@ -22,7 +22,7 @@ from operator import itemgetter, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MetricError, OutOfRangeError, ParameterError, StructuralError
-from .windows import INFINITE, WindowConfig, start_horizons
+from .windows import INFINITE, WindowConfig, start_horizons, window_starts
 
 
 def __getattr__(name: str):
@@ -108,7 +108,7 @@ def _horizons(
             f"window at t={t} needs step {cfg.stride * t + cfg.horizon}, "
             f"stream ended at step {n - 1}"
         )
-    return start_horizons(masks, k, map(cfg.stride.__mul__, cfg.eval_indices), cap)
+    return start_horizons(masks, k, window_starts(cfg), cap)
 
 
 def window_counts(
@@ -201,14 +201,6 @@ def changed_bits(masks: Sequence[int], k: int, steps: Sequence[int]) -> Iterator
         now = islice(masks, steps.start, steps.stop, steps.step)
         return map(int.bit_count, map(xor, now, islice(masks, steps.start - 1, None, steps.step)))
     return ((masks[u] ^ masks[u - 1]).bit_count() for u in steps)
-
-
-def continuity_terms(
-    masks: Sequence[int], k: int, steps: Sequence[int]
-) -> Iterator[float]:
-    """Stepwise continuity ``1 - d(F_u, F_{u-1})`` of step masks, for each
-    step ``u`` of ``steps`` in order."""
-    return (1.0 - changed / k for changed in changed_bits(masks, k, steps))
 
 
 def _tokens(text: str) -> frozenset[str]:

@@ -9,7 +9,7 @@ of two forms (never mixed within a file):
 ``write_trace`` spells each record compact, and ``read_masks``, which
 ``analyze`` runs, looks such lines up by their texts.  ``state_lines`` is
 the writer's half of that memo: it encodes each distinct state's text after
-``{"u":<step>,`` once, under the reader's cap and empty-or-drop rule, and
+``{"u":<step>,`` once, under the reader's memo rule and 1,024-text cap, and
 ``simulate`` writes its traces through it.  ``sets.parse_trace`` decodes
 every line in full into states or activation sets, through the same
 checks, as the reference the tests compare against.
@@ -209,27 +209,25 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     """The step masks of a trace file (bit i = the i-th ingredient id in
     sorted order), read line by line with no per-step object.
 
-    The first line is decoded in full and fixes the form.  A loop for that
-    form looks each later line spelled as ``write_trace`` writes it up by
-    its texts after ``{"u":<step>,``: ``F``, or, on a state line with no
-    backslash, ``M``, ``pi`` and ``D`` after a ``C`` of plain strings (see
-    :func:`context_text_matcher`), each text with the separator before it
-    and the last with the closing brace.  A text that passed every check
-    once gives its bits again.  Any other line, a stray id included, gets
-    the full decode, so every message is the same.  A full memo is emptied,
-    or dropped if it was hit less often than it holds texts; there, or once
-    a stray id or flag index is held, a plain loop that decodes every line
-    in full takes the rest, as it does from line 2 for a state identity
-    with no context matcher.
-
-    A state line that its field texts served is also kept whole: its text
-    after ``{"u":<step>,"C":[`` and its mask, in a second memo of at most
-    ``_MAX_CACHED_LINES`` (64) texts under the same rule, so a later line of
-    that text is one lookup.  No line decoded in full is kept there.  This
-    pays only where whole lines repeat: ``simulate alternating --length
-    6000`` writes 2 distinct texts in 6,000 lines, while the benchmark's
-    ``state-session`` trace has 10,000 in 10,000, so its memo is dropped
-    unhit at step 113, and activation traces have no state line.
+    The first line is decoded in full.  Its form fixes the head of each later
+    line, ``{"u":<step>,"F":`` or ``{"u":<step>,"C":[``, and one loop reads
+    the rest.  A line with its head is looked up by its text after the head
+    in the tail memo, of at most ``_MAX_CACHED_TAILS`` (1,024) texts in an
+    activation trace and ``_MAX_CACHED_LINES`` (64) in a state trace.  A
+    state line with no backslash that the tail memo misses is read by its
+    field texts: ``M``, ``pi`` and ``D``, each with the separator before it
+    and the last with the closing brace, looked up in the field memo (at
+    most 1,024 texts), and ``C``, read by :func:`context_text_matcher`; an
+    identity with no such matcher has no field path.  Any other line gets
+    the full decode, so every message is the same.  Every line with its head
+    and a mask is then kept in the tail memo, and a decoded state line's
+    field texts in the field memo.  A full memo is emptied if it took at
+    least twice as many lines as it holds to fill, and is dropped otherwise:
+    no longer read or stored.  A served text passed every check on an
+    earlier line, and the loop goes on once a stray id or flag index is
+    held, so every line fault is found, in line order.  Whole lines repeat
+    in ``simulate alternating --length 6000`` (2 texts in 6,000 lines); in
+    ``state-session`` (10,000 in 10,000) the tail memo is dropped at step 65.
 
     Raises what ``sets.parse_trace(path).to_activations(identity)`` raises: a
     fault in any line comes first, then a stray ingredient id at its first
@@ -257,70 +255,57 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     if (first := next(lines, None)) is None:
         raise FileFormatError(f"{path}: empty trace")
     decode(*first)
-    memo, hits = {}, 0
     if form == "activation":
-        for index, line in lines:
-            # the text after the head decodes the same way after any head
-            if not line.startswith(head := f'{{"u":{index},"F":'):
-                if decode(index, line) is None:
-                    break
-            elif (mask := memo.get(tail := line[len(head):])) is not None:
-                hits += 1
-                masks.append(mask)
-            elif (mask := decode(index, line)) is None:
-                break
-            elif len(memo) < _MAX_CACHED_TAILS:
-                memo[tail] = mask
-            elif hits < len(memo):  # full and dropped
-                break
-            else:  # full and emptied
-                memo, hits = {}, 0
-    elif context := context_text_matcher(identity):
-        # whole state texts after the head, once their field texts served them
-        whole: dict[str, int] = {}
-        room, whole_hits = _MAX_CACHED_LINES, 0
+        key, cap, context = '"F":', _MAX_CACHED_TAILS, None
+    else:
+        key, cap, context = '"C":[', _MAX_CACHED_LINES, context_text_matcher(identity)
+    # each memo, None once dropped, and the first line it could take
+    tails: dict[str, int] | None = {}
+    fields: dict[str, int] | None = {} if context else None
+    tails_from = fields_from = 1
+    if context:
         # the bits each field text decides: those of M, pi and D
         bits = ingredient_bits(identity)
         parts = [sum(bits[s.ingredient_id] for s in identity.ingredients if s.kind == kind)
                  for kind in ("memory", "policy", "retrieval")]
-        for index, line in lines:
-            texts: tuple[str, ...] = ()
-            if line.startswith(head := f'{{"u":{index},"C":['):
-                # a whole text stored below passed every check that does not read u
-                if room and (mask := whole.get(rest := line[len(head):])) is not None:
-                    hits += 1  # its field texts' hit too, so their memo keeps its rule
-                    whole_hits += 1
-                    masks.append(mask)
-                    continue
-                # each text keeps its separator, so no two fields share a text; no
-                # string of a valid record holds a separator's quote unescaped, so
-                # on a valid record this split is the true one
-                d_end = line.rfind('],"D":[')
-                m_end = line.rfind('},"pi":[', 0, d_end)
-                c_end = line.rfind('],"M":{', 0, m_end)
-                if "\\" not in line and 0 < c_end < m_end < d_end:
-                    texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
-                    if ((m := memo.get(texts[0])) is not None and (p := memo.get(texts[1])) is not None
-                            and (d := memo.get(texts[2])) is not None
-                            and (plain := context(line[len(head) : c_end])) is not None):
-                        hits += 1
-                        masks.append(mask := plain + m + p + d)  # disjoint bits
-                        if room and len(whole) < room:
-                            whole[rest] = mask
-                        elif room:  # full: emptied, or dropped if hit less often than it holds texts
-                            room = room if whole_hits >= len(whole) else 0
-                            whole, whole_hits = {}, 0
-                        continue
-            if (mask := decode(index, line)) is None:
-                break
-            if texts and len(memo) + len(texts) <= _MAX_CACHED_TAILS:
-                memo.update(zip(texts, [mask & part for part in parts]))
-            elif texts and hits < len(memo):  # full and dropped
-                break
-            elif texts:  # full and emptied
-                memo, hits = {}, 0
     for index, line in lines:
-        decode(index, line)
+        if not line.startswith(head := f'{{"u":{index},{key}'):
+            decode(index, line)
+            continue
+        # the text after the head decodes the same way after any head
+        if tails is not None and (mask := tails.get(tail := line[len(head):])) is not None:
+            masks.append(mask)
+            continue
+        mask = texts = None
+        if fields is not None:
+            # each text keeps its separator, so no two fields share a text; no
+            # string of a valid record holds a separator's quote unescaped, so
+            # on a valid record this split is the true one
+            d_end = line.rfind('],"D":[')
+            m_end = line.rfind('},"pi":[', 0, d_end)
+            c_end = line.rfind('],"M":{', 0, m_end)
+            if "\\" not in line and 0 < c_end < m_end < d_end:
+                texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
+                if ((m := fields.get(texts[0])) is not None and (p := fields.get(texts[1])) is not None
+                        and (d := fields.get(texts[2])) is not None
+                        and (plain := context(line[len(head) : c_end])) is not None):
+                    masks.append(mask := plain + m + p + d)  # disjoint bits
+        if mask is None:
+            if (mask := decode(index, line)) is None:
+                continue
+            if texts and len(fields) + len(texts) <= _MAX_CACHED_TAILS:
+                fields.update(zip(texts, [mask & part for part in parts]))
+            elif texts and index - fields_from >= 2 * len(fields):  # full and emptied
+                fields, fields_from = {}, index + 1
+            elif texts:  # full and dropped
+                fields = None
+        if tails is not None:
+            if len(tails) < cap:
+                tails[tail] = mask
+            elif index - tails_from >= 2 * len(tails):  # full and emptied
+                tails, tails_from = {}, index + 1
+            else:  # full and dropped
+                tails = None
     if fault is not None:
         raise fault
     return masks
@@ -345,9 +330,9 @@ def state_lines(states: Iterable[ScaffoldState]) -> Iterator[str]:
     text after ``{"u":<step>,`` encoded once per distinct ``(context,
     policy_flags, retrieved, sorted memory items)``: equal keys spell equal
     texts, since a state holds only strings and the ints 0 and 1.  The memo
-    is bounded as the reader's: a full one is emptied, or dropped if it was
-    hit less often than it holds tails, and the states left are then encoded
-    one by one with no Python frame per line."""
+    has the reader's rule: a full memo is emptied if it took at least twice
+    as many lines as it holds to fill, and is dropped otherwise; the states
+    left are then encoded one by one with no Python frame per line."""
     states = iter(states)
     return chain(_memo_state_lines(states), map(_COMPACT, map(state_record, states)))
 
@@ -355,19 +340,18 @@ def state_lines(states: Iterable[ScaffoldState]) -> Iterator[str]:
 def _memo_state_lines(states: Iterator[ScaffoldState]) -> Iterator[str]:
     """:func:`state_lines` up to the state that drops the memo."""
     memo: dict[tuple, str] = {}
-    hits = 0
-    for state in states:
+    memo_from = 0  # the first position the memo could take
+    for position, state in enumerate(states):
         key = (state.context, state.policy_flags, state.retrieved, tuple(sorted(state.memory.items())))
         if (tail := memo.get(key)) is not None:
-            hits += 1
             yield '{"u":%d,' % state.step_index + tail
             continue
         line = _COMPACT(state_record(state))
         yield line
         if len(memo) < _MAX_CACHED_TAILS:
             memo[key] = line[line.index(",") + 1 :]  # u is an int: the first comma ends it
-        elif hits >= len(memo):
-            memo, hits = {}, 0
+        elif position - memo_from >= 2 * len(memo):
+            memo, memo_from = {}, position + 1
         else:
             return
 

@@ -79,6 +79,14 @@ class WindowConfig:
         return WindowConfig(self.horizon, self.stride, kept, self.horizon_max)
 
 
+def window_starts(cfg: WindowConfig) -> Sequence[int]:
+    """The window starts ``stride * t`` of T, in the order of T: a ``range`` when T is one."""
+    indices, stride = cfg.eval_indices, cfg.stride
+    if isinstance(indices, range):
+        return range(stride * indices.start, stride * indices.stop, stride * indices.step)
+    return [stride * t for t in indices]
+
+
 def start_horizons(
     masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
 ) -> Iterator[tuple[int, int | float, int | float]]:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from tracebind.cli import build_parser, build_report, main
 from tracebind.errors import FileFormatError, MetricError, StructuralError
 from tracebind.identity import identity_to_document, ingredient_bits, load_identity_file
-from tracebind.metrics import MetricParams, consistency, continuity_terms, render_json, render_number
+from tracebind.metrics import MetricParams, changed_bits, consistency, render_json, render_number
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence
 from tracebind.sets import ActivationSet, ScaffoldState, activation_mask, parse_trace
 from tracebind.simulator import (
@@ -655,7 +655,7 @@ class TestAnalyzeCommand:
         assert code == 0
         assert '"continuity_mean": 0.507812,' in capsys.readouterr().out
         # the float terms, summed in step order, land above the tie
-        terms = continuity_terms(masks, 12, range(1, 33))
+        terms = [1.0 - changed / 12 for changed in changed_bits(masks, 12, range(1, 33))]
         assert render_number(sum(terms) / 32) == "0.507813"
 
     def test_duplicate_trace_key_is_usage_error(self, tmp_path, capsys):

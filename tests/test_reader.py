@@ -50,7 +50,7 @@ from tracebind.identity import (
 )
 from tracebind.metrics import (
     MetricParams,
-    continuity_terms,
+    changed_bits,
     counted_persistence,
     identifiable_count,
     window_counts,
@@ -185,7 +185,7 @@ class TestMatchesObjectPathAndOracle:
             ]
             if n > 1:
                 per_step, mean = continuity(acts, k)
-                assert list(continuity_terms(masks, k, range(1, n))) == per_step
+                assert [1.0 - changed / k for changed in changed_bits(masks, k, range(1, n))] == per_step
                 changed = sum((masks[u] ^ masks[u - 1]).bit_count() for u in range(1, n))
                 assert mean == float(1 - Fraction(changed, k * (n - 1)))
             ref = rng.randrange(n)
@@ -474,10 +474,18 @@ STATE_POOLS = {
 }
 
 
-def counted_decodes(monkeypatch) -> list:
-    """Patch the reader's strict decoder to record each call."""
+def counted_decodes(monkeypatch, matched: list | None = None) -> list:
+    """Patch the reader's strict decoder to record each call and, given
+    ``matched``, its context matcher to record each text it reads there."""
     calls: list = []
     monkeypatch.setattr(trace_module, "load_json", lambda *args: calls.append(args[0]) or load_json(*args))
+    if matched is not None:
+
+        def counted_matcher(identity: GroundedIdentity):
+            match = context_text_matcher(identity)
+            return match and (lambda body: matched.append(body) or match(body))
+
+        monkeypatch.setattr(trace_module, "context_text_matcher", counted_matcher)
     return calls
 
 
@@ -621,7 +629,9 @@ class TestStateMemo:
             calls = counted_decodes(monkeypatch)
             outcome(read_masks, path, STATE_IDENTITY)
             # the two lines that warm the memo, then none if the list is
-            # compact, of strings, and free of escapes and unprintables; a fault stops the read
+            # compact, of strings, and free of escapes and unprintables; else
+            # line 3, whose text the tail memo serves to lines 4 and 5, or
+            # whose fault stops the read
             try:
                 value = json.loads(text)
             except ValueError:
@@ -631,7 +641,7 @@ class TestStateMemo:
                 and json.dumps(value, ensure_ascii=False, separators=(",", ":")) == text
                 and "\\" not in text and text.isprintable()
             )
-            assert len(calls) == (2 if plain else 5 if kind == "ok" else 3), text
+            assert len(calls) == (2 if plain else 3), text
             monkeypatch.undo()
         assert kinds == {"ok", FileFormatError}
 
@@ -651,9 +661,12 @@ class TestStateMemo:
         lines = [json.dumps({"u": u, "C": context[u % 2:], "M": {}, "pi": [], "D": []},
                             separators=(",", ":"), ensure_ascii=False) for u in range(6)]
         assert self.check(path, lines, identity) [0] == "ok"
-        calls = counted_decodes(monkeypatch)
+        matched: list = []
+        calls = counted_decodes(monkeypatch, matched)
         read_masks(path, identity)
-        assert len(calls) == len(lines)
+        # the first line, then each distinct text after the head once
+        assert matched == []
+        assert len(calls) == 1 + len({line[line.index("[") :] for line in lines[1:]})
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_more_distinct_texts_than_the_memo_holds(self, tmp_path, monkeypatch, repeats):
@@ -701,9 +714,9 @@ class TestStateMemo:
 
 class TestLineMemo:
     """``read_masks`` keeps the whole text after the head of a state line
-    that its field texts served, with its mask, so a later line of the same
-    text is one lookup.  A full memo is emptied, or dropped if it was hit
-    less often than it holds texts; no line decoded in full is kept."""
+    with a mask, served by its field texts or decoded, so a later line of
+    the same text is one lookup.  A full memo is emptied if it took at least
+    twice as many lines as it holds to fill, and is dropped otherwise."""
 
     def pool(self, rng: random.Random, size: int) -> list[dict]:
         """``size`` distinct records without ``u``, each a plain context."""
@@ -760,17 +773,11 @@ class TestLineMemo:
         identity, _ = load_identity_file(tmp_path / "alternating.identity.json")
         expected = object_path_masks(path, identity)
         matched: list = []
-
-        def counted_matcher(identity: GroundedIdentity):
-            match = context_text_matcher(identity)
-            return lambda body: matched.append(body) or match(body)
-
-        calls = counted_decodes(monkeypatch)
-        monkeypatch.setattr(trace_module, "context_text_matcher", counted_matcher)
+        calls = counted_decodes(monkeypatch, matched)
         assert read_masks(path, identity) == expected
-        # two lines decoded in full, two served by their field texts
+        # two lines decoded in full, one served by its field texts
         assert len(calls) <= 2
-        assert len(matched) <= 4
+        assert len(matched) <= 1
 
     def test_memory_does_not_grow_with_distinct_lines(self, tmp_path):
         # every line distinct: the memo fills once, is never hit, and is dropped
@@ -798,12 +805,11 @@ class TestLineMemo:
 
 
 class TestHandOffs:
-    """``read_masks`` decodes the first line in full, reads the rest with the
-    loop for its form, and hands what is left to a loop that decodes every
-    line in full where a memo is dropped, or from line 2 when a state
-    identity leaves no context matcher.  Each case puts faults on the first
-    line or on every line around a hand-off, and compares each outcome with
-    the object path's."""
+    """``read_masks`` decodes the first line in full and reads the rest in
+    one loop, which reads on past a dropped memo or a held fault; a state
+    identity that leaves no context matcher has no field path.  Each case
+    puts faults on the first line or on every line around a dropped memo,
+    and compares each outcome with the object path's."""
 
     # the activation identity: 16 ids, so 2**16 distinct F texts
     WIDE = context_identity(16)
@@ -893,7 +899,7 @@ class TestHandOffs:
             records = self.records(rng, "state", rng.randint(2, 60))
             lines = [compact(rec) for rec in records]
             kinds.add(self.check(tmp_path / "trace.jsonl", lines, identity)[0])
-            # line 2, where the plain loop starts, and one more
+            # line 2, the first the loop reads, and one more
             for u in {1, rng.randrange(1, len(lines))}:
                 faulty = lines.copy()
                 faulty[u] = rng.choice(self.faults("state"))(records[u])
@@ -903,6 +909,127 @@ class TestHandOffs:
         calls = counted_decodes(monkeypatch)
         read_masks(tmp_path / "trace.jsonl", identity)
         assert len(calls) == len(lines)
+
+
+class TestOneLoop:
+    """``read_masks`` reads every line after the first in one loop, which
+    looks each line up by its text after the head, then by its field texts
+    on a state line, and decodes in full only what no memo serves.  Random
+    traces of both forms repeat whole lines, fill each memo at its cap so
+    that it is emptied or dropped, mix in lines that only the full decode
+    can read, and hold a stray id or a flag index with line faults after
+    it; each read must equal the object path's outcome."""
+
+    IDENTITIES = {
+        "activation": [TestHandOffs.WIDE],
+        "state": [
+            STATE_IDENTITY,
+            # patterns that leave no context matcher
+            GroundedIdentity(
+                (*STATE_IDENTITY.ingredients, IngredientSpec(ingredient_id="comma", kind="context", context_pattern=("a,b",)))
+            ),
+            # a policy flag index outside every pi, held from the first step
+            GroundedIdentity(
+                (*STATE_IDENTITY.ingredients, IngredientSpec(ingredient_id="far", kind="policy", flag_index=2))
+            ),
+        ],
+    }
+    # per form, the tail memo's cap, and pool sizes around it and the field memo's
+    CAPS = {"activation": _MAX_CACHED_TAILS, "state": _MAX_CACHED_LINES}
+    SIZES = {
+        "activation": [1, 2, 8, _MAX_CACHED_TAILS - 1, _MAX_CACHED_TAILS + 1, 3 * _MAX_CACHED_TAILS],
+        "state": [1, 2, 8, _MAX_CACHED_LINES - 1, _MAX_CACHED_LINES + 1, 3 * _MAX_CACHED_LINES,
+                  _MAX_CACHED_TAILS + 1],
+    }
+
+    def pool(self, rng: random.Random, form: str, size: int) -> list[dict]:
+        """``size`` distinct records without ``u``; a state pool of more
+        than the field memo holds has that many distinct ``M`` texts."""
+        if form == "activation":
+            ids = sorted(TestHandOffs.WIDE.ingredient_ids)
+            return [{"F": [i for b, i in enumerate(ids) if s >> b & 1]} for s in rng.sample(range(1 << 16), size)]
+        return [
+            {"C": [*rng.choices(VOCAB, k=rng.randint(0, 5)), f"t{i}"],
+             "M": {"team": rng.choice(VALUES), **({"n": str(i)} if size > _MAX_CACHED_TAILS else {})},
+             "pi": rng.choice(STATE_POOLS["pi"]), "D": rng.choice(STATE_POOLS["D"])}
+            for i in range(size)
+        ]
+
+    def spell(self, rng: random.Random, u: int, record: dict) -> str:
+        """The line of ``record`` at step ``u``: compact, or now and then a
+        valid spelling that only the full decode reads."""
+        record = {"u": u, **record}
+        roll = rng.random()
+        if roll < 0.98:
+            return compact(record)
+        if roll < 0.99 or "C" not in record:
+            return json.dumps(record)  # spaces after the separators
+        escaped = {**record, "C": ["é", 'a"b', *record["C"]]}
+        return json.dumps(escaped, separators=(",", ":"))
+
+    def lines(self, rng: random.Random, form: str) -> tuple[list[str], list[dict]]:
+        """Phases of a pool drawn at random, or in order with each record one
+        to three times in a row, so whole lines repeat and each memo is hit,
+        fills and is emptied, or fills and is dropped."""
+        records: list[dict] = []
+        for _ in range(rng.randint(1, 3)):
+            pool = self.pool(rng, form, size := rng.choice(self.SIZES[form]))
+            count = rng.randint(size, 4 * size)
+            if rng.random() < 0.5:
+                records += rng.choices(pool, k=count)
+            else:
+                run = rng.randint(1, 3)
+                records += [pool[i // run % size] for i in range(count)]
+        return [self.spell(rng, u, rec) for u, rec in enumerate(records)], records
+
+    def faults(self, rng: random.Random, form: str, lines: list[str], records: list[dict]) -> list[str]:
+        """Up to two line faults after a step drawn at random or near the tail
+        memo's cap, where half the activation traces get a stray id, held
+        from there; a state trace's held fault is a flag index outside
+        ``pi``, under the last of its ``IDENTITIES``."""
+        faulty = lines.copy()
+        cap = self.CAPS[form]
+        held = rng.choice([rng.randrange(len(lines)), min(len(lines) - 1, cap + rng.randint(-8, 8))])
+        if form == "activation" and rng.random() < 0.5:
+            faulty[held] = compact({"u": held, "F": [*records[held]["F"], "ghost"]})
+        line_faults = [
+            lambda u, rec: compact({"u": u + 1, **rec}),
+            lambda u, rec: compact({"u": u, **rec}) + "x",
+            lambda u, rec: "",
+            lambda u, rec: compact({"u": u, **rec, "F": "i0"} if form == "activation"
+                                   else {"u": u, **rec, "pi": [*rec["pi"], 0]}),
+        ]
+        for _ in range(rng.randint(0, 2)):
+            if held + 1 < len(lines):
+                u = rng.randrange(held + 1, len(lines))
+                faulty[u] = rng.choice(line_faults)(u, records[u])
+        return faulty
+
+    @pytest.mark.parametrize("form", ["activation", "state"])
+    def test_same_outcome_as_the_object_path(self, tmp_path, form):
+        rng = random.Random(f"one loop {form}")
+        path = tmp_path / "trace.jsonl"
+        kinds, filled = set(), False
+        for _ in range(24):
+            lines, records = self.lines(rng, form)
+            filled |= len({line[line.index(",") :] for line in lines[1:]}) > self.CAPS[form]
+            for text in (lines, self.faults(rng, form, lines, records)):
+                path.write_text("\n".join(text) + "\n", encoding="utf-8")
+                for identity in self.IDENTITIES[form]:
+                    kinds.add(assert_same_outcome(path, identity)[0])
+        assert filled
+        assert kinds == ({"ok", FileFormatError} if form == "activation" else {"ok", FileFormatError, StructuralError})
+
+    def test_repeated_decoded_state_line_is_decoded_once(self, tmp_path, monkeypatch):
+        # an escaped C has no field path: the tail memo serves its repeats
+        path = tmp_path / "trace.jsonl"
+        record = {"C": ["I", 'am"', "Ada"], "M": {"team": "audit"}, "pi": [0, 1], "D": ["charter"]}
+        write_trace(path, [{"u": u, **record} for u in range(50)])
+        expected = object_path_masks(path, STATE_IDENTITY)
+        calls = counted_decodes(monkeypatch)
+        assert read_masks(path, STATE_IDENTITY) == expected
+        # the first line, whose text is not kept, then the second
+        assert len(calls) == 2
 
 
 def reference_lines(path: Path) -> tuple:
