@@ -86,7 +86,7 @@ def build_report(
 ) -> MetricsReport:
     """Protocol run over the step masks of a trace: persistence and the gap
     from one minimal-horizon pass, and the trace-computable auxiliary
-    metrics.  Each is a fold that keeps no per-window record."""
+    metrics.  None keeps a record per window beyond one chunk of windows."""
     counts = window_counts(masks, k, cfg)
     p_weak, p_strong = counted_persistence(counts, cfg.horizon)
     gap = counted_gap(counts, cfg.horizon_max)

@@ -18,11 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import import_module
 from itertools import accumulate, filterfalse, islice
-from operator import itemgetter, xor
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MetricError, OutOfRangeError, ParameterError, StructuralError
-from .windows import INFINITE, WindowConfig, start_horizons, window_starts
+from .windows import INFINITE, WindowConfig, horizon_codes, window_starts
 
 
 def __getattr__(name: str):
@@ -93,12 +93,10 @@ class MetricParams:
             raise ParameterError("alpha must be in [0, 1]")
 
 
-def _horizons(
-    masks: Sequence[int], k: int, cfg: WindowConfig, cap: int
-) -> Iterator[tuple[int, int | float, int | float]]:
-    """:func:`windows.start_horizons` of the windows of ``cfg``, searched up
-    to ``cap``, in layer-time order.  Every window must fit in ``masks``;
-    the first that does not raises :class:`OutOfRangeError`."""
+def _starts(masks: Sequence[int], cfg: WindowConfig) -> Sequence[int]:
+    """The window starts of ``cfg`` (:func:`windows.window_starts`).  Every
+    window must fit in ``masks``; the first that does not raises
+    :class:`OutOfRangeError`."""
     if not cfg.eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
     n = len(masks)
@@ -108,18 +106,26 @@ def _horizons(
             f"window at t={t} needs step {cfg.stride * t + cfg.horizon}, "
             f"stream ended at step {n - 1}"
         )
-    return start_horizons(masks, k, window_starts(cfg), cap)
+    return window_starts(cfg)
 
 
 def window_counts(
     masks: Sequence[int], k: int, cfg: WindowConfig
 ) -> Counter[tuple[int | float, int | float]]:
     """The windows of ``cfg`` over step masks, counted by ``(w_weak,
-    w_strong)``: one pass of :func:`windows.start_horizons`, searched up to
+    w_strong)``: one pass of :func:`windows.horizon_codes`, searched up to
     ``max(delta, horizon_max)``, so that :func:`counted_persistence` and
-    :func:`counted_gap` both read the same counts."""
-    found = _horizons(masks, k, cfg, max(cfg.horizon, cfg.horizon_max))
-    return Counter(map(itemgetter(1, 2), found))
+    :func:`counted_gap` both read the same counts.  Each chunk's windows are
+    counted by their pair of codes, and each pair of codes is then read as
+    its pair of horizons."""
+    counts: Counter[tuple[int | float, int | float]] = Counter()
+    cap = max(cfg.horizon, cfg.horizon_max)
+    for _, weak, weak_levels, strong, strong_levels in horizon_codes(
+        masks, k, _starts(masks, cfg), cap
+    ):
+        for (w_weak, w_strong), count in Counter(zip(weak, strong)).items():
+            counts[weak_levels[w_weak], strong_levels[w_strong]] += count
+    return counts
 
 
 def counted_persistence(

@@ -23,7 +23,7 @@ from .identity import (
     is_flag,
     state_matcher,
 )
-from .metrics import GapResult, _horizons, changed_bits, counted_gap
+from .metrics import GapResult, _starts, changed_bits, counted_gap
 from .trace import _checked_records, _mask_encoder
 from .windows import INFINITE, WindowConfig, start_horizons
 
@@ -373,7 +373,7 @@ def persistence(
     last_end = cfg.stride * cfg.eval_indices[-1] + cfg.horizon
     masks = activation_masks(activations, ingredient_bits(identity), last_end)
     delta = cfg.horizon
-    horizons = _horizons(masks, identity.k, cfg, delta)
+    horizons = start_horizons(masks, identity.k, _starts(masks, cfg), delta)
     per_window = tuple([
         (t, w_weak <= delta, w_strong <= delta)
         for t, (_, w_weak, w_strong) in zip(cfg.eval_indices, horizons)

@@ -214,11 +214,11 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
     the rest.  A line with its head is looked up by its text after the head
     in the tail memo, of at most ``_MAX_CACHED_TAILS`` (1,024) texts in an
     activation trace and ``_MAX_CACHED_LINES`` (64) in a state trace.  A
-    state line with no backslash that the tail memo misses is read by its
-    field texts: ``M``, ``pi`` and ``D``, each with the separator before it
-    and the last with the closing brace, looked up in the field memo (at
-    most 1,024 texts), and ``C``, read by :func:`context_text_matcher`; an
-    identity with no such matcher has no field path.  Any other line gets
+    state line that the tail memo misses is read by its field texts: ``M``,
+    ``pi`` and ``D``, each with the separator before it and the last with
+    the closing brace, looked up in the field memo (at most 1,024 texts),
+    and ``C``, read by :func:`context_text_matcher`, which refuses a text
+    with an escape; an identity with no such matcher has no field path.  Any other line gets
     the full decode, so every message is the same.  Every line with its head
     and a mask is then kept in the tail memo, and a decoded state line's
     field texts in the field memo.  A full memo is emptied if it took at
@@ -284,7 +284,7 @@ def read_masks(path: str | Path, identity: GroundedIdentity) -> list[int]:
             d_end = line.rfind('],"D":[')
             m_end = line.rfind('},"pi":[', 0, d_end)
             c_end = line.rfind('],"M":{', 0, m_end)
-            if "\\" not in line and 0 < c_end < m_end < d_end:
+            if 0 < c_end < m_end < d_end:
                 texts = (line[c_end + 1 : m_end + 1], line[m_end + 1 : d_end + 1], line[d_end + 1 :])
                 if ((m := fields.get(texts[0])) is not None and (p := fields.get(texts[1])) is not None
                         and (d := fields.get(texts[2])) is not None

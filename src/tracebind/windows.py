@@ -1,4 +1,4 @@
-"""Windowing of step masks and the one window fold.
+"""Windowing of step masks and the one window kernel.
 
 A window at layer time ``t`` covers objective steps ``s*t .. s*t + delta``.
 Two predicates decide it: ``occurs`` (Arpeggio), each ingredient id active
@@ -7,25 +7,29 @@ at some step, and ``coinstantiated`` (Chord), one step holding them all
 the two.  Windows are never truncated: a window that would overrun the
 trace is out of range.  Missing minima are ``INFINITE`` (``math.inf``).
 
-Persistence and the gap read one fold, ``start_horizons``, over the steps
-as k-bit masks (bit i = the i-th ingredient id in sorted order; see
-``identity.ingredient_bits``).  It yields the two minimal horizons of each
+Persistence and the gap read one kernel, :func:`horizon_codes`, over the
+steps as k-bit masks (bit i = the i-th ingredient id in sorted order; see
+``identity.ingredient_bits``).  It finds the two minimal horizons of each
 window start: a window of horizon ``delta`` occurs iff its weak horizon is
-at most ``delta``, and co-instantiates iff its strong one is, and the gap
-ratio compares the two.  The fold reads each step at most once, in step
-order, at a cost per step that grows with neither k nor the cap.  A
-statement over a subset G of the ids is scored by the same fold over the
-padded masks ``m | (full & ~G)``, which hold every id outside G.
+at most ``delta``, and co-instantiates iff its strong one is.  Arpeggio
+spreads each ingredient's steps over the horizon and then ANDs them; Chord
+ANDs the ingredients at each step and then spreads the full steps.  Both
+are shifts, ORs and ANDs of one bitset per ingredient (Baeza-Yates and
+Gonnet, "A New Approach to Text Searching", CACM 1992), on chunks of
+window starts within ``CHUNK`` steps, so the kernel holds at most
+``CHUNK + cap`` steps.  A statement over a subset G of the ids is scored
+by the same kernel over the padded masks ``m | (full & ~G)``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import deque
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
+from functools import reduce
+from itertools import islice, repeat
+from operator import and_, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OutOfRangeError, ParameterError
@@ -34,6 +38,13 @@ from .errors import OutOfRangeError, ParameterError
 INFINITE = math.inf
 
 DEFAULT_HORIZON_MAX = 256
+
+# The steps of window starts per kernel chunk: long enough that the Python
+# work per chunk is small next to the work on its bitsets.
+CHUNK = 4096
+
+# b"0"/b"1" -> one byte of 0/1 each
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -87,73 +98,168 @@ def window_starts(cfg: WindowConfig) -> Sequence[int]:
     return [stride * t for t in indices]
 
 
+def horizon_codes(
+    masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
+) -> Iterator[tuple]:
+    """The minimal horizons of the increasing window starts ``starts``, one
+    chunk of starts at a time (:func:`_chunks`), in start order, as
+    ``(chunk, weak_codes, weak_levels, strong_codes, strong_levels)``.  The
+    weak horizon of ``chunk[j]``, the least at which its window satisfies
+    ``occurs``, is ``weak_levels[weak_codes[j]]``; the strong one, for
+    ``coinstantiated``, is ``strong_levels[strong_codes[j]]``.  Each is
+    searched up to ``horizon_max`` or the trace end, else ``INFINITE``.
+    The chunk's steps, from its first start to its last plus
+    ``horizon_max``, give one bitset per ingredient; the weak levels grow
+    from them, the strong ones from their AND, the full steps."""
+    n = len(masks)
+    for chunk in _chunks(starts, n):
+        first = chunk[0]
+        count = chunk[-1] - first + 1
+        bitsets = _occurrences(masks[first : min(chunk[-1] + horizon_max, n - 1) + 1], k)
+        weak, weak_levels = _ranks(bitsets, horizon_max, count)
+        strong, strong_levels = _ranks([reduce(and_, bitsets)], horizon_max, count)
+        if len(chunk) < count:  # codes are per step: keep the starts'
+            offsets = range(0, count, chunk.step) if isinstance(chunk, range) else [s - first for s in chunk]
+            weak = list(map(weak.__getitem__, offsets))
+            strong = list(map(strong.__getitem__, offsets))
+        yield chunk, weak, weak_levels, strong, strong_levels
+
+
+def _chunks(starts: Iterable[int], n: int) -> Iterator[Sequence[int]]:
+    """``starts`` in chunks of the starts within ``CHUNK`` steps of the
+    chunk's first, at most ``CHUNK`` pulled ahead of the answers, each
+    checked as it is pulled: in the trace of length ``n`` and after the one
+    before.  A range is checked at its ends and cut into ranges."""
+    if isinstance(starts, range) and starts.step > 0:
+        inside = starts[: bisect_left(starts, n) if starts.start >= 0 else 0]
+        per = -(-CHUNK // starts.step)
+        for i in range(0, len(inside), per):
+            yield inside[i : i + per]
+        if len(inside) < len(starts):
+            _refuse(starts[len(inside)], n)
+        return
+    pulled = iter(starts)
+    ahead: list[int] = []
+    last = -1  # the start pulled last
+    while True:
+        fresh = list(islice(pulled, CHUNK - len(ahead)))
+        if fresh:
+            if not (last < fresh[0] and fresh[-1] < n and all(map(lt, fresh, islice(fresh, 1, None)))):
+                for s in fresh:
+                    if not last < s < n:
+                        _refuse(s, n)
+                    last = s
+            last = fresh[-1]
+            ahead += fresh
+        if not ahead:
+            return
+        # ahead holds CHUNK starts or every start left, so all of the chunk's
+        cut = bisect_left(ahead, ahead[0] + CHUNK)
+        yield ahead[:cut]
+        del ahead[:cut]
+
+
+def _refuse(start: int, n: int) -> None:
+    raise OutOfRangeError(f"window start {start} is out of order or outside the trace of length {n}")
+
+
+def _occurrences(window: Sequence[int], k: int) -> list[int]:
+    """One bitset per ingredient: bit ``j`` of the i-th is bit i of
+    ``window[j]``.  The masks become bytes, ``width`` little-endian bytes per
+    step, with the last step first; each ingredient's bit becomes a ``b"0"``
+    or ``b"1"`` by ``bytes.translate``, and ``int(..., 2)`` reads them."""
+    width = (k + 7) // 8
+    if width == 1:
+        raw = bytes(window)[::-1]
+    else:
+        raw = b"".join(map(int.to_bytes, window, repeat(width), repeat("little")))[::-1]
+    bitsets = []
+    for i in range(k):
+        # byte -> b"1" where bit b is set, else b"0": runs of 2**b
+        b = i & 7
+        digits = (b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b)
+        bitsets.append(int(raw[width - 1 - (i >> 3) :: width].translate(digits), 2))
+    return bitsets
+
+
+def _level_sets(bitsets: list[int], cap: int, within: int) -> Iterator[int]:
+    """For ``d = 0 .. cap``, the steps ``j`` of ``within`` such that every
+    bitset has a bit in ``j .. j + d``: each bitset spread one step more per
+    level, the spreads ANDed.  A spread that covers ``within`` is dropped."""
+    spread = bitsets
+    yield reduce(and_, spread, within)
+    for _ in range(cap):
+        spread = [s | s >> 1 for s in spread if ~s & within]
+        yield reduce(and_, spread, within)
+
+
+def _ranks(bitsets: list[int], cap: int, count: int) -> tuple[Sequence[int], list[int | float]]:
+    """``(codes, levels)`` of the first ``count`` steps as window starts:
+    ``levels`` holds each horizon whose level set grew, then ``INFINITE``,
+    and a start's code indexes the first that holds it.  Only a start with
+    a bit of every bitset at or after it can resolve, so the levels stop
+    once all such starts resolve, or at the cap."""
+    everyone = (1 << count) - 1
+    resolvable = everyone & (1 << min(map(int.bit_length, bitsets))) - 1
+    levels: list[int | float] = []
+    planes: list[int] = []  # planes[b]: bit b of every code, see _fold
+    seen = 0
+    if resolvable:
+        for d, level in enumerate(_level_sets(bitsets, cap, resolvable)):
+            if level != seen:
+                levels.append(d)
+                _fold(planes, len(levels), level)
+                seen = level
+                if level == resolvable:
+                    break
+    levels.append(INFINITE)
+    _fold(planes, len(levels), everyone)
+    for b in range(len(planes)):
+        if len(levels) >> b & 1:
+            planes[b] ^= everyone
+    return _transposed(planes[: (len(levels) - 1).bit_length()], count), levels
+
+
+def _fold(planes: list[int], c: int, below: int) -> None:
+    """Fold ``below``, the starts whose code is less than ``c``, into the
+    planes.  Bit b is set in the codes of the runs [step, 2 step), [3 step,
+    4 step), ... for step = 2**b, the last run cut at the last code, so
+    plane b is the XOR of ``below`` over the multiples ``c`` of step, and
+    of every start when their count is odd, which :func:`_ranks` adds."""
+    for b in range((c & -c).bit_length()):
+        if b == len(planes):
+            planes.append(0)
+        planes[b] ^= below
+
+
+def _transposed(planes: list[int], count: int) -> Sequence[int]:
+    """One code per start: bit ``b`` of the j-th is bit ``j`` of
+    ``planes[b]``.  Each plane's binary digits become a lane of 0 or 1 per
+    start, one byte wide for up to 8 planes, else two, read as one int and
+    shifted into bit ``b`` of every lane; two-byte lanes are read as
+    unsigned shorts in the machine's byte order."""
+    width = 1 if len(planes) <= 8 else 2
+    lanes = 0
+    for b, plane in enumerate(planes):
+        digits = format(plane, f"0{count}b").encode().translate(_DIGIT_BYTES)
+        if width == 2:
+            spaced = bytearray(2 * count)
+            spaced[1::2] = digits
+            digits = spaced
+        lanes |= int.from_bytes(digits, "big") << b
+    if width == 1:
+        return lanes.to_bytes(count, "little")
+    shorts = memoryview(lanes.to_bytes(2 * count, sys.byteorder)).cast("H")
+    return shorts if sys.byteorder == "little" else shorts[::-1]
+
+
 def start_horizons(
     masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
 ) -> Iterator[tuple[int, int | float, int | float]]:
     """``(s, w_weak, w_strong)`` for each window start ``s`` of ``starts``
-    (increasing steps of the trace, pulled one at a time), in start order:
-    the least horizons at which the window from ``s`` satisfies ``occurs``
-    and ``coinstantiated``, searched up to ``horizon_max`` or the trace end;
-    a horizon not found by then is ``INFINITE``.
-
-    The strong horizon is the first full step at or after ``s``: a forward
-    scan reads each step once, in step order, and stops at a full step or
-    the cap.  Steps read but not yet in the weak window wait in ``ahead``.
-    The weak horizon is the least ``end - s`` whose steps ``s..end`` OR to
-    the full mask; ``end`` never moves back as ``s`` grows, and the OR comes
-    from a two-stack sliding window (Tangwongsan, Hirzel and Schneider,
-    "General Incremental Sliding-Window Aggregation", PVLDB 2015): ``back``
-    holds the masks of the last ``len(back)`` steps up to ``end`` and
-    ``back_or`` their OR; ``front`` holds, for each earlier step ``u`` from
-    ``s`` on, the OR of the masks from ``u`` to the first step of ``back``,
-    the earliest step last.  So the fold holds at most ``horizon_max + 1``
-    steps.
-    """
-    n = len(masks)
-    full = (1 << k) - 1
-    front: list[int] = []
-    front_start = -1  # the start answered last
-    back: list[int] = []
-    back_or = 0
-    end = -1
-    ahead: deque[int] = deque()
-    scanned = -1
-    next_full = -1  # a full step is only ever the last step scanned
-    for s in starts:
-        if not front_start < s < n:
-            raise OutOfRangeError(
-                f"window start {s} is out of order or outside the trace of length {n}"
-            )
-        if end < s:  # the window is empty: skip the steps before s
-            for _ in range(min(s - 1 - end, len(ahead))):
-                ahead.popleft()
-            end = s - 1
-            scanned = max(scanned, end)
-        del front[front_start - s:]  # the steps before s, or all of them
-        if not front and back:
-            front = list(accumulate(reversed(back[len(back) - (end + 1 - s):]), or_))
-            back.clear()
-            back_or = 0
-        front_start = s
-        if next_full < s:
-            last = s + horizon_max
-            if last >= n:
-                last = n - 1
-            while scanned < last:
-                scanned += 1
-                mask = masks[scanned]
-                ahead.append(mask)
-                if mask == full:
-                    next_full = scanned
-                    break
-        covered = (front[-1] if front else 0) | back_or
-        while covered != full and end < scanned:
-            end += 1
-            mask = ahead.popleft()
-            back.append(mask)
-            back_or |= mask
-            covered |= mask
-        strong = next_full - s if next_full >= s else INFINITE
-        yield s, end - s if covered == full else INFINITE, strong
-
-
+    (increasing steps of the trace), in start order: the least horizons at
+    which the window from ``s`` satisfies ``occurs`` and ``coinstantiated``,
+    searched up to ``horizon_max`` or the trace end, else ``INFINITE``; read
+    off :func:`horizon_codes`."""
+    for chunk, weak, weak_levels, strong, strong_levels in horizon_codes(masks, k, starts, horizon_max):
+        yield from zip(chunk, map(weak_levels.__getitem__, weak), map(strong_levels.__getitem__, strong))

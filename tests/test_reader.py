@@ -711,8 +711,26 @@ class TestStateMemo:
         assert read_masks(path, STATE_IDENTITY) == expected
         assert len(calls) <= 1 + distinct
 
+    def test_escaped_field_texts_serve_a_plain_context(self, tmp_path, monkeypatch):
+        # line 2 decodes M and D texts that hold escapes; lines 3-7 repeat
+        # them with plain contexts, each its own text after the head, so
+        # only the field memo can serve them
+        path = tmp_path / "trace.jsonl"
+        fields = ',"M":{"note":"a\\"b\\\\c","team":"audit"},"pi":[0,1],"D":["caf\\u00e9","charter"]}'
+        contexts = [["I", "am", "Ada"], ["y"], ["x", "y"], ["I", "am", "Ada", "x"], [], ["x"], ["y", "y"]]
+        lines = ['{"u":%d,"C":%s%s' % (u, compact(c), fields) for u, c in enumerate(contexts)]
+        assert json.loads(lines[2])["M"]["note"] == 'a"b\\c'
+        assert self.check(path, lines)[0] == "ok"
+        expected = object_path_masks(path, STATE_IDENTITY)
+        matched: list = []
+        calls = counted_decodes(monkeypatch, matched)
+        assert read_masks(path, STATE_IDENTITY) == expected
+        # the first line, then line 2, whose field texts serve lines 3-7
+        assert len(calls) == 2
+        assert len(matched) == 5
 
-class TestLineMemo:
+
+class TestStateTailMemo:
     """``read_masks`` keeps the whole text after the head of a state line
     with a mask, served by its field texts or decoded, so a later line of
     the same text is one lookup.  A full memo is emptied if it took at least
@@ -804,7 +822,7 @@ class TestLineMemo:
             gc.enable()
 
 
-class TestHandOffs:
+class TestLoopReadsOn:
     """``read_masks`` decodes the first line in full and reads the rest in
     one loop, which reads on past a dropped memo or a held fault; a state
     identity that leaves no context matcher has no field path.  Each case
@@ -921,7 +939,7 @@ class TestOneLoop:
     it; each read must equal the object path's outcome."""
 
     IDENTITIES = {
-        "activation": [TestHandOffs.WIDE],
+        "activation": [TestLoopReadsOn.WIDE],
         "state": [
             STATE_IDENTITY,
             # patterns that leave no context matcher
@@ -946,7 +964,7 @@ class TestOneLoop:
         """``size`` distinct records without ``u``; a state pool of more
         than the field memo holds has that many distinct ``M`` texts."""
         if form == "activation":
-            ids = sorted(TestHandOffs.WIDE.ingredient_ids)
+            ids = sorted(TestLoopReadsOn.WIDE.ingredient_ids)
             return [{"F": [i for b, i in enumerate(ids) if s >> b & 1]} for s in rng.sample(range(1 << 16), size)]
         return [
             {"C": [*rng.choices(VOCAB, k=rng.randint(0, 5)), f"t{i}"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Sequence
 
 import pytest
@@ -26,7 +27,9 @@ from tracebind.sets import (
     window,
     window_horizons,
 )
-from tracebind.windows import INFINITE, WindowConfig, start_horizons
+from tracebind import windows
+from tracebind.metrics import window_counts
+from tracebind.windows import INFINITE, WindowConfig, start_horizons, window_starts
 
 
 def window_flags(masks, k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
@@ -476,12 +479,12 @@ class TestPaddedMasks:
 
 class Watched(Sequence):
     """Step masks that record, at each read, how many of the starts pulled so
-    far are at or before the step read and not yet answered."""
+    far are not yet answered."""
 
     def __init__(self, masks, starts):
         self.masks = masks
         self.starts = starts
-        self.pulled = []
+        self.pulled = 0
         self.answered = 0
         self.most_pending = 0
 
@@ -489,13 +492,12 @@ class Watched(Sequence):
         return len(self.masks)
 
     def __getitem__(self, u):
-        pending = sum(1 for s in self.pulled if s <= u) - self.answered
-        self.most_pending = max(self.most_pending, pending)
+        self.most_pending = max(self.most_pending, self.pulled - self.answered)
         return self.masks[u]
 
     def pull(self):
         for s in self.starts:
-            self.pulled.append(s)
+            self.pulled += 1
             yield s
 
 
@@ -509,41 +511,46 @@ def run_watched(masks, k, starts, cap):
 
 
 class ReadLog(Sequence):
-    """Step masks that log each read as ``(start, step)``, with the last
-    start the fold has pulled."""
+    """Step masks that log each read."""
 
-    def __init__(self, masks, starts):
+    def __init__(self, masks):
         self.masks = masks
-        self.starts = starts
-        self.start = None
         self.reads = []
 
     def __len__(self):
         return len(self.masks)
 
     def __getitem__(self, u):
-        self.reads.append((self.start, u))
+        self.reads.append(u)
         return self.masks[u]
 
-    def pull(self):
-        for s in self.starts:
-            self.start = s
-            yield s
 
-    def widest(self):
-        """The most steps from a start to the furthest step read by then."""
-        furthest = -1
-        widest = 0
-        for s, u in self.reads:
-            furthest = max(furthest, u)
-            widest = max(widest, furthest - s + 1)
-        return widest
+def chunk_reads(starts, n, cap, chunk):
+    """The reads the kernel makes: for each run of starts within ``chunk``
+    steps of its first, the steps from that first start to its last start
+    plus the cap, or the trace end."""
+    reads = []
+    i = 0
+    while i < len(starts):
+        first = starts[i]
+        while i < len(starts) and starts[i] < first + chunk:
+            i += 1
+        reads.append(slice(first, min(starts[i - 1] + cap, n - 1) + 1))
+    return reads
+
+
+def small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(windows, "CHUNK", chunk)
+    return chunk
 
 
 class TestStartHorizons:
-    def test_pending_starts_stay_within_the_cap(self):
+    def test_pending_starts_stay_within_the_cap(self, monkeypatch):
+        # at most one chunk of starts is pulled ahead of the answers, however
+        # long the trace and whatever the cap
         rng = random.Random(6_006)
         for _ in range(300):
+            chunk = small_chunks(monkeypatch, rng.choice([1, 3, 8, 16]))
             k = rng.randint(1, 3)
             full = (1 << k) - 1
             n = rng.randint(1, 200)
@@ -553,7 +560,7 @@ class TestStartHorizons:
             cap = rng.randint(0, 40)
             ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
             results, most = run_watched(masks, k, [stride * t for t in ts], cap)
-            assert most <= cap // stride + 1
+            assert most <= chunk
             acts = activations_from_sets(
                 [{f"g{i}" for i in range(k) if mask >> i & 1} for mask in masks]
             )
@@ -563,13 +570,13 @@ class TestStartHorizons:
                 for t in ts
             ]
 
-    def test_reads_follow_the_scanned_ranges(self):
-        # every read lies in the scanned range s .. s + (w_strong or the cap)
-        # of the start being answered, first reads come in increasing step
-        # order, and no read is more than the cap ahead of that start, so
-        # the window state spans at most cap + 1 steps
+    def test_reads_follow_the_scanned_ranges(self, monkeypatch):
+        # the kernel reads one slice of steps per chunk of starts: from the
+        # chunk's first start to its last start plus the cap, so it holds at
+        # most CHUNK + cap steps, and the slices come in step order
         rng = random.Random(6_116)
         for _ in range(400):
+            chunk = small_chunks(monkeypatch, rng.choice([1, 2, 5, 12]))
             k = rng.randint(1, 4)
             full = (1 << k) - 1
             n = rng.randint(1, 80)
@@ -578,22 +585,19 @@ class TestStartHorizons:
             stride = rng.randint(1, 4)
             cap = rng.randint(0, 15)
             ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
-            log = ReadLog(masks, [stride * t for t in ts])
-            results = list(start_horizons(log, k, log.pull(), cap))
-            reach = {
-                s: w_strong if w_strong != INFINITE else min(cap, n - 1 - s)
-                for s, _, w_strong in results
-            }
-            first = list(dict.fromkeys(u for _, u in log.reads))
-            assert first == sorted(first)
-            assert all(s <= u <= s + reach[s] for s, u in log.reads)
-            assert log.widest() <= cap + 1
+            starts = [stride * t for t in ts]
+            log = ReadLog(masks)
+            results = list(start_horizons(log, k, iter(starts), cap))
+            assert log.reads == chunk_reads(starts, n, cap, chunk)
+            assert all(read.stop - read.start <= chunk + cap for read in log.reads)
+            assert [s for s, _, _ in results] == starts
 
-    def test_state_bound_is_reached_on_an_unbound_trace(self):
-        log = ReadLog([1, 2] * 50, range(0, 100, 2))
-        results = list(start_horizons(log, 2, log.pull(), 10))
-        assert results == [(s, 1, INFINITE) for s in range(0, 100, 2)]
-        assert log.widest() == 10 + 1
+    def test_state_bound_is_reached_on_an_unbound_trace(self, monkeypatch):
+        chunk = small_chunks(monkeypatch, 16)
+        log = ReadLog([1, 2] * 50)
+        results = list(start_horizons(log, 2, range(99), 10))
+        assert results == [(s, 1, INFINITE) for s in range(99)]
+        assert max(read.stop - read.start for read in log.reads) == chunk + 10
 
     def test_results_come_in_start_order_as_they_resolve(self):
         # the start at 0 is covered at step 2 and expires at step 3, where
@@ -608,3 +612,144 @@ class TestStartHorizons:
             message = f"window start {bad} is out of order or outside the trace of length 3"
             with pytest.raises(OutOfRangeError, match=message):
                 list(start_horizons([3, 3, 3], 2, iter(starts), 4))
+
+    def test_range_starts_checked_at_their_ends(self):
+        # a range is cut into ranges; its first start outside the trace is
+        # named once the starts before it are answered
+        stream = start_horizons([3, 3, 3], 2, range(0, 6, 2), 4)
+        assert next(stream) == (0, 0, 0)
+        with pytest.raises(OutOfRangeError, match="window start 4 is out of order"):
+            list(stream)
+        with pytest.raises(OutOfRangeError, match="window start -1 is out of order"):
+            list(start_horizons([3, 3, 3], 2, range(-1, 2), 4))
+        assert list(start_horizons([3, 3, 3], 2, range(2, 0), 4)) == []
+
+
+def masks_as_activations(masks, k):
+    """The identity over k ids and the activation sets whose masks, under
+    ``ingredient_bits``, are ``masks``."""
+    identity = context_identity(k)
+    bits = ingredient_bits(identity)
+    return identity, activations_from_sets([{i for i, bit in bits.items() if m & bit} for m in masks])
+
+
+def oracle_start_horizons(masks, k, starts, cap):
+    identity, acts = masks_as_activations(masks, k)
+    return [(s, *oracle_minimal_horizons(acts, identity, 1, s, cap)) for s in starts]
+
+
+class TestKernel:
+    """:func:`windows.horizon_codes` against ``oracle_minimal_horizons`` on
+    random traces cut into small chunks, so that windows cross chunk
+    boundaries: the whole :func:`metrics.window_counts` Counter, and
+    ``start_horizons`` window by window."""
+
+    @staticmethod
+    def trace(rng: random.Random, k: int, n: int) -> list[int]:
+        full = (1 << k) - 1
+        shape = rng.choice(["uniform", "full", "rare", "padded"])
+        if shape == "uniform":
+            return [rng.getrandbits(k) for _ in range(n)]
+        if shape == "full":
+            p_full = rng.choice([0.05, 0.2, 0.5])
+            return [full if rng.random() < p_full else rng.getrandbits(k) for _ in range(n)]
+        if shape == "rare":
+            # the top id is rare, so both horizons spread over the cap
+            rare = 1 << (k - 1)
+            return [rng.getrandbits(k - 1) | (rare if rng.random() < 0.06 else 0) for _ in range(n)]
+        # a statement over a subset G: every id outside G is on at every step
+        target = rng.randint(1, full)
+        return [m | (full & ~target) for m in (rng.getrandbits(k) for _ in range(n))]
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 16, 65])
+    def test_window_counts_match_the_oracle(self, monkeypatch, k):
+        rng = random.Random(f"kernel {k}")
+        below_delta = set()
+        for _ in range(80):
+            small_chunks(monkeypatch, rng.choice([1, 3, 7, 16, 33]))
+            n = rng.randint(1, 90)
+            masks = self.trace(rng, k, n)
+            delta = rng.randint(0, min(8, n - 1))
+            stride = rng.randint(1, 3)
+            # a cap below delta and a zero cap among them
+            cfg = WindowConfig.all_valid(delta, stride, n, rng.choice([0, 1, 3, 12, 24]))
+            if len(cfg.eval_indices) > 1 and rng.random() < 0.4:
+                kept = rng.sample(cfg.eval_indices, rng.randint(1, len(cfg.eval_indices)))
+                cfg = WindowConfig(delta, stride, tuple(kept), cfg.horizon_max)
+            cap = max(delta, cfg.horizon_max)
+            starts = window_starts(cfg)
+            expected = oracle_start_horizons(masks, k, starts, cap)
+            assert window_counts(masks, k, cfg) == Counter((w, s) for _, w, s in expected)
+            assert list(start_horizons(masks, k, starts, cap)) == expected
+            below_delta.add(cfg.horizon_max < delta)
+        assert below_delta == {True, False}
+
+    @pytest.mark.parametrize("k", [1, 8, 9, 16, 65])
+    def test_every_start_to_the_trace_end(self, monkeypatch, k):
+        # starts within the cap of the trace end search only to the end
+        rng = random.Random(f"kernel end {k}")
+        for _ in range(20):
+            small_chunks(monkeypatch, rng.choice([1, 4, 16]))
+            n = rng.randint(1, 60)
+            masks = self.trace(rng, k, n)
+            cap = rng.randint(0, 20)
+            starts = range(n) if rng.random() < 0.5 else list(range(0, n, rng.randint(1, 3)))
+            assert list(start_horizons(masks, k, starts, cap)) == oracle_start_horizons(
+                masks, k, starts, cap
+            )
+
+    def test_stress_shape(self, monkeypatch):
+        # the stress trace in small: ids 0-6 uniform, id 7 rare, so the weak
+        # and the strong horizons both spread over the whole cap
+        small_chunks(monkeypatch, 64)
+        rng = random.Random(1)
+        masks = [rng.getrandbits(7) | (128 if rng.random() < 1 / 15 else 0) for _ in range(400)]
+        cfg = WindowConfig.all_valid(4, 1, len(masks), 40)
+        expected = oracle_start_horizons(masks, 8, window_starts(cfg), 40)
+        assert list(start_horizons(masks, 8, window_starts(cfg), 40)) == expected
+        counts = window_counts(masks, 8, cfg)
+        assert counts == Counter((w, s) for _, w, s in expected)
+        weak = {w for w, _ in counts if w != INFINITE}
+        strong = {s for _, s in counts if s != INFINITE}
+        assert max(weak) > 20 and max(strong) > 30 and len(strong) > 20
+
+    def test_more_than_256_horizons_in_a_chunk(self):
+        # one full step at 300: the start at s has both horizons 300 - s, so
+        # one chunk has 301 codes on each side, two bytes' worth
+        masks = [1] * 300 + [3] + [0] * 20
+        expected = [(s, 300 - s, 300 - s) if s >= 1 else (0, INFINITE, INFINITE) for s in range(301)]
+        expected += [(s, INFINITE, INFINITE) for s in range(301, 321)]
+        assert list(start_horizons(masks, 2, range(321), 299)) == expected
+        cfg = WindowConfig.all_valid(0, 1, len(masks), 299)
+        assert window_counts(masks, 2, cfg) == Counter((w, s) for _, w, s in expected)
+
+    def test_levels_stop_once_every_resolvable_start_resolves(self, monkeypatch):
+        # a trace that binds within a few steps: each chunk grows its level
+        # sets to the largest horizon found there, never to the cap of 256;
+        # the starts near the end, with no full step after them, cannot
+        # resolve and do not hold the levels up
+        grown: list[int] = []
+        level_sets = windows._level_sets
+
+        def counted(*args):
+            grown.append(0)
+            for level in level_sets(*args):
+                grown[-1] += 1
+                yield level
+
+        monkeypatch.setattr(windows, "_level_sets", counted)
+        rng = random.Random(25)
+        n = 3 * windows.CHUNK
+        masks = [255 if u % 3 == 0 or rng.random() < 0.3 else rng.getrandbits(8) for u in range(n)]
+        masks[-5:] = [1, 2, 4, 8, 16]
+        cfg = WindowConfig.all_valid(2, 1, n, 256)
+        counts = window_counts(masks, 8, cfg)
+        assert len(grown) == 2 * 3  # the weak and the strong levels of each chunk
+        found = [(w, s) for _, w, s in start_horizons(masks, 8, window_starts(cfg), 256)]
+        for chunk in range(3):
+            part = found[chunk * windows.CHUNK : (chunk + 1) * windows.CHUNK]
+            assert grown[2 * chunk] == 1 + max(w for w, _ in part if w != INFINITE)
+            assert grown[2 * chunk + 1] == 1 + max(s for _, s in part if s != INFINITE)
+        assert max(grown) <= 3
+        # the last three windows, which start after the last full step
+        assert counts[INFINITE, INFINITE] == 3
