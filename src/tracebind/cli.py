@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import MetricError, ParameterError, TracebindError
 from .identity import GroundedIdentity, identity_to_document, load_identity_file
@@ -52,6 +51,9 @@ from .trace import (  # bench/traced.py imports state_record and write_trace fro
 )
 from .windows import DEFAULT_HORIZON_MAX, WindowConfig, window_starts
 
+if TYPE_CHECKING:
+    from .simulator import ScenarioFiles
+
 
 def __getattr__(name: str):
     # the tracebind.sets names bench/ imports from this module, served on first use (PEP 562)
@@ -65,16 +67,25 @@ def __getattr__(name: str):
 # ---------------------------------------------------------------------------
 
 
+def integer(text: str) -> int:
+    """An optional ``-`` and ASCII digits, spaces around allowed: the rule of every integer
+    flag and ``--eval`` entry, where ``int`` alone also takes ``1_0``, ``+1`` and ``٣``."""
+    body = text.strip(" ")
+    digits = body[1:] if body[:1] == "-" else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(body)
+
+
 def _parse_eval_selector(value: str) -> tuple[int, ...] | None:
     if value == "all":
         return None
+    if not value.replace(",", "").strip(" "):
+        raise ParameterError("--eval list is empty")
     try:
-        indices = tuple(int(part) for part in value.split(",") if part.strip() != "")
+        return tuple(map(integer, value.split(",")))
     except ValueError as exc:
         raise ParameterError(f"--eval must be 'all' or a comma-separated list: {exc}")
-    if not indices:
-        raise ParameterError("--eval list is empty")
-    return indices
 
 
 def build_report(
@@ -153,27 +164,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScenarioFiles:
-    """What one ``simulate`` scenario writes, before anything is written.
-
-    ``traces`` maps a label to its lines, read once; the label ``""`` names the
-    lone trace of a scenario, any other label ``x`` names the files
-    ``<base>.x.trace.jsonl`` and the sidecar keys ``trace_x`` and
-    ``expect_x``.  ``head`` sidecar fields come right after the scenario
-    name; each ``tail`` section is merged into the sidecar section of that
-    name, or appended when the sidecar has none.
-    """
-
-    traces: dict[str, Iterable[str]]
-    identity: GroundedIdentity
-    cfg: WindowConfig
-    head: dict = field(default_factory=dict)
-    tail: dict[str, dict] = field(default_factory=dict)
-
 
 def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
-    from .simulator import scenario_noncommutation
+    from .simulator import ScenarioFiles, scenario_noncommutation
 
     states, identity, cfg = scenario_noncommutation()
     return ScenarioFiles(
@@ -185,7 +178,7 @@ def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _alternating(args: argparse.Namespace) -> ScenarioFiles:
-    from .simulator import scenario_alternating
+    from .simulator import ScenarioFiles, scenario_alternating
 
     states, identity, cfg = scenario_alternating(args.length)
     return ScenarioFiles(
@@ -194,7 +187,7 @@ def _alternating(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _capacity(args: argparse.Namespace) -> ScenarioFiles:
-    from .simulator import scenario_capacity_limited
+    from .simulator import ScenarioFiles, scenario_capacity_limited
 
     states, identity = scenario_capacity_limited(args.c, args.k, args.length)
     cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
@@ -204,7 +197,7 @@ def _capacity(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
-    from .simulator import scenario_rag_displacement
+    from .simulator import ScenarioFiles, scenario_rag_displacement
 
     without_rag, with_rag, identity, cfg = scenario_rag_displacement(
         baseline_block_tokens=args.block,
@@ -221,7 +214,7 @@ def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
 
 def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
     from .sets import recovery, recovery_bound
-    from .simulator import context_identity, scenario_drift_recover
+    from .simulator import ScenarioFiles, context_identity, scenario_drift_recover
 
     if args.k < 1:
         raise ParameterError("--k must be >= 1")
@@ -253,7 +246,7 @@ def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
 
 
 def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
-    from .simulator import PROBE_IDENTITY, probe_presets, probe_script, probe_window, run
+    from .simulator import PROBE_IDENTITY, ScenarioFiles, probe_presets, probe_script, probe_window, run
 
     presets = probe_presets()
     if args.preset not in presets:
@@ -375,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="compute a metrics report for a trace")
     analyze.add_argument("--trace", required=True, help="trace file (JSONL)")
     analyze.add_argument("--identity", required=True, help="identity spec file (JSON)")
-    analyze.add_argument("--delta", type=int, default=1, help="window horizon")
-    analyze.add_argument("--stride", type=int, default=1, help="window stride")
+    analyze.add_argument("--delta", type=integer, default=1, help="window horizon")
+    analyze.add_argument("--stride", type=integer, default=1, help="window stride")
     analyze.add_argument(
         "--eval",
         default="all",
@@ -384,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--horizon-max",
-        type=int,
+        type=integer,
         default=DEFAULT_HORIZON_MAX,
         help="search cap for minimal horizons in the gap ratio",
     )
@@ -394,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--alpha", type=float, default=MetricParams.alpha)
     analyze.add_argument(
         "--ref-index",
-        type=int,
+        type=integer,
         default=0,
         help="objective step used as the identifiability reference state",
     )
@@ -413,24 +406,24 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of: {', '.join(SCENARIOS)}",
     )
     simulate.add_argument("--scenario", default=None, help="alternative to the positional name")
-    simulate.add_argument("--length", type=int, default=100)
-    simulate.add_argument("--c", type=int, default=2, help="capacity scenario: max concurrent ingredients")
-    simulate.add_argument("--k", type=int, default=3, help="ingredient count")
-    simulate.add_argument("--delta", type=int, default=1, help="capacity scenario: window horizon")
-    simulate.add_argument("--block", type=int, default=3, help="identity block tokens")
-    simulate.add_argument("--passage", type=int, default=10, help="retrieved passage tokens")
-    simulate.add_argument("--capacity", type=int, default=12, help="context capacity")
-    simulate.add_argument("--drift", type=int, default=3, help="drifted ingredient count")
+    simulate.add_argument("--length", type=integer, default=100)
+    simulate.add_argument("--c", type=integer, default=2, help="capacity scenario: max concurrent ingredients")
+    simulate.add_argument("--k", type=integer, default=3, help="ingredient count")
+    simulate.add_argument("--delta", type=integer, default=1, help="capacity scenario: window horizon")
+    simulate.add_argument("--block", type=integer, default=3, help="identity block tokens")
+    simulate.add_argument("--passage", type=integer, default=10, help="retrieved passage tokens")
+    simulate.add_argument("--capacity", type=integer, default=12, help="context capacity")
+    simulate.add_argument("--drift", type=integer, default=3, help="drifted ingredient count")
     simulate.add_argument(
-        "--controllable", type=int, default=1, help="prompt-controllable ingredient count"
+        "--controllable", type=integer, default=1, help="prompt-controllable ingredient count"
     )
-    simulate.add_argument("--interventions", type=int, default=5)
+    simulate.add_argument("--interventions", type=integer, default=5)
     simulate.add_argument("--epsilon", type=float, default=0.0)
     simulate.add_argument(
         "--preset", default="controller", help="preset-probe scenario: preset name"
     )
     simulate.add_argument(
-        "--cycles", type=int, default=6, help="preset-probe scenario: probe cycles"
+        "--cycles", type=integer, default=6, help="preset-probe scenario: probe cycles"
     )
     simulate.add_argument("--out", default=None, help="base path for the written files")
     simulate.set_defaults(func=cmd_simulate)

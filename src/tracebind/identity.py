@@ -15,12 +15,11 @@ inputs always agrees, and values can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FileFormatError, GroundingLookupError, StructuralError
+from .errors import FileFormatError, Frozen, GroundingLookupError, StructuralError
 
 
 def __getattr__(name: str):
@@ -45,8 +44,7 @@ def is_flag(value) -> bool:
     return type(value) is int and value in (0, 1)
 
 
-@dataclass(frozen=True)
-class IngredientSpec:
+class IngredientSpec(Frozen):
     """One conjunct of a grounded identity.
 
     Exactly the fields matching ``kind`` may be set:
@@ -105,8 +103,7 @@ class IngredientSpec:
             raise StructuralError("doc_id must be a string")
 
 
-@dataclass(frozen=True)
-class GroundedIdentity:
+class GroundedIdentity(Frozen):
     """Conjunction of ingredient conditions; active iff all hold at once."""
 
     ingredients: tuple[IngredientSpec, ...]
@@ -129,8 +126,7 @@ class GroundedIdentity:
         return frozenset(spec.ingredient_id for spec in self.ingredients)
 
 
-@dataclass(frozen=True)
-class LayeredIdentitySpec:
+class LayeredIdentitySpec(Frozen):
     """Grounding maps between narrative (layer 2), functional (layer 1), and
     ingredient-level (layer 0) identity statements.
 

@@ -15,13 +15,12 @@ import json
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from importlib import import_module
 from itertools import accumulate, filterfalse, islice
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MetricError, OutOfRangeError, ParameterError, StructuralError
+from .errors import Frozen, MetricError, OutOfRangeError, ParameterError, StructuralError
 from .windows import INFINITE, WindowConfig, horizon_codes, window_starts
 
 
@@ -32,8 +31,7 @@ def __getattr__(name: str):
     return getattr(import_module(".sets", __package__), name)
 
 
-@dataclass(frozen=True)
-class GapResult:
+class GapResult(Frozen):
     """The median gap ratio over layer times, and the minimal horizons behind it.
 
     Layer times whose weak horizon is already infinite carry no gap
@@ -48,8 +46,7 @@ class GapResult:
     per_t: tuple[tuple[int, int | float, int | float], ...] = ()
 
 
-@dataclass(frozen=True)
-class MorphospacePoint:
+class MorphospacePoint(Frozen):
     """Coherence / availability / binding summary of an identity profile.
 
     Binding can never exceed availability: a window with the conjunction
@@ -69,8 +66,7 @@ class MorphospacePoint:
             )
 
 
-@dataclass(frozen=True)
-class MetricParams:
+class MetricParams(Frozen):
     """Thresholds and weights for the auxiliary metrics.
 
     Defaults are mid-range and are echoed in every report so runs stay
@@ -304,8 +300,7 @@ def morphospace(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Frozen):
     """Everything one analysis run produced, ready for serialization.
 
     ``consistency`` and ``recovery`` stay ``None`` when the run had no

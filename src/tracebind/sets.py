@@ -9,7 +9,7 @@ name from here; the package serves the public ones on first use.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -408,7 +408,8 @@ def gap_ratio(
         raise ParameterError("evaluation index set T must be non-empty")
     per_t = window_horizons(activations, identity, stride, eval_indices, horizon_max)
     horizons = Counter((w_weak, w_strong) for _, w_weak, w_strong in per_t)
-    return replace(counted_gap(horizons, horizon_max), per_t=tuple(per_t))
+    gap = counted_gap(horizons, horizon_max)
+    return GapResult(gap.ratio, gap.undefined_count, tuple(per_t))
 
 
 def identifiability(

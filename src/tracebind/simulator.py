@@ -395,6 +395,25 @@ def run(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ScenarioFiles:
+    """What one ``simulate`` scenario writes, before anything is written.
+
+    ``traces`` maps a label to its lines, read once; the label ``""`` names the
+    lone trace of a scenario, any other label ``x`` names the files
+    ``<base>.x.trace.jsonl`` and the sidecar keys ``trace_x`` and
+    ``expect_x``.  ``head`` sidecar fields come right after the scenario
+    name; each ``tail`` section is merged into the sidecar section of that
+    name, or appended when the sidecar has none.
+    """
+
+    traces: dict[str, Iterable[str]]
+    identity: GroundedIdentity
+    cfg: WindowConfig
+    head: dict = field(default_factory=dict)
+    tail: dict[str, dict] = field(default_factory=dict)
+
+
 def context_identity(ids: Sequence[str]) -> GroundedIdentity:
     """One single-token context ingredient per id, matching the id itself."""
     return GroundedIdentity(

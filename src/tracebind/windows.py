@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, repeat
 from operator import and_, lt
 from typing import Iterable, Iterator, Sequence
 
-from .errors import OutOfRangeError, ParameterError
+from .errors import Frozen, OutOfRangeError, ParameterError
 
 
 INFINITE = math.inf
@@ -47,8 +46,7 @@ CHUNK = 4096
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(Frozen):
     """Horizon, stride, evaluation indices, and the minimal-horizon search cap."""
 
     horizon: int

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracebind.cli import build_parser, build_report, main
+from tracebind.cli import build_parser, build_report, integer, main
 from tracebind.errors import FileFormatError, MetricError, StructuralError
 from tracebind.identity import identity_to_document, ingredient_bits, load_identity_file
 from tracebind.metrics import MetricParams, changed_bits, consistency, render_json, render_number
@@ -1078,6 +1078,19 @@ FLAG_FAULTS = {
         "invalid literal for int() with base 10: 'x'",
     ),
     "eval-comma": (["analyze", "--eval", ","], "--eval list is empty"),
+    # each --eval entry is an optional '-' and ASCII digits: int() alone reads these as 0,2; 10; 3
+    "eval-empty-entry": (
+        ["analyze", "--eval", "0,,2"],
+        "--eval must be 'all' or a comma-separated list: invalid literal for int() with base 10: ''",
+    ),
+    "eval-underscore": (
+        ["analyze", "--eval", "1_0"],
+        "--eval must be 'all' or a comma-separated list: invalid literal for int() with base 10: '1_0'",
+    ),
+    "eval-non-ascii": (
+        ["analyze", "--eval", "٣"],
+        "--eval must be 'all' or a comma-separated list: invalid literal for int() with base 10: '٣'",
+    ),
     "no-scenario": (["simulate"], "simulate needs a scenario name"),
     "drift-k": (["simulate", "drift-recover", "--k", "0"], "--k must be >= 1"),
     "drift-interventions": (
@@ -1112,6 +1125,30 @@ def test_flag_fault_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"tracebind: {message}\n")
     assert list(out.iterdir()) == []
+
+
+INTEGER_FLAGS = [
+    ["analyze", "--delta"], ["analyze", "--stride"], ["analyze", "--horizon-max"],
+    ["analyze", "--ref-index"], ["simulate", "--length"], ["simulate", "--k"],
+    ["simulate", "--cycles"],
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "٣", "+1", "\t1", "", "1.0", "0x1"])
+@pytest.mark.parametrize("flag", INTEGER_FLAGS, ids=" ".join)
+def test_integer_flags_take_only_ascii_digits(capsys, flag, value):
+    # int() alone would read the first four as 10, 3, 1 and 1
+    required = ["--trace", "t", "--identity", "i"] if flag[0] == "analyze" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([*flag, value, *required])
+    assert exit_info.value.code == 2
+    assert f"argument {flag[1]}: invalid integer value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), ("-7", -7), (" 007 ", 7), ("-0", 0), ("1" * 40, int("1" * 40))])
+def test_integer_reads_an_optional_minus_and_ascii_digits(text, value):
+    assert integer(text) == value
+    assert type(integer(text)) is int
 
 
 class TestProbeCommand:

@@ -4,13 +4,15 @@ Each CLI run here is a child process started with ``PYTHONPATH=src`` and
 ``-X importtime``, so its stdout is the command's real output and its stderr
 lists every module the run imported.  ``analyze`` and ``probe`` must print
 their committed goldens loading exactly the mask path, and none of
-``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``; only
-``simulate`` loads the simulator and the sets.  The package serves the
+``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``, nor
+``dataclasses`` or ``inspect``; only ``simulate`` loads the simulator and
+the sets.  The package serves the
 object-level API's names on first use (PEP 562), and three of the modules
 that held them before serve the few that ``bench/`` still imports from
 them.  The last tests pin that contract, that the tests import each name
 from its one home, and, by reading each command-path module's imports
-without running anything, that those modules load no library module.
+without running anything, that those modules load no library module and
+that no source of ``analyze`` and ``probe`` imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import tracebind
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 UNUSED_BY_SCORING = {"tracebind.sets", "tracebind.simulator", "tracebind.oracle"}
+# modules whose import alone costs analyze and probe milliseconds of start-up;
+# the value classes derive from errors.Frozen so that neither loads
+SLOW_TO_IMPORT = {"dataclasses", "inspect"}
 # every tracebind module that analyze and probe load, with no other
 SCORING_MODULES = {
     "tracebind", "tracebind.cli", "tracebind.errors", "tracebind.identity",
@@ -127,7 +132,7 @@ def test_analyze_prints_its_golden_without_the_simulator(case, fmt):
     assert (code, err) == (0, "")
     assert out == Path(f"{trace}.analyze.{fmt}").read_bytes()
     assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
-    assert modules.isdisjoint(UNUSED_BY_SCORING)
+    assert modules.isdisjoint(UNUSED_BY_SCORING | SLOW_TO_IMPORT)
 
 
 def test_analyze_with_a_faulty_identity_loads_no_simulator(tmp_path):
@@ -141,7 +146,7 @@ def test_analyze_with_a_faulty_identity_loads_no_simulator(tmp_path):
     assert (code, out) == (2, b"")
     assert err.startswith(f"tracebind: {identity}")
     assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
-    assert modules.isdisjoint(UNUSED_BY_SCORING)
+    assert modules.isdisjoint(UNUSED_BY_SCORING | SLOW_TO_IMPORT)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -155,7 +160,7 @@ def test_probe_prints_its_golden_without_the_simulator(delta, fmt):
     assert (code, err) == (0, "")
     assert out == (folder / f"outputs.probe.{delta}.{fmt}").read_bytes()
     assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
-    assert modules.isdisjoint(UNUSED_BY_SCORING)
+    assert modules.isdisjoint(UNUSED_BY_SCORING | SLOW_TO_IMPORT)
 
 
 def test_simulate_loads_the_simulator(tmp_path):
@@ -307,3 +312,15 @@ def test_the_guard_sees_what_runs_at_load():
 def test_command_path_modules_import_no_library_module_at_load(module):
     source = (ROOT / "src" / "tracebind" / f"{module}.py").read_text(encoding="utf-8")
     assert [(line, name) for line, name in imported_at_load(source) if name in UNUSED_BY_SCORING] == []
+    # nor dataclasses, anywhere in a source of analyze and probe
+    if f"tracebind.{module}".removesuffix(".__init__") in SCORING_MODULES:
+        imports = [
+            (node.lineno, name)
+            for node in ast.walk(ast.parse(source))
+            for name in (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                else []
+            )
+        ]
+        assert [(line, name) for line, name in imports if name.split(".")[0] == "dataclasses"] == []
