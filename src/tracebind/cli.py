@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import MetricError, ParameterError, TracebindError
-from .identity import GroundedIdentity, identity_to_document, load_identity_file
+from .identity import identity_to_document, load_identity_file
 from .metrics import (
     MetricParams,
     MetricsReport,

@@ -298,14 +298,17 @@ def window_horizons(
 ) -> list[tuple[int, int | float, int | float]]:
     """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
     the given order and with its duplicates: :func:`start_horizons` of the
-    distinct window starts ``stride*t``.  A start outside the trace raises
-    :class:`OutOfRangeError` before any step is read.  The steps are encoded
-    by :func:`activation_masks` up to the last step a window can
-    reach, the last start plus ``horizon_max`` or the trace end."""
+    distinct window starts ``stride*t``.  A stride or cap that
+    :class:`WindowConfig` refuses raises its :class:`ParameterError`, and a
+    start outside the trace :class:`OutOfRangeError`, before any step is
+    read.  The steps are encoded by :func:`activation_masks` up to the last
+    step a window can reach, the last start plus ``horizon_max`` or the
+    trace end."""
+    WindowConfig(0, stride, (), horizon_max)  # its stride and cap rule
     n = len(activations)
     for t in eval_indices:
         start = stride * t
-        if t < 0 or not 0 <= start < n:
+        if not 0 <= start < n:
             raise OutOfRangeError(
                 f"window start {start} is outside the trace of length {n}"
             )

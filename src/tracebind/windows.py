@@ -18,7 +18,9 @@ are shifts, ORs and ANDs of one bitset per ingredient (Baeza-Yates and
 Gonnet, "A New Approach to Text Searching", CACM 1992), on chunks of
 window starts within ``CHUNK`` steps, so the kernel holds at most
 ``CHUNK + cap`` steps.  A statement over a subset G of the ids is scored
-by the same kernel over the padded masks ``m | (full & ~G)``.
+by the same kernel over the padded masks ``m | (full & ~G)``.  The kernel
+takes its starts as a sequence, increasing inside the trace, checked once
+where they are made: by ``metrics._starts`` and ``sets.window_horizons``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import islice, repeat
-from operator import and_, lt
-from typing import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import and_
+from typing import Iterator, Sequence
 
-from .errors import Frozen, OutOfRangeError, ParameterError
+from .errors import Frozen, ParameterError
 
 
 INFINITE = math.inf
@@ -97,20 +99,22 @@ def window_starts(cfg: WindowConfig) -> Sequence[int]:
 
 
 def horizon_codes(
-    masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
+    masks: Sequence[int], k: int, starts: Sequence[int], horizon_max: int
 ) -> Iterator[tuple]:
-    """The minimal horizons of the increasing window starts ``starts``, one
-    chunk of starts at a time (:func:`_chunks`), in start order, as
-    ``(chunk, weak_codes, weak_levels, strong_codes, strong_levels)``.  The
-    weak horizon of ``chunk[j]``, the least at which its window satisfies
+    """The minimal horizons of the window starts ``starts``, one chunk of
+    starts at a time (:func:`_chunks`), in start order, as ``(chunk,
+    weak_codes, weak_levels, strong_codes, strong_levels)``.  The weak
+    horizon of ``chunk[j]``, the least at which its window satisfies
     ``occurs``, is ``weak_levels[weak_codes[j]]``; the strong one, for
     ``coinstantiated``, is ``strong_levels[strong_codes[j]]``.  Each is
     searched up to ``horizon_max`` or the trace end, else ``INFINITE``.
     The chunk's steps, from its first start to its last plus
     ``horizon_max``, give one bitset per ingredient; the weak levels grow
-    from them, the strong ones from their AND, the full steps."""
+    from them, the strong ones from their AND, the full steps.  ``starts``
+    must increase inside the trace and ``horizon_max`` be at least 0, as
+    ``metrics._starts`` and ``sets.window_horizons`` check; not again here."""
     n = len(masks)
-    for chunk in _chunks(starts, n):
+    for chunk in _chunks(starts):
         first = chunk[0]
         count = chunk[-1] - first + 1
         bitsets = _occurrences(masks[first : min(chunk[-1] + horizon_max, n - 1) + 1], k)
@@ -123,42 +127,15 @@ def horizon_codes(
         yield chunk, weak, weak_levels, strong, strong_levels
 
 
-def _chunks(starts: Iterable[int], n: int) -> Iterator[Sequence[int]]:
-    """``starts`` in chunks of the starts within ``CHUNK`` steps of the
-    chunk's first, at most ``CHUNK`` pulled ahead of the answers, each
-    checked as it is pulled: in the trace of length ``n`` and after the one
-    before.  A range is checked at its ends and cut into ranges."""
-    if isinstance(starts, range) and starts.step > 0:
-        inside = starts[: bisect_left(starts, n) if starts.start >= 0 else 0]
-        per = -(-CHUNK // starts.step)
-        for i in range(0, len(inside), per):
-            yield inside[i : i + per]
-        if len(inside) < len(starts):
-            _refuse(starts[len(inside)], n)
-        return
-    pulled = iter(starts)
-    ahead: list[int] = []
-    last = -1  # the start pulled last
-    while True:
-        fresh = list(islice(pulled, CHUNK - len(ahead)))
-        if fresh:
-            if not (last < fresh[0] and fresh[-1] < n and all(map(lt, fresh, islice(fresh, 1, None)))):
-                for s in fresh:
-                    if not last < s < n:
-                        _refuse(s, n)
-                    last = s
-            last = fresh[-1]
-            ahead += fresh
-        if not ahead:
-            return
-        # ahead holds CHUNK starts or every start left, so all of the chunk's
-        cut = bisect_left(ahead, ahead[0] + CHUNK)
-        yield ahead[:cut]
-        del ahead[:cut]
-
-
-def _refuse(start: int, n: int) -> None:
-    raise OutOfRangeError(f"window start {start} is out of order or outside the trace of length {n}")
+def _chunks(starts: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The increasing ``starts`` cut into slices, each of the starts within
+    ``CHUNK`` steps of the slice's first: a range is cut into ranges.  The
+    order is :func:`horizon_codes`'s precondition and is not checked."""
+    i = 0
+    while i < len(starts):
+        cut = bisect_left(starts, starts[i] + CHUNK, i)
+        yield starts[i:cut]
+        i = cut
 
 
 def _occurrences(window: Sequence[int], k: int) -> list[int]:
@@ -252,12 +229,12 @@ def _transposed(planes: list[int], count: int) -> Sequence[int]:
 
 
 def start_horizons(
-    masks: Sequence[int], k: int, starts: Iterable[int], horizon_max: int
+    masks: Sequence[int], k: int, starts: Sequence[int], horizon_max: int
 ) -> Iterator[tuple[int, int | float, int | float]]:
     """``(s, w_weak, w_strong)`` for each window start ``s`` of ``starts``
     (increasing steps of the trace), in start order: the least horizons at
     which the window from ``s`` satisfies ``occurs`` and ``coinstantiated``,
     searched up to ``horizon_max`` or the trace end, else ``INFINITE``; read
-    off :func:`horizon_codes`."""
+    off :func:`horizon_codes`, under its precondition."""
     for chunk, weak, weak_levels, strong, strong_levels in horizon_codes(masks, k, starts, horizon_max):
         yield from zip(chunk, map(weak_levels.__getitem__, weak), map(strong_levels.__getitem__, strong))

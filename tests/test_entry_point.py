@@ -13,6 +13,8 @@ them.  The last tests pin that contract, that the tests import each name
 from its one home, and, by reading each command-path module's imports
 without running anything, that those modules load no library module and
 that no source of ``analyze`` and ``probe`` imports ``dataclasses``.
+Every name a package module imports is used there, exported by the
+package, or imported from that module by ``bench/``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import tracebind
+from test_bench_imports import bench_imports
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -324,3 +327,42 @@ def test_command_path_modules_import_no_library_module_at_load(module):
             )
         ]
         assert [(line, name) for line, name in imports if name.split(".")[0] == "dataclasses"] == []
+
+
+def unused_imports(source: str, kept: set[str]) -> list[tuple[int, str]]:
+    """``(line, name)`` for each name that the source's imports bind, at any
+    depth, which the source never reads and ``kept`` does not hold; a
+    ``from __future__`` import binds no name."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [
+        (node.lineno, alias.asname or alias.name.partition(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    return [(line, name) for line, name in bound if name not in read | kept]
+
+
+def test_the_import_check_sees_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from itertools import islice, repeat\n"
+        "def f():\n"
+        "    from operator import lt\n"
+        "    return repeat(os.path)\n"
+    )
+    assert unused_imports(source, {"islice"}) == [(3, "system"), (6, "lt")]
+
+
+@pytest.mark.parametrize("stem", sorted(path.stem for path in (ROOT / "src" / "tracebind").glob("*.py")))
+def test_every_imported_name_is_used(stem):
+    # or exported by the package, or imported from the module by bench/
+    module = "tracebind" if stem == "__init__" else f"tracebind.{stem}"
+    kept = {name for found, name in bench_imports() if found == module}
+    if module == "tracebind":
+        kept |= set(tracebind.__all__)
+    source = (ROOT / "src" / "tracebind" / f"{stem}.py").read_text(encoding="utf-8")
+    assert unused_imports(source, kept) == []

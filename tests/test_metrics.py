@@ -357,6 +357,10 @@ class TestGapRatio:
     def test_start_out_of_range(self):
         with pytest.raises(OutOfRangeError, match="window start 12"):
             gap_ratio(alternating_trace(10), context_identity(2), 4, (0, 3), 8)
+        # a stride or a cap that WindowConfig refuses, with its message
+        for stride, cap, message in [(0, 8, "stride must be >= 1"), (1, -1, "horizon_max must be >= 0")]:
+            with pytest.raises(ParameterError, match=message):
+                gap_ratio(alternating_trace(10), context_identity(2), stride, (0, 3), cap)
 
     def test_empty_eval_set_rejected(self):
         with pytest.raises(ParameterError, match="T must be non-empty"):

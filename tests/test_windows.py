@@ -35,7 +35,7 @@ from tracebind.windows import INFINITE, WindowConfig, start_horizons, window_sta
 def window_flags(masks, k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray]:
     """The occur and coinst flags of each window, one byte per window: its
     ``start_horizons`` searched up to the window horizon, found or not."""
-    starts = (cfg.stride * t for t in cfg.eval_indices)
+    starts = [cfg.stride * t for t in cfg.eval_indices]
     found = [
         (w_weak <= cfg.horizon, w_strong <= cfg.horizon)
         for _, w_weak, w_strong in start_horizons(masks, k, starts, cfg.horizon)
@@ -332,6 +332,18 @@ class TestWindowHorizons:
             window_horizons(acts, context_identity(1), 2, (0, 3), 8)
         with pytest.raises(OutOfRangeError):
             window_horizons(acts, context_identity(1), 1, (-1,), 8)
+        # a stride or a cap that WindowConfig refuses, with its message
+        acts = activations_from_sets([{"g0", "g1"}] * 6)
+        for stride, eval_indices, cap, message in [
+            (0, (0, 1, 2, 5), 4, "stride must be >= 1"),  # not the window at step 0 four times
+            (-1, (0,), 4, "stride must be >= 1"),
+            (1, (5,), -1, "horizon_max must be >= 0"),  # not a start outside a 5-step trace
+            (1, (3,), -3, "horizon_max must be >= 0"),  # not horizons for a start that binds at once
+        ]:
+            with pytest.raises(ParameterError, match=message):
+                window_horizons(acts, context_identity(2), stride, eval_indices, cap)
+            with pytest.raises(ParameterError, match=message):
+                minimal_horizons(acts, context_identity(2), stride, eval_indices[-1], cap)
 
     def test_stray_in_a_later_window_range_rejected(self):
         # t=0 binds at once; the steps up to the last start plus the cap,
@@ -466,7 +478,7 @@ class TestPaddedMasks:
             padded = [m | (full & ~target) for m in masks]
             stride = rng.randint(1, 3)
             ts = range((n - 1) // stride + 1)
-            assert list(start_horizons(padded, k, (stride * t for t in ts), delta)) == [
+            assert list(start_horizons(padded, k, [stride * t for t in ts], delta)) == [
                 (stride * t, *oracle_minimal_horizons(acts, restricted, stride, t, delta))
                 for t in ts
             ]
@@ -475,39 +487,6 @@ class TestPaddedMasks:
             assert [
                 (t, bool(o), bool(c)) for t, o, c in zip(cfg.eval_indices, occur, coinst)
             ] == list(oracle_persistence(acts, restricted, cfg).per_window)
-
-
-class Watched(Sequence):
-    """Step masks that record, at each read, how many of the starts pulled so
-    far are not yet answered."""
-
-    def __init__(self, masks, starts):
-        self.masks = masks
-        self.starts = starts
-        self.pulled = 0
-        self.answered = 0
-        self.most_pending = 0
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, u):
-        self.most_pending = max(self.most_pending, self.pulled - self.answered)
-        return self.masks[u]
-
-    def pull(self):
-        for s in self.starts:
-            self.pulled += 1
-            yield s
-
-
-def run_watched(masks, k, starts, cap):
-    watched = Watched(masks, starts)
-    results = []
-    for result in start_horizons(watched, k, watched.pull(), cap):
-        results.append(result)
-        watched.answered += 1
-    return results, watched.most_pending
 
 
 class ReadLog(Sequence):
@@ -545,52 +524,38 @@ def small_chunks(monkeypatch, chunk):
 
 
 class TestStartHorizons:
-    def test_pending_starts_stay_within_the_cap(self, monkeypatch):
-        # at most one chunk of starts is pulled ahead of the answers, however
-        # long the trace and whatever the cap
-        rng = random.Random(6_006)
-        for _ in range(300):
-            chunk = small_chunks(monkeypatch, rng.choice([1, 3, 8, 16]))
-            k = rng.randint(1, 3)
-            full = (1 << k) - 1
-            n = rng.randint(1, 200)
-            # rare full steps keep starts pending up to the cap
-            masks = [full if rng.random() < 0.02 else rng.getrandbits(k) for _ in range(n)]
-            stride = rng.randint(1, 4)
-            cap = rng.randint(0, 40)
-            ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
-            results, most = run_watched(masks, k, [stride * t for t in ts], cap)
-            assert most <= chunk
-            acts = activations_from_sets(
-                [{f"g{i}" for i in range(k) if mask >> i & 1} for mask in masks]
-            )
-            identity = context_identity(k)
-            assert results == [
-                (stride * t, *oracle_minimal_horizons(acts, identity, stride, t, cap))
-                for t in ts
-            ]
-
     def test_reads_follow_the_scanned_ranges(self, monkeypatch):
         # the kernel reads one slice of steps per chunk of starts: from the
         # chunk's first start to its last start plus the cap, so it holds at
-        # most CHUNK + cap steps, and the slices come in step order
+        # most CHUNK + cap steps, and the slices come in step order; a range
+        # of starts, its step up to past the chunk, is cut into ranges
         rng = random.Random(6_116)
-        for _ in range(400):
+        range_steps = set()  # past the chunk or not
+        for _ in range(600):
             chunk = small_chunks(monkeypatch, rng.choice([1, 2, 5, 12]))
             k = rng.randint(1, 4)
             full = (1 << k) - 1
             n = rng.randint(1, 80)
             p_full = rng.choice([0.0, 0.03, 0.2])
             masks = [full if rng.random() < p_full else rng.getrandbits(k) for _ in range(n)]
-            stride = rng.randint(1, 4)
             cap = rng.randint(0, 15)
-            ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
-            starts = [stride * t for t in ts]
+            if rng.random() < 0.5:
+                stride = rng.randint(1, 4)
+                ts = sorted(rng.sample(range((n - 1) // stride + 1), rng.randint(1, (n - 1) // stride + 1)))
+                starts = [stride * t for t in ts]
+            else:
+                stride = rng.randint(1, 16)
+                first = rng.randrange(n)
+                starts = range(first, rng.randint(first + 1, n), stride)
+                range_steps.add(stride > chunk)
             log = ReadLog(masks)
-            results = list(start_horizons(log, k, iter(starts), cap))
+            results = list(start_horizons(log, k, starts, cap))
             assert log.reads == chunk_reads(starts, n, cap, chunk)
             assert all(read.stop - read.start <= chunk + cap for read in log.reads)
-            assert [s for s, _, _ in results] == starts
+            assert [s for s, _, _ in results] == list(starts)
+            if isinstance(starts, range):
+                assert all(isinstance(cut, range) for cut, *_ in windows.horizon_codes(masks, k, starts, cap))
+        assert range_steps == {False, True}
 
     def test_state_bound_is_reached_on_an_unbound_trace(self, monkeypatch):
         chunk = small_chunks(monkeypatch, 16)
@@ -603,26 +568,9 @@ class TestStartHorizons:
         # the start at 0 is covered at step 2 and expires at step 3, where
         # the starts at 1 and 2 are covered and bind; 4 meets the trace end
         masks = [1, 0, 2, 3, 0]
-        stream = start_horizons(masks, 2, iter([0, 1, 2, 4]), 2)
+        stream = start_horizons(masks, 2, [0, 1, 2, 4], 2)
         assert next(stream) == (0, 2, INFINITE)
         assert list(stream) == [(1, 2, 2), (2, 1, 1), (4, INFINITE, INFINITE)]
-
-    def test_starts_checked_as_they_are_pulled(self):
-        for starts, bad in [([0, 2, 1], 1), ([0, 0], 0), ([-1], -1), ([0, 3], 3)]:
-            message = f"window start {bad} is out of order or outside the trace of length 3"
-            with pytest.raises(OutOfRangeError, match=message):
-                list(start_horizons([3, 3, 3], 2, iter(starts), 4))
-
-    def test_range_starts_checked_at_their_ends(self):
-        # a range is cut into ranges; its first start outside the trace is
-        # named once the starts before it are answered
-        stream = start_horizons([3, 3, 3], 2, range(0, 6, 2), 4)
-        assert next(stream) == (0, 0, 0)
-        with pytest.raises(OutOfRangeError, match="window start 4 is out of order"):
-            list(stream)
-        with pytest.raises(OutOfRangeError, match="window start -1 is out of order"):
-            list(start_horizons([3, 3, 3], 2, range(-1, 2), 4))
-        assert list(start_horizons([3, 3, 3], 2, range(2, 0), 4)) == []
 
 
 def masks_as_activations(masks, k):
