@@ -446,10 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MetricError as exc:
         print(f"tracebind: metric error: {exc}", file=sys.stderr)
         return 3
-    except TracebindError as exc:
-        print(f"tracebind: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TracebindError, OSError) as exc:
         print(f"tracebind: {exc}", file=sys.stderr)
         return 2
 

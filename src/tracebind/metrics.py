@@ -112,15 +112,13 @@ def window_counts(
     w_strong)``: one pass of :func:`windows.horizon_codes`, searched up to
     ``max(delta, horizon_max)``, so that :func:`counted_persistence` and
     :func:`counted_gap` both read the same counts.  Each chunk's windows are
-    counted by their pair of codes, and each pair of codes is then read as
-    its pair of horizons."""
+    counted by their code, and each code is then read as its pair of
+    horizons."""
     counts: Counter[tuple[int | float, int | float]] = Counter()
     cap = max(cfg.horizon, cfg.horizon_max)
-    for _, weak, weak_levels, strong, strong_levels in horizon_codes(
-        masks, k, _starts(masks, cfg), cap
-    ):
-        for (w_weak, w_strong), count in Counter(zip(weak, strong)).items():
-            counts[weak_levels[w_weak], strong_levels[w_strong]] += count
+    for _, codes, pairs in horizon_codes(masks, k, _starts(masks, cfg), cap):
+        for code, count in Counter(codes).items():
+            counts[pairs[code]] += count
     return counts
 
 

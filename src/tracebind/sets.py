@@ -297,8 +297,9 @@ def window_horizons(
     horizon_max: int,
 ) -> list[tuple[int, int | float, int | float]]:
     """``(t, w_weak, w_strong)`` for every layer time in ``eval_indices``, in
-    the given order and with its duplicates: :func:`start_horizons` of the
-    distinct window starts ``stride*t``.  A stride or cap that
+    the given order and with its duplicates: the pair that
+    :func:`start_horizons` gives its window start ``stride*t``, each
+    distinct start searched once.  A stride or cap that
     :class:`WindowConfig` refuses raises its :class:`ParameterError`, and a
     start outside the trace :class:`OutOfRangeError`, before any step is
     read.  The steps are encoded by :func:`activation_masks` up to the last
@@ -315,10 +316,7 @@ def window_horizons(
     starts = sorted({stride * t for t in eval_indices})
     last = min(n - 1, starts[-1] + horizon_max) if starts else -1
     masks = activation_masks(activations, ingredient_bits(identity), last)
-    found = {
-        s: (w_weak, w_strong)
-        for s, w_weak, w_strong in start_horizons(masks, identity.k, starts, horizon_max)
-    }
+    found = dict(start_horizons(masks, identity.k, starts, horizon_max))
     return [(t, *found[stride * t]) for t in eval_indices]
 
 
@@ -379,7 +377,7 @@ def persistence(
     horizons = start_horizons(masks, identity.k, _starts(masks, cfg), delta)
     per_window = tuple([
         (t, w_weak <= delta, w_strong <= delta)
-        for t, (_, w_weak, w_strong) in zip(cfg.eval_indices, horizons)
+        for t, (_, (w_weak, w_strong)) in zip(cfg.eval_indices, horizons)
     ])
     return PersistenceResult(
         p_weak=sum(occurs for _, occurs, _ in per_window) / len(per_window),

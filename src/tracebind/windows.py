@@ -102,17 +102,17 @@ def horizon_codes(
     masks: Sequence[int], k: int, starts: Sequence[int], horizon_max: int
 ) -> Iterator[tuple]:
     """The minimal horizons of the window starts ``starts``, one chunk of
-    starts at a time (:func:`_chunks`), in start order, as ``(chunk,
-    weak_codes, weak_levels, strong_codes, strong_levels)``.  The weak
-    horizon of ``chunk[j]``, the least at which its window satisfies
-    ``occurs``, is ``weak_levels[weak_codes[j]]``; the strong one, for
-    ``coinstantiated``, is ``strong_levels[strong_codes[j]]``.  Each is
-    searched up to ``horizon_max`` or the trace end, else ``INFINITE``.
-    The chunk's steps, from its first start to its last plus
-    ``horizon_max``, give one bitset per ingredient; the weak levels grow
-    from them, the strong ones from their AND, the full steps.  ``starts``
-    must increase inside the trace and ``horizon_max`` be at least 0, as
-    ``metrics._starts`` and ``sets.window_horizons`` check; not again here."""
+    starts at a time (:func:`_chunks`), in start order, as ``(chunk, codes,
+    pairs)``.  ``chunk[j]``'s window has one code, ``codes[j]``, and
+    ``pairs[codes[j]]`` is its ``(w_weak, w_strong)``: the least horizons at
+    which it satisfies ``occurs`` and ``coinstantiated``, each searched up
+    to ``horizon_max`` or the trace end, else ``INFINITE``.  The chunk's
+    steps, from its first start to its last plus ``horizon_max``, give one
+    bitset per ingredient; the weak ranks grow from them, the strong ones
+    from their AND, the full steps, and a code holds the strong rank in the
+    bits above the weak one.  ``starts`` must increase inside the trace and
+    ``horizon_max`` be at least 0, as ``metrics._starts`` and
+    ``sets.window_horizons`` check; not again here."""
     n = len(masks)
     for chunk in _chunks(starts):
         first = chunk[0]
@@ -120,11 +120,13 @@ def horizon_codes(
         bitsets = _occurrences(masks[first : min(chunk[-1] + horizon_max, n - 1) + 1], k)
         weak, weak_levels = _ranks(bitsets, horizon_max, count)
         strong, strong_levels = _ranks([reduce(and_, bitsets)], horizon_max, count)
+        codes = _transposed(weak + strong, count)
         if len(chunk) < count:  # codes are per step: keep the starts'
             offsets = range(0, count, chunk.step) if isinstance(chunk, range) else [s - first for s in chunk]
-            weak = list(map(weak.__getitem__, offsets))
-            strong = list(map(strong.__getitem__, offsets))
-        yield chunk, weak, weak_levels, strong, strong_levels
+            codes = list(map(codes.__getitem__, offsets))
+        below = (1 << len(weak)) - 1
+        pairs = {c: (weak_levels[c & below], strong_levels[c >> len(weak)]) for c in set(codes)}
+        yield chunk, codes, pairs
 
 
 def _chunks(starts: Sequence[int]) -> Iterator[Sequence[int]]:
@@ -168,16 +170,17 @@ def _level_sets(bitsets: list[int], cap: int, within: int) -> Iterator[int]:
         yield reduce(and_, spread, within)
 
 
-def _ranks(bitsets: list[int], cap: int, count: int) -> tuple[Sequence[int], list[int | float]]:
-    """``(codes, levels)`` of the first ``count`` steps as window starts:
+def _ranks(bitsets: list[int], cap: int, count: int) -> tuple[list[int], list[int | float]]:
+    """``(planes, levels)`` of the first ``count`` steps as window starts:
     ``levels`` holds each horizon whose level set grew, then ``INFINITE``,
-    and a start's code indexes the first that holds it.  Only a start with
-    a bit of every bitset at or after it can resolve, so the levels stop
-    once all such starts resolve, or at the cap."""
+    a start's rank indexes the first that holds it, and ``planes[b]`` holds
+    bit b of every rank, as :func:`_transposed` reads them.  Only a start
+    with a bit of every bitset at or after it can resolve, so the levels
+    stop once all such starts resolve, or at the cap."""
     everyone = (1 << count) - 1
     resolvable = everyone & (1 << min(map(int.bit_length, bitsets))) - 1
     levels: list[int | float] = []
-    planes: list[int] = []  # planes[b]: bit b of every code, see _fold
+    planes: list[int] = []  # planes[b]: bit b of every rank, see _fold
     seen = 0
     if resolvable:
         for d, level in enumerate(_level_sets(bitsets, cap, resolvable)):
@@ -192,13 +195,13 @@ def _ranks(bitsets: list[int], cap: int, count: int) -> tuple[Sequence[int], lis
     for b in range(len(planes)):
         if len(levels) >> b & 1:
             planes[b] ^= everyone
-    return _transposed(planes[: (len(levels) - 1).bit_length()], count), levels
+    return planes[: (len(levels) - 1).bit_length()], levels
 
 
 def _fold(planes: list[int], c: int, below: int) -> None:
-    """Fold ``below``, the starts whose code is less than ``c``, into the
-    planes.  Bit b is set in the codes of the runs [step, 2 step), [3 step,
-    4 step), ... for step = 2**b, the last run cut at the last code, so
+    """Fold ``below``, the starts whose rank is less than ``c``, into the
+    planes.  Bit b is set in the ranks of the runs [step, 2 step), [3 step,
+    4 step), ... for step = 2**b, the last run cut at the last rank, so
     plane b is the XOR of ``below`` over the multiples ``c`` of step, and
     of every start when their count is odd, which :func:`_ranks` adds."""
     for b in range((c & -c).bit_length()):
@@ -209,32 +212,30 @@ def _fold(planes: list[int], c: int, below: int) -> None:
 
 def _transposed(planes: list[int], count: int) -> Sequence[int]:
     """One code per start: bit ``b`` of the j-th is bit ``j`` of
-    ``planes[b]``.  Each plane's binary digits become a lane of 0 or 1 per
-    start, one byte wide for up to 8 planes, else two, read as one int and
-    shifted into bit ``b`` of every lane; two-byte lanes are read as
-    unsigned shorts in the machine's byte order."""
-    width = 1 if len(planes) <= 8 else 2
-    lanes = 0
-    for b, plane in enumerate(planes):
-        digits = format(plane, f"0{count}b").encode().translate(_DIGIT_BYTES)
-        if width == 2:
-            spaced = bytearray(2 * count)
-            spaced[1::2] = digits
-            digits = spaced
-        lanes |= int.from_bytes(digits, "big") << b
-    if width == 1:
-        return lanes.to_bytes(count, "little")
-    shorts = memoryview(lanes.to_bytes(2 * count, sys.byteorder)).cast("H")
-    return shorts if sys.byteorder == "little" else shorts[::-1]
+    ``planes[b]``.  Each plane's binary digits become a byte of 0 or 1 per
+    start; eight planes at a time are read as one int, shifted into bit
+    ``b % 8`` of every byte, and fill byte ``b // 8`` of every lane.  A lane
+    is 1, 2 or 4 bytes wide for up to 8, 16 or 32 planes (a chunk's two
+    ranks take at most 26), read as unsigned ints in the machine's order."""
+    width = 1 if len(planes) <= 8 else 2 if len(planes) <= 16 else 4
+    lanes = bytearray(width * count)
+    for i in range(0, len(planes), 8):
+        octets = 0
+        for b, plane in enumerate(planes[i : i + 8]):
+            digits = format(plane, f"0{count}b").encode().translate(_DIGIT_BYTES)
+            octets |= int.from_bytes(digits, "big") << b
+        at = i // 8 if sys.byteorder == "little" else width - 1 - i // 8
+        lanes[at::width] = octets.to_bytes(count, "little")
+    return lanes if width == 1 else memoryview(lanes).cast("H" if width == 2 else "I")
 
 
 def start_horizons(
     masks: Sequence[int], k: int, starts: Sequence[int], horizon_max: int
-) -> Iterator[tuple[int, int | float, int | float]]:
-    """``(s, w_weak, w_strong)`` for each window start ``s`` of ``starts``
+) -> Iterator[tuple[int, tuple[int | float, int | float]]]:
+    """``(s, (w_weak, w_strong))`` for each window start ``s`` of ``starts``
     (increasing steps of the trace), in start order: the least horizons at
     which the window from ``s`` satisfies ``occurs`` and ``coinstantiated``,
     searched up to ``horizon_max`` or the trace end, else ``INFINITE``; read
     off :func:`horizon_codes`, under its precondition."""
-    for chunk, weak, weak_levels, strong, strong_levels in horizon_codes(masks, k, starts, horizon_max):
-        yield from zip(chunk, map(weak_levels.__getitem__, weak), map(strong_levels.__getitem__, strong))
+    for chunk, codes, pairs in horizon_codes(masks, k, starts, horizon_max):
+        yield from zip(chunk, map(pairs.__getitem__, codes))

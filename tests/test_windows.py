@@ -38,7 +38,7 @@ def window_flags(masks, k: int, cfg: WindowConfig) -> tuple[bytearray, bytearray
     starts = [cfg.stride * t for t in cfg.eval_indices]
     found = [
         (w_weak <= cfg.horizon, w_strong <= cfg.horizon)
-        for _, w_weak, w_strong in start_horizons(masks, k, starts, cfg.horizon)
+        for _, (w_weak, w_strong) in start_horizons(masks, k, starts, cfg.horizon)
     ]
     return bytearray(f[0] for f in found), bytearray(f[1] for f in found)
 
@@ -479,7 +479,7 @@ class TestPaddedMasks:
             stride = rng.randint(1, 3)
             ts = range((n - 1) // stride + 1)
             assert list(start_horizons(padded, k, [stride * t for t in ts], delta)) == [
-                (stride * t, *oracle_minimal_horizons(acts, restricted, stride, t, delta))
+                (stride * t, oracle_minimal_horizons(acts, restricted, stride, t, delta))
                 for t in ts
             ]
             cfg = WindowConfig.all_valid(delta, stride, n, delta)
@@ -552,7 +552,7 @@ class TestStartHorizons:
             results = list(start_horizons(log, k, starts, cap))
             assert log.reads == chunk_reads(starts, n, cap, chunk)
             assert all(read.stop - read.start <= chunk + cap for read in log.reads)
-            assert [s for s, _, _ in results] == list(starts)
+            assert [s for s, _ in results] == list(starts)
             if isinstance(starts, range):
                 assert all(isinstance(cut, range) for cut, *_ in windows.horizon_codes(masks, k, starts, cap))
         assert range_steps == {False, True}
@@ -561,7 +561,7 @@ class TestStartHorizons:
         chunk = small_chunks(monkeypatch, 16)
         log = ReadLog([1, 2] * 50)
         results = list(start_horizons(log, 2, range(99), 10))
-        assert results == [(s, 1, INFINITE) for s in range(99)]
+        assert results == [(s, (1, INFINITE)) for s in range(99)]
         assert max(read.stop - read.start for read in log.reads) == chunk + 10
 
     def test_results_come_in_start_order_as_they_resolve(self):
@@ -569,8 +569,8 @@ class TestStartHorizons:
         # the starts at 1 and 2 are covered and bind; 4 meets the trace end
         masks = [1, 0, 2, 3, 0]
         stream = start_horizons(masks, 2, [0, 1, 2, 4], 2)
-        assert next(stream) == (0, 2, INFINITE)
-        assert list(stream) == [(1, 2, 2), (2, 1, 1), (4, INFINITE, INFINITE)]
+        assert next(stream) == (0, (2, INFINITE))
+        assert list(stream) == [(1, (2, 2)), (2, (1, 1)), (4, (INFINITE, INFINITE))]
 
 
 def masks_as_activations(masks, k):
@@ -583,7 +583,7 @@ def masks_as_activations(masks, k):
 
 def oracle_start_horizons(masks, k, starts, cap):
     identity, acts = masks_as_activations(masks, k)
-    return [(s, *oracle_minimal_horizons(acts, identity, 1, s, cap)) for s in starts]
+    return [(s, oracle_minimal_horizons(acts, identity, 1, s, cap)) for s in starts]
 
 
 class TestKernel:
@@ -627,7 +627,7 @@ class TestKernel:
             cap = max(delta, cfg.horizon_max)
             starts = window_starts(cfg)
             expected = oracle_start_horizons(masks, k, starts, cap)
-            assert window_counts(masks, k, cfg) == Counter((w, s) for _, w, s in expected)
+            assert window_counts(masks, k, cfg) == Counter((w, s) for _, (w, s) in expected)
             assert list(start_horizons(masks, k, starts, cap)) == expected
             below_delta.add(cfg.horizon_max < delta)
         assert below_delta == {True, False}
@@ -656,7 +656,7 @@ class TestKernel:
         expected = oracle_start_horizons(masks, 8, window_starts(cfg), 40)
         assert list(start_horizons(masks, 8, window_starts(cfg), 40)) == expected
         counts = window_counts(masks, 8, cfg)
-        assert counts == Counter((w, s) for _, w, s in expected)
+        assert counts == Counter((w, s) for _, (w, s) in expected)
         weak = {w for w, _ in counts if w != INFINITE}
         strong = {s for _, s in counts if s != INFINITE}
         assert max(weak) > 20 and max(strong) > 30 and len(strong) > 20
@@ -665,11 +665,39 @@ class TestKernel:
         # one full step at 300: the start at s has both horizons 300 - s, so
         # one chunk has 301 codes on each side, two bytes' worth
         masks = [1] * 300 + [3] + [0] * 20
-        expected = [(s, 300 - s, 300 - s) if s >= 1 else (0, INFINITE, INFINITE) for s in range(301)]
-        expected += [(s, INFINITE, INFINITE) for s in range(301, 321)]
+        expected = [(s, (300 - s, 300 - s)) if s >= 1 else (0, (INFINITE, INFINITE)) for s in range(301)]
+        expected += [(s, (INFINITE, INFINITE)) for s in range(301, 321)]
         assert list(start_horizons(masks, 2, range(321), 299)) == expected
         cfg = WindowConfig.all_valid(0, 1, len(masks), 299)
-        assert window_counts(masks, 2, cfg) == Counter((w, s) for _, w, s in expected)
+        assert window_counts(masks, 2, cfg) == Counter((w, s) for _, (w, s) in expected)
+
+    @pytest.mark.parametrize(
+        "a, b, planes, width", [(7, 1, 8, 1), (7, 8, 9, 2), (127, 1, 16, 2), (127, 128, 17, 4)]
+    )
+    def test_lane_widths(self, monkeypatch, a, b, planes, width):
+        # id 0 up to step a, id 1 alone at a, id 0 again up to the full step
+        # at a + b: the chunk's weak horizons are 0 .. max(a, b - 1) and its
+        # strong ones 0 .. a + b, so with INFINITE as the last rank on each
+        # side its joint codes take exactly ``planes`` bits
+        seen = []
+        transposed = windows._transposed
+
+        def spy(chunk_planes, count):
+            codes = transposed(chunk_planes, count)
+            seen.append((len(chunk_planes), memoryview(codes).itemsize))
+            return codes
+
+        monkeypatch.setattr(windows, "_transposed", spy)
+        masks = [1] * a + [2] + [1] * (b - 1) + [3] + [0] * 12
+        rng = random.Random(f"lanes {planes}")
+        stride = rng.randint(2, 3)
+        last = (len(masks) - 1) // stride
+        ts = [0, *sorted(rng.sample(range(1, last), last // 2)), last]
+        cfg = WindowConfig(0, stride, ts, a + b)
+        expected = oracle_start_horizons(masks, 2, window_starts(cfg), a + b)
+        assert window_counts(masks, 2, cfg) == Counter((w, s) for _, (w, s) in expected)
+        assert list(start_horizons(masks, 2, window_starts(cfg), a + b)) == expected
+        assert seen == [(planes, width)] * 2
 
     def test_levels_stop_once_every_resolvable_start_resolves(self, monkeypatch):
         # a trace that binds within a few steps: each chunk grows its level
@@ -693,7 +721,7 @@ class TestKernel:
         cfg = WindowConfig.all_valid(2, 1, n, 256)
         counts = window_counts(masks, 8, cfg)
         assert len(grown) == 2 * 3  # the weak and the strong levels of each chunk
-        found = [(w, s) for _, w, s in start_horizons(masks, 8, window_starts(cfg), 256)]
+        found = [(w, s) for _, (w, s) in start_horizons(masks, 8, window_starts(cfg), 256)]
         for chunk in range(3):
             part = found[chunk * windows.CHUNK : (chunk + 1) * windows.CHUNK]
             assert grown[2 * chunk] == 1 + max(w for w, _ in part if w != INFINITE)
