@@ -40,6 +40,8 @@ class ScaffoldArchitecture:
     corpus: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        if type(self.context_capacity) is not int or type(self.n_policy_flags) is not int:
+            raise StructuralError("context_capacity and n_policy_flags must be integers")
         if self.context_capacity < 1:
             raise StructuralError("context_capacity must be >= 1")
         if self.n_policy_flags < 0:
@@ -112,6 +114,16 @@ class ActivationSet:
             raise StructuralError("step_index must be >= 0")
         if not all(map(str.__instancecheck__, self.active)):
             raise StructuralError("active ingredient ids must be strings")
+
+
+def _built(cls, *parts):
+    """A ``cls`` holding ``parts``, one per field in order, with none of the
+    constructor's checks run: only for parts that have passed them already.
+    A state's memory is held as given, so pass a dict no other state holds."""
+    obj = object.__new__(cls)
+    for name, part in zip(cls.__match_args__, parts):
+        object.__setattr__(obj, name, part)
+    return obj
 
 
 def evaluate_ingredient(
@@ -512,22 +524,17 @@ class TraceData:
 def parse_trace(path: str | Path) -> TraceData:
     """Parse a line-delimited trace file into one state or activation set per
     step, with the per-line checks of :func:`trace.read_masks` (which ``analyze``
-    uses instead), each line fully decoded."""
+    uses instead), each line fully decoded.  Those checks cover every field,
+    so each state and set is built from its record with no check again."""
     states = []
     activations = []
     for form, record in _checked_records(path):
         if form == "activation":
-            activations.append(
-                ActivationSet(step_index=record["u"], active=frozenset(record["F"]))
-            )
+            activations.append(_built(ActivationSet, record["u"], frozenset(record["F"])))
         else:
-            states.append(
-                ScaffoldState(
-                    context=tuple(record["C"]),
-                    memory=record["M"],
-                    policy_flags=tuple(record["pi"]),
-                    retrieved=frozenset(record["D"]),
-                    step_index=record["u"],
-                )
-            )
+            # the record's memory is a dict decoded for it alone
+            states.append(_built(
+                ScaffoldState, tuple(record["C"]), record["M"], tuple(record["pi"]),
+                frozenset(record["D"]), record["u"],
+            ))
     return TraceData(form=form, states=tuple(states), activations=tuple(activations))

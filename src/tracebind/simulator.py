@@ -40,6 +40,7 @@ from .sets import (
     PersistenceResult,
     ScaffoldArchitecture,
     ScaffoldState,
+    _built,
     activation_sets,
     persistence,
 )
@@ -72,7 +73,11 @@ PRESET_NAMES = tuple(_PRESET_FEATURES)
 
 @dataclass(frozen=True)
 class Action:
-    """One scaffold micro-step: what the agent does between two states."""
+    """One scaffold micro-step: what the agent does between two states.
+
+    Its payload is checked here, so a step puts into a state only values
+    that a checked state, action or preset already holds.
+    """
 
     kind: str
     tokens: tuple[str, ...] | None = None
@@ -91,6 +96,11 @@ class Action:
         actual = {name for name in _PAYLOAD_FIELDS if getattr(self, name) is not None}
         if not required <= actual <= required | optional:
             raise StructuralError(f"payload does not match action kind {self.kind!r}")
+        texts = [getattr(self, name) for name in actual & {"query", "key", "value"}]
+        if not all(map(str.__instancecheck__, (*(self.tokens or ()), *texts))):
+            raise StructuralError("tokens, query, key and value must be strings")
+        if "flag_index" in actual and type(self.flag_index) is not int:
+            raise StructuralError("flag_index must be an integer")
         if not is_flag(self.flag_value):
             raise StructuralError("flag_value must be the integer 0 or 1")
 
@@ -135,7 +145,13 @@ class RetrievalPolicy:
             raise StructuralError(f"unknown retrieval mode {self.mode!r}")
         object.__setattr__(self, "ingredient_docs", dict(self.ingredient_docs))
         object.__setattr__(self, "injected_doc_lengths", dict(self.injected_doc_lengths))
+        docs = self.ingredient_docs
+        ids = (*docs, *docs.values(), *self.injected_doc_lengths)
+        if not all(map(str.__instancecheck__, ids)):
+            raise StructuralError("ingredient and document ids must be strings")
         for doc, length in self.injected_doc_lengths.items():
+            if type(length) is not int:
+                raise StructuralError(f"document {doc!r} has a length that is not an integer")
             if length < 0:
                 raise StructuralError(f"document {doc!r} has negative length")
         missing = set(self.ingredient_docs.values()) - set(self.injected_doc_lengths)
@@ -223,6 +239,8 @@ class ArchitecturePreset:
         if self.name not in _PRESET_FEATURES:
             raise StructuralError(f"unknown preset name {self.name!r}")
         self.architecture()  # checks the capacity and the flag count
+        if not all(map(str.__instancecheck__, self.pinned_prefix)):
+            raise StructuralError("pinned prefix tokens must be strings")
         if len(self.pinned_prefix) > self.context_capacity:
             raise StructuralError("pinned prefix exceeds context capacity")
         # only prompted and controller pin a prefix; stateless and prompted
@@ -257,12 +275,9 @@ class ArchitecturePreset:
         )
 
     def initial_state(self) -> ScaffoldState:
-        return ScaffoldState(
-            context=self.pinned_prefix,
-            memory={},
-            policy_flags=(0,) * self.n_policy_flags,
-            retrieved=frozenset(),
-            step_index=0,
+        # every part is a checked field of this preset or a constant
+        return _built(
+            ScaffoldState, self.pinned_prefix, {}, (0,) * self.n_policy_flags, frozenset(), 0
         )
 
     def supports(self, action: Action) -> bool:
@@ -288,7 +303,7 @@ def make_preset(
 
 
 def _append_with_eviction(
-    context: tuple[str, ...], new_tokens: Sequence[str], preset: ArchitecturePreset
+    context: tuple[str, ...], new_tokens: tuple[str, ...], preset: ArchitecturePreset
 ) -> tuple[str, ...]:
     pinned = preset.pinned_prefix
     capacity = preset.context_capacity
@@ -297,11 +312,11 @@ def _append_with_eviction(
             f"cannot fit {len(new_tokens)} tokens next to a pinned prefix of "
             f"{len(pinned)} within capacity {capacity}"
         )
-    tail = list(context[len(pinned):]) + list(new_tokens)
-    overflow = len(pinned) + len(tail) - capacity
-    if overflow > 0:
-        tail = tail[overflow:]
-    return pinned + tuple(tail)
+    # the newest carried tokens that still fit; with none, the new tokens'
+    # own tuple is the tail
+    room = capacity - len(pinned) - len(new_tokens)
+    carried = context[len(pinned):][-room:] if room else ()
+    return pinned + carried + new_tokens
 
 
 def _carried(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
@@ -314,14 +329,17 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
 
     Only the component the action changes is built anew: the new state
     shares the carried state's flag tuple and ``retrieved`` set (both
-    immutable) unless a tool call or a retrieval changes them.
+    immutable) unless a tool call or a retrieval changes them, and holds a
+    copy of its memory.  Each part comes from the carried state, the action
+    or the preset, all checked when they were made, so the new state is not
+    checked again.
     """
     if not preset.supports(action):
         _, _, _, module = _ACTION_RULES[action.kind]
         raise FeatureError(f"preset {preset.name!r} has no {module}")
     kept = _carried(state, preset)
     context = kept.context
-    memory = kept.memory  # ScaffoldState copies it
+    memory = dict(kept.memory)
     flags = kept.policy_flags
     retrieved = kept.retrieved
 
@@ -336,7 +354,7 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
         if docs:
             retrieved = retrieved.union(docs)
     elif action.kind == "store":
-        memory = {**memory, action.key: action.value}
+        memory[action.key] = action.value
     elif action.kind == "tool":
         if action.flag_index is not None:
             if not 0 <= action.flag_index < preset.n_policy_flags:
@@ -347,17 +365,15 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
             index = action.flag_index
             flags = flags[:index] + (action.flag_value,) + flags[index + 1:]
 
-    return ScaffoldState(
-        context=context,
-        memory=memory,
-        policy_flags=flags,
-        retrieved=retrieved,
-        step_index=state.step_index + 1,
-    )
+    return _built(ScaffoldState, context, memory, flags, retrieved, state.step_index + 1)
 
 
 def _noop_step(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
-    return replace(_carried(state, preset), step_index=state.step_index + 1)
+    kept = _carried(state, preset)
+    return _built(
+        ScaffoldState, kept.context, dict(kept.memory), kept.policy_flags, kept.retrieved,
+        state.step_index + 1,
+    )
 
 
 def run(

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from tracebind.errors import (
 )
 from tracebind.identity import GroundedIdentity, IngredientSpec
 from tracebind.sets import (
+    ActivationSet,
     ScaffoldArchitecture,
     ScaffoldState,
     WindowSegment,
@@ -29,6 +32,7 @@ from tracebind.sets import (
     coinstantiated,
     minimal_horizons,
     occurs,
+    parse_trace,
     persistence,
     recovery,
     recovery_bound,
@@ -55,6 +59,7 @@ from tracebind.simulator import (
     _append_with_eviction,
     _carried,
 )
+from tracebind.trace import activation_lines, state_lines, write_lines
 from tracebind.windows import INFINITE, WindowConfig
 
 
@@ -688,6 +693,11 @@ class TestStepSharesWhatItLeaves:
         assert after.retrieved is before.retrieved
         assert after.memory == before.memory and after.memory is not before.memory
 
+    def test_infer_that_evicts_every_token_holds_the_action_tokens(self):
+        preset = make_preset("prompted", context_capacity=2)
+        action = infer("x", "y")
+        assert step(run(preset, [infer("a")])[-1], action, preset).context is action.tokens
+
 
 class TestScenarioActionsBuiltOnce:
     @pytest.mark.parametrize(
@@ -714,3 +724,145 @@ class TestScenarioActionsBuiltOnce:
         assert [s.context for s in states[1:]] == [
             made[u % len(made)].tokens for u in range(1, len(states))
         ]
+
+
+# ---------------------------------------------------------------------------
+# states built from checked parts, and the checks on those parts
+# ---------------------------------------------------------------------------
+
+
+def assert_as_checked(values):
+    """Each value equals its rebuild through the checked constructor, part for
+    part and type for type; no two states share a memory dict, and no state
+    has an instance dict."""
+    for value in values:
+        parts = [getattr(value, f.name) for f in fields(value)]
+        rebuilt = [getattr(type(value)(*parts), f.name) for f in fields(value)]
+        assert [(type(p), p) for p in parts] == [(type(p), p) for p in rebuilt]
+    states = [value for value in values if isinstance(value, ScaffoldState)]
+    assert len({id(state.memory) for state in states}) == len(states)
+    assert not any(hasattr(state, "__dict__") for state in states)
+
+
+trace_texts = st.text(max_size=3)
+
+
+@st.composite
+def traced_states(draw):
+    """States that a trace can spell, all with one flag count."""
+    n_flags = draw(st.integers(0, 3))
+    state = st.tuples(
+        st.lists(trace_texts, max_size=4).map(tuple),
+        st.dictionaries(trace_texts, trace_texts, max_size=3),
+        st.lists(st.integers(0, 1), min_size=n_flags, max_size=n_flags).map(tuple),
+        st.frozensets(trace_texts, max_size=3),
+    )
+    drawn = draw(st.lists(state, min_size=1, max_size=6))
+    return [ScaffoldState(*parts, u) for u, parts in enumerate(drawn)]
+
+
+class TestBuiltFromCheckedParts:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), script=st.lists(actions, min_size=1, max_size=12))
+    def test_stepped_states_are_as_checked(self, name, data, script):
+        preset = data.draw(presets().filter(lambda preset: preset.name == name))
+        states = outcome(run, preset, script, skip_unsupported=True)
+        if isinstance(states, tuple):
+            return
+        assert_as_checked(states)
+        for state in states:
+            preset.architecture().check_state(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(states=traced_states())
+    def test_read_states_are_as_checked(self, states):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "trace.jsonl"
+            write_lines(path, state_lines(states))
+            read = parse_trace(path).states
+        assert read == tuple(states)
+        assert_as_checked(read)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sets=st.lists(st.frozensets(trace_texts, max_size=4), min_size=1, max_size=6))
+    def test_read_activation_sets_are_as_checked(self, sets):
+        acts = [ActivationSet(u, active) for u, active in enumerate(sets)]
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "trace.jsonl"
+            write_lines(path, activation_lines(acts))
+            read = parse_trace(path).activations
+        assert read == tuple(acts)
+        assert_as_checked(read)
+
+    def test_steps_and_reads_run_no_constructor_check(self, monkeypatch, tmp_path):
+        preset = probe_presets()["controller"]
+        expected = run(preset, simulator.probe_script(1))
+        path = tmp_path / "trace.jsonl"
+        write_lines(path, state_lines(expected))
+
+        def refused(self):
+            raise AssertionError("a checked constructor ran")
+
+        monkeypatch.setattr(ScaffoldState, "__post_init__", refused)
+        monkeypatch.setattr(ActivationSet, "__post_init__", refused)
+        assert run(preset, simulator.probe_script(1)) == expected
+        skipped = run(probe_presets()["stateless"], [store("k", "v")], skip_unsupported=True)
+        assert [state.step_index for state in skipped] == [0, 1]
+        assert parse_trace(path).states == tuple(expected)
+
+
+class TestInputsCheckedWhenMade:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: infer(1),
+            lambda: infer("a", None),
+            lambda: retrieve(5),
+            lambda: store("k", 1),
+            lambda: store(b"k", "v"),
+            lambda: tool(flag_index=True),
+            lambda: tool(flag_index=1.0),
+            lambda: Action("infer", tokens=[("a",)]),
+        ],
+        ids=["infer-int", "infer-none", "retrieve-int", "store-value", "store-key",
+             "tool-bool-index", "tool-float-index", "infer-tuple-token"],
+    )
+    def test_action_payload_types(self, make):
+        with pytest.raises(StructuralError, match="must be"):
+            make()
+
+    @pytest.mark.parametrize(
+        "docs, lengths",
+        [
+            ({}, {"d": 1.5}),
+            ({}, {"d": True}),
+            ({}, {5: 1}),
+            ({5: "d"}, {"d": 1}),
+            ({"g": 5}, {"d": 1, 5: 1}),
+        ],
+        ids=["float-length", "bool-length", "int-doc-id", "int-ingredient-id", "int-linked-doc"],
+    )
+    def test_retrieval_policy_ids_and_lengths(self, docs, lengths):
+        for mode in ("identity_aware", "query_driven"):
+            with pytest.raises(StructuralError):
+                RetrievalPolicy(mode, ingredient_docs=docs, injected_doc_lengths=lengths)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"n_policy_flags": 1.5, "context_capacity": 2},
+            {"n_policy_flags": 1, "context_capacity": 2.0},
+            {"n_policy_flags": True, "context_capacity": 2},
+            {"n_policy_flags": 1, "context_capacity": True},
+        ],
+    )
+    def test_architecture_counts(self, counts):
+        with pytest.raises(StructuralError, match="must be integers"):
+            ScaffoldArchitecture(**counts)
+        with pytest.raises(StructuralError, match="must be integers"):
+            make_preset("prompted", **counts)
+
+    def test_preset_pinned_tokens(self):
+        with pytest.raises(StructuralError, match="pinned prefix tokens"):
+            make_preset("prompted", context_capacity=2, pinned_prefix=(1,))
