@@ -7,9 +7,11 @@ Commands:
   expected values
 - ``probe``    score consistency over a file of recorded outputs
 
-Trace files are read and written by :mod:`tracebind.trace`.  Each scenario
-adapter imports :mod:`tracebind.simulator` when it runs, which loads
-:mod:`tracebind.sets`, so ``analyze`` and ``probe`` load neither.
+Trace files are read and written by :mod:`tracebind.trace`.  Each command
+imports what only it runs when it runs: ``analyze`` the identity, trace and
+window modules, and each scenario adapter those and :mod:`tracebind.simulator`,
+which loads :mod:`tracebind.sets`.  So ``analyze`` loads neither of the last
+two, and ``probe`` loads none of them.
 
 Exit codes: 0 success, 2 input/usage errors, 3 metric errors.
 """
@@ -22,8 +24,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import MetricError, ParameterError, TracebindError
-from .identity import identity_to_document, load_identity_file
+from .errors import DEFAULT_HORIZON_MAX, MetricError, ParameterError, TracebindError, _text_lines
 from .metrics import (
     MetricParams,
     MetricsReport,
@@ -39,27 +40,20 @@ from .metrics import (
     token_set_counts,
     window_counts,
 )
-from .trace import (  # bench/traced.py imports state_record and write_trace from here
-    _checked_records,
-    _text_lines,
-    activation_lines,
-    read_masks,
-    state_lines,
-    state_record,
-    write_lines,
-    write_trace,
-)
-from .windows import DEFAULT_HORIZON_MAX, WindowConfig, window_starts
 
 if TYPE_CHECKING:
     from .simulator import ScenarioFiles
+    from .windows import WindowConfig
+
+# the names bench/ imports from this module, by their home modules
+_SERVED = {"parse_trace": "sets", "state_record": "trace", "write_trace": "trace"}
 
 
 def __getattr__(name: str):
-    # the tracebind.sets names bench/ imports from this module, served on first use (PEP 562)
-    if name != "parse_trace":
+    # served on first use, so no command loads a module for bench/ (PEP 562)
+    if name not in _SERVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(".sets", __package__), name)
+    return getattr(import_module(f".{_SERVED[name]}", __package__), name)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +92,8 @@ def build_report(
     """Protocol run over the step masks of a trace: persistence and the gap
     from one minimal-horizon pass, and the trace-computable auxiliary
     metrics.  None keeps a record per window beyond one chunk of windows."""
+    from .windows import window_starts
+
     counts = window_counts(masks, k, cfg)
     p_weak, p_strong = counted_persistence(counts, cfg.horizon)
     gap = counted_gap(counts, cfg.horizon_max)
@@ -133,6 +129,10 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .identity import load_identity_file
+    from .trace import _checked_records, read_masks
+    from .windows import WindowConfig
+
     try:
         identity, _layers = load_identity_file(args.identity)
     except (TracebindError, OSError):
@@ -167,6 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
     from .simulator import ScenarioFiles, scenario_noncommutation
+    from .trace import state_lines
 
     states, identity, cfg = scenario_noncommutation()
     return ScenarioFiles(
@@ -179,6 +180,7 @@ def _noncommutation(args: argparse.Namespace) -> ScenarioFiles:
 
 def _alternating(args: argparse.Namespace) -> ScenarioFiles:
     from .simulator import ScenarioFiles, scenario_alternating
+    from .trace import state_lines
 
     states, identity, cfg = scenario_alternating(args.length)
     return ScenarioFiles(
@@ -188,6 +190,8 @@ def _alternating(args: argparse.Namespace) -> ScenarioFiles:
 
 def _capacity(args: argparse.Namespace) -> ScenarioFiles:
     from .simulator import ScenarioFiles, scenario_capacity_limited
+    from .trace import state_lines
+    from .windows import WindowConfig
 
     states, identity = scenario_capacity_limited(args.c, args.k, args.length)
     cfg = WindowConfig.all_valid(args.delta, 1, len(states), DEFAULT_HORIZON_MAX)
@@ -198,6 +202,7 @@ def _capacity(args: argparse.Namespace) -> ScenarioFiles:
 
 def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
     from .simulator import ScenarioFiles, scenario_rag_displacement
+    from .trace import state_lines
 
     without_rag, with_rag, identity, cfg = scenario_rag_displacement(
         baseline_block_tokens=args.block,
@@ -215,6 +220,8 @@ def _rag_displacement(args: argparse.Namespace) -> ScenarioFiles:
 def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
     from .sets import recovery, recovery_bound
     from .simulator import ScenarioFiles, context_identity, scenario_drift_recover
+    from .trace import activation_lines
+    from .windows import WindowConfig
 
     if args.k < 1:
         raise ParameterError("--k must be >= 1")
@@ -247,6 +254,7 @@ def _drift_recover(args: argparse.Namespace) -> ScenarioFiles:
 
 def _preset_probe(args: argparse.Namespace) -> ScenarioFiles:
     from .simulator import PROBE_IDENTITY, ScenarioFiles, probe_presets, probe_script, probe_window, run
+    from .trace import state_lines
 
     presets = probe_presets()
     if args.preset not in presets:
@@ -287,6 +295,9 @@ def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
     The sidecar's persistence expectations come from re-reading each written
     trace and scoring it as ``analyze`` does, so they describe the bytes on disk.
     """
+    from .identity import identity_to_document
+    from .trace import read_masks, write_lines
+
     base.parent.mkdir(parents=True, exist_ok=True)
     sidecar: dict = {"scenario": scenario, **files.head}
     written = []

@@ -2,7 +2,24 @@
 
 Everything raised on bad input derives from ``TracebindError`` so callers
 (the CLI in particular) can separate input problems from genuine bugs.
+Every command loads this module, and ``probe`` loads only it, ``metrics``
+and ``cli``, so it also holds what ``probe`` shares with the trace path:
+the two constants the argument parser and the metrics share with the
+window kernel, and the JSON Lines line reader of every input file.
 """
+
+from __future__ import annotations
+
+import math
+from itertools import chain
+from pathlib import Path
+from typing import Iterator
+
+# A missing minimal horizon, and the bound no finite parameter reaches.
+INFINITE = math.inf
+
+# The default search cap for minimal horizons in the gap ratio.
+DEFAULT_HORIZON_MAX = 256
 
 
 class TracebindError(Exception):
@@ -95,3 +112,42 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
+
+
+_BLOCK_BYTES = 16 * 1024
+
+
+def _split_lines(text: str) -> list[str]:
+    """``text``'s lines as JSON Lines reads them: broken at ``\\n``, ``\\r\\n`` and ``\\r``
+    only, not at U+2028 as ``str.splitlines`` is, and no empty line after a last break."""
+    if "\r" in text:  # a replace that finds nothing still costs a scan
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """Each line of the file, broken as :func:`_split_lines` breaks them.  A
+    block of bytes, read on to the end of its last line so that no character
+    and no CR LF pair straddles a cut, is decoded at once; one that is not
+    UTF-8 is decoded again line by line, so the error names its line."""
+
+    def blocks() -> Iterator[list[str]]:
+        lineno = 0
+        with open(path, "rb") as stream:
+            while data := stream.read(_BLOCK_BYTES) + stream.readline():
+                try:
+                    lines = _split_lines(data.decode("utf-8"))
+                except UnicodeDecodeError:
+                    lines = []
+                    for raw in data.splitlines():  # the same breaks, on bytes
+                        try:
+                            lines.append(raw.decode("utf-8"))
+                        except UnicodeDecodeError as exc:
+                            yield lines
+                            where = f"{path}:{lineno + len(lines) + 1}"
+                            raise FileFormatError(f"{where}: not UTF-8 text: {exc}") from None
+                lineno += len(lines)
+                yield lines
+
+    return chain.from_iterable(blocks())

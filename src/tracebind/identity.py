@@ -19,7 +19,7 @@ from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FileFormatError, Frozen, GroundingLookupError, StructuralError
+from .errors import FileFormatError, Frozen, GroundingLookupError, StructuralError, _split_lines
 
 
 def __getattr__(name: str):
@@ -464,15 +464,6 @@ def parse_identity_document(
     if doc.get("layers") is not None:
         layers = _layers_from_record(doc["layers"], identity)
     return identity, layers
-
-
-def _split_lines(text: str) -> list[str]:
-    """``text``'s lines as JSON Lines reads them: broken at ``\\n``, ``\\r\\n`` and ``\\r``
-    only, not at U+2028 as ``str.splitlines`` is, and no empty line after a last break."""
-    if "\r" in text:  # a replace that finds nothing still costs a scan
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    return lines if lines[-1] else lines[:-1]
 
 
 def load_identity_file(

@@ -6,7 +6,9 @@ fraction where some single step holds the full conjunction.  The gap ratio
 compares the minimal horizons needed for each.  Identifiability, continuity
 and consistency are the auxiliary metrics; morphospace compresses
 everything into three coordinates (coherence, availability, binding).  The
-metrics over activation sets, recovery among them, are in ``sets``.
+metrics over activation sets, recovery among them, are in ``sets``.  The
+two functions that run the window kernel import :mod:`windows` when they
+run, so ``probe``, which scores consistency here, does not load it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from collections import Counter
 from importlib import import_module
 from itertools import accumulate, filterfalse, islice
 from operator import xor
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import Frozen, MetricError, OutOfRangeError, ParameterError, StructuralError
-from .windows import INFINITE, WindowConfig, horizon_codes, window_starts
+from .errors import INFINITE, Frozen, MetricError, OutOfRangeError, ParameterError, StructuralError
+
+if TYPE_CHECKING:
+    from .windows import WindowConfig
 
 
 def __getattr__(name: str):
@@ -93,6 +97,8 @@ def _starts(masks: Sequence[int], cfg: WindowConfig) -> Sequence[int]:
     """The window starts of ``cfg`` (:func:`windows.window_starts`).  Every
     window must fit in ``masks``; the first that does not raises
     :class:`OutOfRangeError`."""
+    from .windows import window_starts
+
     if not cfg.eval_indices:
         raise ParameterError("evaluation index set T must be non-empty")
     n = len(masks)
@@ -114,6 +120,8 @@ def window_counts(
     :func:`counted_gap` both read the same counts.  Each chunk's windows are
     counted by their code, and each code is then read as its pair of
     horizons."""
+    from .windows import horizon_codes
+
     counts: Counter[tuple[int | float, int | float]] = Counter()
     cap = max(cfg.horizon, cfg.horizon_max)
     for _, codes, pairs in horizon_codes(masks, k, _starts(masks, cfg), cap):

@@ -31,6 +31,14 @@ from .windows import INFINITE, WindowConfig, start_horizons
 # Scaffold states and activation sets
 
 
+def _collection(value, name: str):
+    """``value``, unless it is one ``str``, which a tuple or set would read as
+    its characters: that raises :class:`StructuralError`."""
+    if isinstance(value, str):
+        raise StructuralError(f"{name} must be a collection of strings, not one string")
+    return value
+
+
 @dataclass(frozen=True)
 class ScaffoldArchitecture:
     """Static description of a scaffold: capacities and component spaces."""
@@ -46,7 +54,7 @@ class ScaffoldArchitecture:
             raise StructuralError("context_capacity must be >= 1")
         if self.n_policy_flags < 0:
             raise StructuralError("n_policy_flags must be >= 0")
-        object.__setattr__(self, "corpus", frozenset(self.corpus))
+        object.__setattr__(self, "corpus", frozenset(_collection(self.corpus, "corpus")))
 
     def check_state(self, state: ScaffoldState) -> None:
         """Raise StructuralError if ``state`` is not realizable here."""
@@ -80,12 +88,12 @@ class ScaffoldState:
         # an exact tuple or frozenset cannot change, so it is kept; memory is
         # copied, so no state shares a dict its caller may change
         if type(self.context) is not tuple:
-            object.__setattr__(self, "context", tuple(self.context))
+            object.__setattr__(self, "context", tuple(_collection(self.context, "context")))
         object.__setattr__(self, "memory", memory := dict(self.memory))
         if type(self.policy_flags) is not tuple:
             object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
         if type(self.retrieved) is not frozenset:
-            object.__setattr__(self, "retrieved", frozenset(self.retrieved))
+            object.__setattr__(self, "retrieved", frozenset(_collection(self.retrieved, "retrieved")))
         if type(self.step_index) is not int:
             raise StructuralError("step_index must be an integer")
         if self.step_index < 0:
@@ -107,7 +115,8 @@ class ActivationSet:
     active: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "active", frozenset(self.active))
+        if type(self.active) is not frozenset:
+            object.__setattr__(self, "active", frozenset(_collection(self.active, "active")))
         if type(self.step_index) is not int:
             raise StructuralError("step_index must be an integer")
         if self.step_index < 0:

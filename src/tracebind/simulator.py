@@ -41,6 +41,7 @@ from .sets import (
     ScaffoldArchitecture,
     ScaffoldState,
     _built,
+    _collection,
     activation_sets,
     persistence,
 )
@@ -91,7 +92,7 @@ class Action:
         if self.kind not in ACTION_KINDS:
             raise StructuralError(f"unknown action kind {self.kind!r}")
         if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+            object.__setattr__(self, "tokens", tuple(_collection(self.tokens, "tokens")))
         required, optional, _, _ = _ACTION_RULES[self.kind]
         actual = {name for name in _PAYLOAD_FIELDS if getattr(self, name) is not None}
         if not required <= actual <= required | optional:
@@ -235,7 +236,7 @@ class ArchitecturePreset:
     n_policy_flags: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pinned_prefix", tuple(self.pinned_prefix))
+        object.__setattr__(self, "pinned_prefix", tuple(_collection(self.pinned_prefix, "pinned_prefix")))
         if self.name not in _PRESET_FEATURES:
             raise StructuralError(f"unknown preset name {self.name!r}")
         self.architecture()  # checks the capacity and the flag count

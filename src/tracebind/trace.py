@@ -22,8 +22,8 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator
 
-from .errors import FileFormatError, TracebindError
-from .identity import GroundedIdentity, _split_lines, ingredient_bits, is_flag, load_json, state_matcher
+from .errors import FileFormatError, TracebindError, _text_lines
+from .identity import GroundedIdentity, ingredient_bits, is_flag, load_json, state_matcher
 
 if TYPE_CHECKING:
     from .sets import ActivationSet, ScaffoldState
@@ -42,37 +42,8 @@ def _check_strings(value, located: Callable[[str], FileFormatError], name: str) 
         raise located(f"{name} entries must be strings")
 
 
-_BLOCK_BYTES = 16 * 1024
 _MAX_CACHED_TAILS = 1024
 _MAX_CACHED_LINES = 64
-
-
-def _text_lines(path: str | Path) -> Iterator[str]:
-    """Each line of the file, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only (see
-    :func:`identity._split_lines`).  A block of bytes, read on to the end of
-    its last line so that no character and no CR LF pair straddles a cut, is
-    decoded at once; one that is not UTF-8 is decoded again line by line, so
-    the error names its line."""
-
-    def blocks() -> Iterator[list[str]]:
-        lineno = 0
-        with open(path, "rb") as stream:
-            while data := stream.read(_BLOCK_BYTES) + stream.readline():
-                try:
-                    lines = _split_lines(data.decode("utf-8"))
-                except UnicodeDecodeError:
-                    lines = []
-                    for raw in data.splitlines():  # the same breaks, on bytes
-                        try:
-                            lines.append(raw.decode("utf-8"))
-                        except UnicodeDecodeError as exc:
-                            yield lines
-                            where = f"{path}:{lineno + len(lines) + 1}"
-                            raise FileFormatError(f"{where}: not UTF-8 text: {exc}") from None
-                lineno += len(lines)
-                yield lines
-
-    return chain.from_iterable(blocks())
 
 
 def _line_checks(path: str | Path) -> Generator[tuple, tuple[int, str], None]:

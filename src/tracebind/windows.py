@@ -25,7 +25,6 @@ where they are made: by ``metrics._starts`` and ``sets.window_horizons``.
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left, bisect_right
 from functools import reduce
@@ -33,12 +32,8 @@ from itertools import repeat
 from operator import and_
 from typing import Iterator, Sequence
 
-from .errors import Frozen, ParameterError
+from .errors import DEFAULT_HORIZON_MAX, INFINITE, Frozen, ParameterError
 
-
-INFINITE = math.inf
-
-DEFAULT_HORIZON_MAX = 256
 
 # The steps of window starts per kernel chunk: long enough that the Python
 # work per chunk is small next to the work on its bitsets.

@@ -4,8 +4,9 @@
 ``bench/run.py --trace 1`` without a failing test here.  These tests import
 every name the bench scripts take from ``tracebind``, pin the names of
 ``tracebind.sets`` that the modules which held them before still serve for
-the bench alone, and pin the module layout ``bench/run.py`` checks before it
-runs.
+the bench alone, and the names ``cli`` serves on first use from modules
+``probe`` does not load, and pin the module layout ``bench/run.py`` checks
+before it runs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,16 @@ def test_old_homes_serve_only_the_names_the_bench_imports(module):
     served = importlib.import_module(module)
     lazy = {name for name in dir(tracebind.sets) if name not in vars(served) and hasattr(served, name)}
     bench = {name for found, name in bench_imports() if found == module and name not in vars(served)}
-    assert lazy == bench
+    assert lazy == bench & set(dir(tracebind.sets))
+
+
+def test_cli_serves_on_first_use_only_the_names_the_bench_imports():
+    # of the names of the sets and the trace module, which probe never
+    # loads, cli binds none the bench takes from it and serves no other
+    homes = {*dir(tracebind.sets), *dir(tracebind.trace)}
+    lazy = {name for name in homes if name not in vars(tracebind.cli) and hasattr(tracebind.cli, name)}
+    bench = {name for found, name in bench_imports() if found == "tracebind.cli"}
+    assert lazy == bench == {"parse_trace", "state_record", "write_trace"}
 
 
 @pytest.mark.parametrize("name", ["parse_trace", "state_record", "write_trace"])

@@ -2,19 +2,21 @@
 
 Each CLI run here is a child process started with ``PYTHONPATH=src`` and
 ``-X importtime``, so its stdout is the command's real output and its stderr
-lists every module the run imported.  ``analyze`` and ``probe`` must print
-their committed goldens loading exactly the mask path, and none of
+lists every module the run imported.  ``analyze`` must print its committed
+goldens loading exactly the mask path, and ``probe`` its own loading only
+the package, ``errors``, ``metrics`` and ``cli``; neither loads
 ``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``, nor
-``dataclasses`` or ``inspect``; only ``simulate`` loads the simulator and
-the sets.  The package serves the
-object-level API's names on first use (PEP 562), and three of the modules
-that held them before serve the few that ``bench/`` still imports from
+``dataclasses`` or ``inspect``, and only ``simulate`` loads the simulator
+and the sets.  The package serves every exported name on first use from
+its home module (PEP 562), so ``import tracebind`` loads no other module of
+it, and three modules serve the few names that ``bench/`` still imports from
 them.  The last tests pin that contract, that the tests import each name
 from its one home, and, by reading each command-path module's imports
-without running anything, that those modules load no library module and
-that no source of ``analyze`` and ``probe`` imports ``dataclasses``.
-Every name a package module imports is used there, exported by the
-package, or imported from that module by ``bench/``.
+without running anything, that those modules load no library module, that
+the modules of ``probe`` load no module beyond its own, and that no source
+of ``analyze`` and ``probe`` imports ``dataclasses``.  Every name a package
+module imports is used there, exported by the package, or imported from
+that module by ``bench/``.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ UNUSED_BY_SCORING = {"tracebind.sets", "tracebind.simulator", "tracebind.oracle"
 # modules whose import alone costs analyze and probe milliseconds of start-up;
 # the value classes derive from errors.Frozen so that neither loads
 SLOW_TO_IMPORT = {"dataclasses", "inspect"}
-# every tracebind module that analyze and probe load, with no other
+# every tracebind module that analyze loads, with no other
 SCORING_MODULES = {
     "tracebind", "tracebind.cli", "tracebind.errors", "tracebind.identity",
     "tracebind.metrics", "tracebind.trace", "tracebind.windows",
 }
+# every tracebind module that probe loads: it compiles none of the trace path
+PROBE_MODULES = {"tracebind", "tracebind.cli", "tracebind.errors", "tracebind.metrics"}
 # every tracebind module that simulate loads
 SIMULATE_MODULES = SCORING_MODULES | {"tracebind.sets", "tracebind.simulator"}
 
@@ -162,7 +166,7 @@ def test_probe_prints_its_golden_without_the_simulator(delta, fmt):
     )
     assert (code, err) == (0, "")
     assert out == (folder / f"outputs.probe.{delta}.{fmt}").read_bytes()
-    assert {name for name in modules if name.startswith("tracebind")} == SCORING_MODULES
+    assert {name for name in modules if name.startswith("tracebind")} == PROBE_MODULES
     assert modules.isdisjoint(UNUSED_BY_SCORING | SLOW_TO_IMPORT)
 
 
@@ -178,8 +182,15 @@ def test_simulate_loads_the_simulator(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "alternating" / name).read_bytes()
 
 
+def test_import_loads_the_package_alone():
+    code, out, err, modules = fresh_python("-c", "import tracebind")
+    assert (code, out, err) == (0, b"", "")
+    assert {name for name in modules if name.startswith("tracebind")} == {"tracebind"}
+
+
 def test_simulator_names_load_on_first_use():
-    # a name of the sets loads the sets alone; a simulator name loads both
+    # the package binds no exported name; a name of the sets loads the sets
+    # alone, and a simulator name loads both
     code, out, err, _ = fresh_python(
         "-c",
         "import json, sys, tracebind\n"
@@ -195,12 +206,23 @@ def test_simulator_names_load_on_first_use():
     )
     assert (code, err) == (0, "")
     assert json.loads(out) == [
-        sorted(SIMULATOR_NAMES + MOVED_NAMES["tracebind"]),
+        sorted(tracebind.__all__),
         [],
         ["tracebind.sets"],
         ["tracebind.sets", "tracebind.simulator"],
         [True, True],
     ]
+
+
+@pytest.mark.parametrize("name", tracebind.__all__)
+def test_exported_names_are_their_home_objects(name):
+    # served, not bound, and defined in the module that holds it; only
+    # INFINITE, a float, names no module, and its home is errors
+    served = getattr(tracebind, name)
+    home = import_module(getattr(served, "__module__", "tracebind.errors"))
+    assert home.__name__.startswith("tracebind.")
+    assert name not in vars(tracebind)
+    assert vars(home)[name] is served
 
 
 @pytest.mark.parametrize("name", SIMULATOR_NAMES)
@@ -232,7 +254,8 @@ def test_retired_names_are_attribute_errors(module, name):
 
 
 def test_dir_lists_every_exported_name():
-    assert set(tracebind.__all__) | {"sets", "simulator"} <= set(dir(tracebind))
+    homes = {"errors", "identity", "metrics", "windows", "sets", "simulator"}
+    assert set(tracebind.__all__) | homes <= set(dir(tracebind))
 
 
 def test_star_import_binds_every_exported_name():
@@ -309,6 +332,18 @@ def test_the_guard_sees_what_runs_at_load():
     found = {(line, module) for line, module in imported_at_load(source) if module in UNUSED_BY_SCORING}
     assert found == {(1, "tracebind.sets"), (2, "tracebind.simulator"), (3, "tracebind.oracle"),
                      (11, "tracebind.oracle")}
+
+
+# the sources that probe runs as it loads
+PROBE_PATH = ["__main__", *(name.partition(".")[2] or "__init__" for name in sorted(PROBE_MODULES))]
+
+
+@pytest.mark.parametrize("module", PROBE_PATH)
+def test_probe_path_modules_import_only_probe_modules_at_load(module):
+    # so a trace-path module joining probe's path fails here, with no child run
+    package = {f"tracebind.{path.stem}" for path in (ROOT / "src" / "tracebind").glob("*.py")}
+    source = (ROOT / "src" / "tracebind" / f"{module}.py").read_text(encoding="utf-8")
+    assert [(line, name) for line, name in imported_at_load(source) if name in package - PROBE_MODULES] == []
 
 
 @pytest.mark.parametrize("module", COMMAND_PATH)

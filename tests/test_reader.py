@@ -28,21 +28,25 @@ from hypothesis import strategies as st
 import tracebind.trace as trace_module
 from tracebind.cli import SCENARIOS, build_report, main
 from tracebind.trace import (
-    _BLOCK_BYTES,
     _MAX_CACHED_LINES,
     _MAX_CACHED_TAILS,
-    _text_lines,
     activation_record,
     context_text_matcher,
     read_masks,
     state_record,
     write_trace,
 )
-from tracebind.errors import FileFormatError, StructuralError, TracebindError
+from tracebind.errors import (
+    _BLOCK_BYTES,
+    FileFormatError,
+    StructuralError,
+    TracebindError,
+    _split_lines,
+    _text_lines,
+)
 from tracebind.identity import (
     GroundedIdentity,
     IngredientSpec,
-    _split_lines,
     ingredient_bits,
     load_identity_file,
     load_json,
@@ -1154,10 +1158,10 @@ class TestBlockReader:
 
 
 class TestLineRule:
-    """Both readers, the trace reader's ``_text_lines`` and the identity
-    loader, break lines where JSON Lines does: at ``\\n``, ``\\r\\n`` and
-    ``\\r`` only.  U+2028, U+2029, U+0085 and form feeds, which
-    ``str.splitlines`` also breaks at, stay inside their line."""
+    """Both readers, the block reader ``_text_lines`` of traces and outputs,
+    and the identity loader, break lines where JSON Lines does: at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only.  U+2028, U+2029, U+0085 and form feeds,
+    which ``str.splitlines`` also breaks at, stay inside their line."""
 
     PIECES = [
         b"\n", b"\r\n", b"\r", "\u2028".encode(), "\u2029".encode(), "\u0085".encode(), b"\x0c", b"\x0b",

@@ -54,7 +54,7 @@ def test_shell_lines_exit_zero(tmp_path, monkeypatch, capsys):
 
 MODULES = {
     name: importlib.import_module(f"tracebind.{name}")
-    for name in ("cli", "trace", "identity", "metrics", "windows", "simulator", "oracle")
+    for name in ("cli", "errors", "trace", "identity", "metrics", "windows", "simulator", "oracle")
 }
 
 
@@ -90,13 +90,13 @@ def call_graph() -> dict[str, set[str]]:
     """``module.function`` -> the ``module.function`` names it calls by bare
     name, for every top-level function of the package, by an ``ast`` walk: a
     bare name resolves to the module's own function or to what it imports
-    from a sibling module."""
+    from a sibling module, at load or inside a function."""
     graph: dict[str, set[str]] = {}
     for source in Path(tracebind.__file__).parent.glob("*.py"):
         tree = ast.parse(source.read_text(encoding="utf-8"))
         functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
         names = {node.name: f"{source.stem}.{node.name}" for node in functions}
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 names.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
         for node in functions:

@@ -41,6 +41,7 @@ from tracebind.simulator import (
     PRESET_NAMES,
     _ACTION_RULES,
     Action,
+    ArchitecturePreset,
     RetrievalPolicy,
     infer,
     make_preset,
@@ -866,3 +867,21 @@ class TestInputsCheckedWhenMade:
     def test_preset_pinned_tokens(self):
         with pytest.raises(StructuralError, match="pinned prefix tokens"):
             make_preset("prompted", context_capacity=2, pinned_prefix=(1,))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Action("infer", tokens="ab"),
+            lambda: ArchitecturePreset("prompted", 2, pinned_prefix="ab"),
+            lambda: ScaffoldState(context="ab", memory={}, policy_flags=(), retrieved=(), step_index=0),
+            lambda: ScaffoldState(context=(), memory={}, policy_flags=(), retrieved="ab", step_index=0),
+            lambda: ActivationSet(0, "ab"),
+            lambda: ScaffoldArchitecture(1, 2, corpus="ab"),
+        ],
+        ids=["action-tokens", "preset-pinned-prefix", "state-context", "state-retrieved", "set-active",
+             "architecture-corpus"],
+    )
+    def test_one_string_is_no_collection(self, make):
+        # a tuple or a set built from one string would hold its characters
+        with pytest.raises(StructuralError, match="^[a-z_]+ must be a collection of strings, not one string$"):
+            make()
