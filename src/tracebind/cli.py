@@ -375,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    params = MetricParams()
 
     analyze = sub.add_parser("analyze", help="compute a metrics report for a trace")
     analyze.add_argument("--trace", required=True, help="trace file (JSONL)")
@@ -392,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_HORIZON_MAX,
         help="search cap for minimal horizons in the gap ratio",
     )
-    analyze.add_argument("--delta-i", type=float, default=MetricParams.delta_i)
-    analyze.add_argument("--delta-cons", type=float, default=MetricParams.delta_cons)
-    analyze.add_argument("--epsilon", type=float, default=MetricParams.epsilon)
-    analyze.add_argument("--alpha", type=float, default=MetricParams.alpha)
+    analyze.add_argument("--delta-i", type=float, default=params.delta_i)
+    analyze.add_argument("--delta-cons", type=float, default=params.delta_cons)
+    analyze.add_argument("--epsilon", type=float, default=params.epsilon)
+    analyze.add_argument("--alpha", type=float, default=params.alpha)
     analyze.add_argument(
         "--ref-index",
         type=integer,
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     probe = sub.add_parser("probe", help="consistency over recorded outputs")
     probe.add_argument("outputs", help="file of line-delimited outputs")
-    probe.add_argument("--delta-cons", type=float, default=MetricParams.delta_cons)
+    probe.add_argument("--delta-cons", type=float, default=params.delta_cons)
     probe.add_argument("--format", choices=("json", "text"), default="text")
     probe.add_argument("--out", default=None)
     probe.set_defaults(func=cmd_probe)

@@ -1,19 +1,19 @@
-"""Exception hierarchy shared across the toolkit, and the command path's value base.
+"""Exception hierarchy shared across the toolkit, and the base of every value class.
 
 Everything raised on bad input derives from ``TracebindError`` so callers
 (the CLI in particular) can separate input problems from genuine bugs.
-Every command loads this module, and ``probe`` loads only it, ``metrics``
-and ``cli``, so it also holds what ``probe`` shares with the trace path:
-the two constants the argument parser and the metrics share with the
-window kernel, and the JSON Lines line reader of every input file.
+Every command loads this module, so it also holds what the value classes
+share, and what ``probe``, which loads only it, ``metrics`` and ``cli``,
+shares with the trace path: two constants of the window kernel and the
+JSON Lines line reader of every input file.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 # A missing minimal horizon, and the bound no finite parameter reaches.
 INFINITE = math.inf
@@ -66,20 +66,25 @@ class FileFormatError(TracebindError, ValueError):
     """A trace or identity-spec file violates its documented format."""
 
 
-class Frozen:
-    """Base of the immutable value classes that ``analyze`` and ``probe`` load.
+class _FrozenType(type):
+    """A class's own annotations become its fields and slots, their values its ``_defaults``."""
 
-    A subclass's fields are its own annotations, in order; a class attribute
-    of the same name is a field's default.  Instances compare, hash and print
-    by their fields as ``@dataclass(frozen=True)`` ones do, and
-    ``__post_init__`` runs once the fields are set.  Importing ``dataclasses``
-    and generating the methods would cost every command about 15 ms.
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", {}))
+        defaults = {field: namespace.pop(field) for field in fields if field in namespace}
+        namespace.update(__slots__=fields, _fields=fields, _defaults=defaults)
+        return super().__new__(mcs, name, bases, namespace)
+
+
+class Frozen(metaclass=_FrozenType):
+    """Base of every immutable value class of the toolkit.
+
+    A subclass's fields are its own annotations, in order, held in slots; a
+    class attribute of the same name is a field's default.  Instances compare,
+    hash and print as ``@dataclass(frozen=True)`` ones do, ``__post_init__`` runs
+    once the fields are set, and they pickle and copy through the constructor.
+    Importing ``dataclasses`` and generating the methods would cost about 15 ms.
     """
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
         fields, extra = self._fields, len(args) - len(self._fields)
@@ -91,7 +96,8 @@ class Frozen:
         faults += [f"no value for {name!r}" for name in fields if name not in values]
         if faults:
             raise TypeError(f"{type(self).__qualname__}() got {', '.join(faults)}")
-        self.__dict__.update((name, values[name]) for name in fields)
+        for name in fields:
+            object.__setattr__(self, name, values[name])
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
@@ -101,7 +107,10 @@ class Frozen:
     __delattr__ = __setattr__
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
@@ -112,6 +121,26 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
+
+
+def replace(value: Frozen, /, **changes) -> Frozen:
+    """A copy of ``value`` with ``changes`` to its fields, built by its checked constructor."""
+    return type(value)(**{**dict(zip(value._fields, value._values())), **changes})
+
+
+def _collection(value, name: str):
+    """``value``, unless it is one ``str``, which a tuple or set would read as
+    its characters: that raises :class:`StructuralError`."""
+    if isinstance(value, str):
+        raise StructuralError(f"{name} must be a collection of strings, not one string")
+    return value
+
+
+def _mapping(value, name: str) -> dict:
+    """A dict copy of ``value``, unless it is no mapping: that raises :class:`StructuralError`."""
+    if not isinstance(value, Mapping):
+        raise StructuralError(f"{name} must be a mapping, not {type(value).__name__}")
+    return dict(value)
 
 
 _BLOCK_BYTES = 16 * 1024

@@ -19,7 +19,9 @@ from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import FileFormatError, Frozen, GroundingLookupError, StructuralError, _split_lines
+from .errors import (
+    FileFormatError, Frozen, GroundingLookupError, StructuralError, _collection, _mapping, _split_lines,
+)
 
 
 def __getattr__(name: str):
@@ -141,13 +143,12 @@ class LayeredIdentitySpec(Frozen):
     map_2_to_0: Mapping[str, frozenset[str]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layer2_statements", tuple(self.layer2_statements))
-        object.__setattr__(self, "layer1_statements", tuple(self.layer1_statements))
+        for name in ("layer2_statements", "layer1_statements"):
+            object.__setattr__(self, name, tuple(_collection(getattr(self, name), name)))
         for name in ("map_2_to_1", "map_1_to_0", "map_2_to_0"):
-            raw = getattr(self, name)
-            object.__setattr__(
-                self, name, {label: frozenset(targets) for label, targets in raw.items()}
-            )
+            raw = _mapping(getattr(self, name), name).items()
+            held = {label: frozenset(_collection(to, f"{name}[{label!r}]")) for label, to in raw}
+            object.__setattr__(self, name, held)
         layer1 = set(self.layer1_statements)
         for label, targets in self.map_2_to_1.items():
             missing = targets - layer1

@@ -231,7 +231,7 @@ def token_set_counts(outputs: Iterable[str]) -> Counter[frozenset[str]]:
     return Counter(map(_tokens, outputs))
 
 
-def consistency(outputs: Iterable[str], delta_cons: float = MetricParams.delta_cons) -> float:
+def consistency(outputs: Iterable[str], delta_cons: float = MetricParams().delta_cons) -> float:
     """Fraction of unordered output pairs whose :func:`jaccard_similarity`
     clears the threshold ``delta_cons`` in [0, 1]: :func:`counted_consistency`
     of :func:`token_set_counts`, so ``outputs`` is read once, as it comes."""

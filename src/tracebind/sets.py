@@ -9,11 +9,13 @@ name from here; the package serves the public ones on first use.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .errors import OutOfRangeError, ParameterError, StreamOrderError, StructuralError
+from .errors import (
+    Frozen, OutOfRangeError, ParameterError, StreamOrderError, StructuralError, _collection, _mapping,
+)
 from .identity import (
     GroundedIdentity,
     IngredientSpec,
@@ -31,16 +33,7 @@ from .windows import INFINITE, WindowConfig, start_horizons
 # Scaffold states and activation sets
 
 
-def _collection(value, name: str):
-    """``value``, unless it is one ``str``, which a tuple or set would read as
-    its characters: that raises :class:`StructuralError`."""
-    if isinstance(value, str):
-        raise StructuralError(f"{name} must be a collection of strings, not one string")
-    return value
-
-
-@dataclass(frozen=True)
-class ScaffoldArchitecture:
+class ScaffoldArchitecture(Frozen):
     """Static description of a scaffold: capacities and component spaces."""
 
     n_policy_flags: int
@@ -73,10 +66,9 @@ class ScaffoldArchitecture:
             raise StructuralError(f"retrieved documents not in corpus: {sorted(stray)}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScaffoldState:
+class ScaffoldState(Frozen):
     """One objective-time snapshot of everything the agent can see, holding
-    only values a trace line spells and reads back the same."""
+    only values a trace line spells and reads back the same; memory is read-only."""
 
     context: tuple[str, ...]
     memory: Mapping[str, str]
@@ -86,10 +78,10 @@ class ScaffoldState:
 
     def __post_init__(self) -> None:
         # an exact tuple or frozenset cannot change, so it is kept; memory is
-        # copied, so no state shares a dict its caller may change
+        # copied, so no state holds a dict its caller may change
         if type(self.context) is not tuple:
             object.__setattr__(self, "context", tuple(_collection(self.context, "context")))
-        object.__setattr__(self, "memory", memory := dict(self.memory))
+        object.__setattr__(self, "memory", MappingProxyType(memory := _mapping(self.memory, "memory")))
         if type(self.policy_flags) is not tuple:
             object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
         if type(self.retrieved) is not frozenset:
@@ -106,9 +98,11 @@ class ScaffoldState:
                 "context tokens, memory keys and values, and retrieved document ids must be strings"
             )
 
+    def __reduce__(self):  # a mappingproxy does not pickle; the dict it shows does
+        return ScaffoldState, (self.context, dict(self.memory), *self._values()[2:])
 
-@dataclass(frozen=True)
-class ActivationSet:
+
+class ActivationSet(Frozen):
     """The ingredient ids active at one objective step."""
 
     step_index: int
@@ -127,10 +121,9 @@ class ActivationSet:
 
 def _built(cls, *parts):
     """A ``cls`` holding ``parts``, one per field in order, with none of the
-    constructor's checks run: only for parts that have passed them already.
-    A state's memory is held as given, so pass a dict no other state holds."""
+    constructor's checks run: only for parts that have passed them already."""
     obj = object.__new__(cls)
-    for name, part in zip(cls.__match_args__, parts):
+    for name, part in zip(cls._fields, parts):
         object.__setattr__(obj, name, part)
     return obj
 
@@ -252,8 +245,7 @@ def detect_grounding_failures(
 # Window segments
 
 
-@dataclass(frozen=True)
-class WindowSegment:
+class WindowSegment(Frozen):
     """The activation sets of one window, in objective-step order."""
 
     start: int
@@ -365,8 +357,7 @@ def minimal_horizons(
 # Metrics over activation sets
 
 
-@dataclass(frozen=True)
-class PersistenceResult:
+class PersistenceResult(Frozen):
     """Weak/strong persistence scores plus the per-window flags behind them."""
 
     p_weak: float
@@ -508,8 +499,7 @@ def recovery_bound(
 # Parsed traces
 
 
-@dataclass(frozen=True)
-class TraceData:
+class TraceData(Frozen):
     """A parsed trace: either raw states or precomputed activation sets."""
 
     form: str
@@ -543,7 +533,7 @@ def parse_trace(path: str | Path) -> TraceData:
         else:
             # the record's memory is a dict decoded for it alone
             states.append(_built(
-                ScaffoldState, tuple(record["C"]), record["M"], tuple(record["pi"]),
+                ScaffoldState, tuple(record["C"]), MappingProxyType(record["M"]), tuple(record["pi"]),
                 frozenset(record["D"]), record["u"],
             ))
     return TraceData(form=form, states=tuple(states), activations=tuple(activations))

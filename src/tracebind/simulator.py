@@ -24,15 +24,12 @@ which the claimed inequality is visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    CapacityError,
-    FeatureError,
-    ParameterError,
-    ScenarioError,
-    StructuralError,
+    CapacityError, FeatureError, Frozen, ParameterError, ScenarioError, StructuralError,
+    _collection, _mapping, replace,
 )
 from .identity import GroundedIdentity, IngredientSpec, is_flag
 from .sets import (
@@ -41,7 +38,6 @@ from .sets import (
     ScaffoldArchitecture,
     ScaffoldState,
     _built,
-    _collection,
     activation_sets,
     persistence,
 )
@@ -71,9 +67,10 @@ _PRESET_FEATURES = {
 
 PRESET_NAMES = tuple(_PRESET_FEATURES)
 
+_EMPTY = MappingProxyType({})  # every initial state's memory, and a default
 
-@dataclass(frozen=True)
-class Action:
+
+class Action(Frozen):
     """One scaffold micro-step: what the agent does between two states.
 
     Its payload is checked here, so a step puts into a state only values
@@ -123,8 +120,7 @@ def tool(flag_index: int | None = None, flag_value: int = 1) -> Action:
     return Action(kind="tool", flag_index=flag_index, flag_value=flag_value)
 
 
-@dataclass(frozen=True)
-class RetrievalPolicy:
+class RetrievalPolicy(Frozen):
     """Deterministic retrieval: query -> documents, plus injected token counts.
 
     ``identity_aware`` resolves an ingredient id to its designated document
@@ -138,14 +134,14 @@ class RetrievalPolicy:
     """
 
     mode: str
-    ingredient_docs: Mapping[str, str] = field(default_factory=dict)
-    injected_doc_lengths: Mapping[str, int] = field(default_factory=dict)
+    ingredient_docs: Mapping[str, str] = _EMPTY
+    injected_doc_lengths: Mapping[str, int] = _EMPTY
 
     def __post_init__(self) -> None:
         if self.mode not in ("none", "identity_aware", "query_driven"):
             raise StructuralError(f"unknown retrieval mode {self.mode!r}")
-        object.__setattr__(self, "ingredient_docs", dict(self.ingredient_docs))
-        object.__setattr__(self, "injected_doc_lengths", dict(self.injected_doc_lengths))
+        for name in ("ingredient_docs", "injected_doc_lengths"):
+            object.__setattr__(self, name, _mapping(getattr(self, name), name))
         docs = self.ingredient_docs
         ids = (*docs, *docs.values(), *self.injected_doc_lengths)
         if not all(map(str.__instancecheck__, ids)):
@@ -220,8 +216,7 @@ class RetrievalPolicy:
 POLICY_NONE = RetrievalPolicy(mode="none")
 
 
-@dataclass(frozen=True)
-class ArchitecturePreset:
+class ArchitecturePreset(Frozen):
     """Feature configuration of one scaffold architecture.
 
     The name fixes which modules the scaffold has (``memory_enabled``,
@@ -278,7 +273,7 @@ class ArchitecturePreset:
     def initial_state(self) -> ScaffoldState:
         # every part is a checked field of this preset or a constant
         return _built(
-            ScaffoldState, self.pinned_prefix, {}, (0,) * self.n_policy_flags, frozenset(), 0
+            ScaffoldState, self.pinned_prefix, _EMPTY, (0,) * self.n_policy_flags, frozenset(), 0
         )
 
     def supports(self, action: Action) -> bool:
@@ -329,18 +324,17 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
     """Apply one action; deterministic in (state, action, preset).
 
     Only the component the action changes is built anew: the new state
-    shares the carried state's flag tuple and ``retrieved`` set (both
-    immutable) unless a tool call or a retrieval changes them, and holds a
-    copy of its memory.  Each part comes from the carried state, the action
-    or the preset, all checked when they were made, so the new state is not
-    checked again.
+    shares the carried state's flag tuple, ``retrieved`` set and read-only
+    memory unless a tool call, a retrieval or a store changes them.  Each
+    part comes from the carried state, the action or the preset, all checked
+    when they were made, so the new state is not checked again.
     """
     if not preset.supports(action):
         _, _, _, module = _ACTION_RULES[action.kind]
         raise FeatureError(f"preset {preset.name!r} has no {module}")
     kept = _carried(state, preset)
     context = kept.context
-    memory = dict(kept.memory)
+    memory = kept.memory
     flags = kept.policy_flags
     retrieved = kept.retrieved
 
@@ -355,7 +349,7 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
         if docs:
             retrieved = retrieved.union(docs)
     elif action.kind == "store":
-        memory[action.key] = action.value
+        memory = MappingProxyType({**memory, action.key: action.value})
     elif action.kind == "tool":
         if action.flag_index is not None:
             if not 0 <= action.flag_index < preset.n_policy_flags:
@@ -371,10 +365,7 @@ def step(state: ScaffoldState, action: Action, preset: ArchitecturePreset) -> Sc
 
 def _noop_step(state: ScaffoldState, preset: ArchitecturePreset) -> ScaffoldState:
     kept = _carried(state, preset)
-    return _built(
-        ScaffoldState, kept.context, dict(kept.memory), kept.policy_flags, kept.retrieved,
-        state.step_index + 1,
-    )
+    return _built(ScaffoldState, *kept._values()[:-1], state.step_index + 1)
 
 
 def run(
@@ -412,8 +403,7 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioFiles:
+class ScenarioFiles(Frozen):
     """What one ``simulate`` scenario writes, before anything is written.
 
     ``traces`` maps a label to its lines, read once; the label ``""`` names the
@@ -427,8 +417,12 @@ class ScenarioFiles:
     traces: dict[str, Iterable[str]]
     identity: GroundedIdentity
     cfg: WindowConfig
-    head: dict = field(default_factory=dict)
-    tail: dict[str, dict] = field(default_factory=dict)
+    head: Mapping = _EMPTY
+    tail: Mapping[str, dict] = _EMPTY
+
+    def __post_init__(self) -> None:
+        for name in ("head", "tail"):
+            object.__setattr__(self, name, _mapping(getattr(self, name), name))
 
 
 def context_identity(ids: Sequence[str]) -> GroundedIdentity:

@@ -9,7 +9,6 @@ import random
 import statistics
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracebind.cli import build_parser, build_report, integer, main
-from tracebind.errors import FileFormatError, MetricError, StructuralError
+from tracebind.errors import FileFormatError, MetricError, StructuralError, replace
 from tracebind.identity import identity_to_document, ingredient_bits, load_identity_file
 from tracebind.metrics import MetricParams, changed_bits, consistency, render_json, render_number
 from tracebind.oracle import oracle_minimal_horizons, oracle_persistence

@@ -5,16 +5,16 @@ Each CLI run here is a child process started with ``PYTHONPATH=src`` and
 lists every module the run imported.  ``analyze`` must print its committed
 goldens loading exactly the mask path, and ``probe`` its own loading only
 the package, ``errors``, ``metrics`` and ``cli``; neither loads
-``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``, nor
-``dataclasses`` or ``inspect``, and only ``simulate`` loads the simulator
-and the sets.  The package serves every exported name on first use from
+``tracebind.sets``, ``tracebind.simulator`` or ``tracebind.oracle``, no
+command loads ``dataclasses`` or ``inspect``, and only ``simulate`` loads
+the simulator and the sets.  The package serves every exported name on first use from
 its home module (PEP 562), so ``import tracebind`` loads no other module of
 it, and three modules serve the few names that ``bench/`` still imports from
 them.  The last tests pin that contract, that the tests import each name
 from its one home, and, by reading each command-path module's imports
 without running anything, that those modules load no library module, that
 the modules of ``probe`` load no module beyond its own, and that no source
-of ``analyze`` and ``probe`` imports ``dataclasses``.  Every name a package
+of the package imports ``dataclasses``.  Every name a package
 module imports is used there, exported by the package, or imported from
 that module by ``bench/``.
 """
@@ -37,8 +37,8 @@ from test_bench_imports import bench_imports
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 UNUSED_BY_SCORING = {"tracebind.sets", "tracebind.simulator", "tracebind.oracle"}
-# modules whose import alone costs analyze and probe milliseconds of start-up;
-# the value classes derive from errors.Frozen so that neither loads
+# modules whose import alone costs a command milliseconds of start-up; every
+# value class derives from errors.Frozen so that no command loads them
 SLOW_TO_IMPORT = {"dataclasses", "inspect"}
 # every tracebind module that analyze loads, with no other
 SCORING_MODULES = {
@@ -178,6 +178,7 @@ def test_simulate_loads_the_simulator(tmp_path):
     assert out == b"wrote alternating scenario files next to alternating\n"
     # the oracle, or any other module, joining this path fails here
     assert {name for name in modules if name.startswith("tracebind")} == SIMULATE_MODULES
+    assert modules.isdisjoint(SLOW_TO_IMPORT)
     for name in ("alternating.trace.jsonl", "alternating.identity.json", "alternating.expect.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / "alternating" / name).read_bytes()
 
@@ -350,18 +351,22 @@ def test_probe_path_modules_import_only_probe_modules_at_load(module):
 def test_command_path_modules_import_no_library_module_at_load(module):
     source = (ROOT / "src" / "tracebind" / f"{module}.py").read_text(encoding="utf-8")
     assert [(line, name) for line, name in imported_at_load(source) if name in UNUSED_BY_SCORING] == []
-    # nor dataclasses, anywhere in a source of analyze and probe
-    if f"tracebind.{module}".removesuffix(".__init__") in SCORING_MODULES:
-        imports = [
-            (node.lineno, name)
-            for node in ast.walk(ast.parse(source))
-            for name in (
-                [alias.name for alias in node.names] if isinstance(node, ast.Import)
-                else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
-                else []
-            )
-        ]
-        assert [(line, name) for line, name in imports if name.split(".")[0] == "dataclasses"] == []
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in (ROOT / "src" / "tracebind").glob("*.py")))
+def test_no_package_module_imports_dataclasses(module):
+    # anywhere in the source, at load or in a function
+    source = (ROOT / "src" / "tracebind" / f"{module}.py").read_text(encoding="utf-8")
+    imports = [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+            else []
+        )
+    ]
+    assert [(line, name) for line, name in imports if name.split(".")[0] == "dataclasses"] == []
 
 
 def unused_imports(source: str, kept: set[str]) -> list[tuple[int, str]]:

@@ -1,23 +1,39 @@
-"""The command path's value classes against real frozen dataclasses.
+"""Every value class of the package against real frozen dataclasses.
 
 Each class derives from ``errors.Frozen`` instead of being a dataclass.  For
 each one, a reference is built with ``dataclasses.make_dataclass`` from the
 same annotations, defaults and ``__post_init__``, and the two must agree on
-``repr``, equality, hashing, the arguments they refuse, immutability and
-every error their ``__post_init__`` raises.
+``repr``, equality, hashing, the arguments they refuse, immutability,
+``replace`` and every error their ``__post_init__`` raises.  Each class
+holds its fields in slots, and its instances pickle and copy.
 """
 
 from __future__ import annotations
 
+import ast
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
+import sys
+import textwrap
 from itertools import product
 
 import pytest
 
-from tracebind.errors import Frozen, ParameterError, StructuralError
+from tracebind.errors import Frozen, ParameterError, StructuralError, replace
 from tracebind.identity import GroundedIdentity, IngredientSpec, LayeredIdentitySpec
 from tracebind.metrics import GapResult, MetricParams, MetricsReport, MorphospacePoint
+from tracebind.sets import (
+    ActivationSet,
+    PersistenceResult,
+    ScaffoldArchitecture,
+    ScaffoldState,
+    TraceData,
+    WindowSegment,
+)
+from tracebind.simulator import Action, ArchitecturePreset, RetrievalPolicy, ScenarioFiles
 from tracebind.windows import WindowConfig
 
 CONTEXT = IngredientSpec("a", "context", context_pattern=("x", "y"))
@@ -25,6 +41,10 @@ MEMORY = IngredientSpec("b", "memory", memory_key="k", memory_value="v")
 POLICY = IngredientSpec("c", "policy", flag_index=2)
 RETRIEVAL = IngredientSpec("d", "retrieval", doc_id="doc")
 GAP = GapResult(1.5, 2)
+ACTS = (ActivationSet(1, {"a"}), ActivationSet(2, ()))
+STATE = ScaffoldState(("a",), {"k": "v"}, (0, 1), ("d",), 3)
+QUERIED = RetrievalPolicy("query_driven", injected_doc_lengths={"d": 2})
+WINDOW = WindowConfig(1, 1, range(2))
 
 
 def report(**changes) -> dict:
@@ -76,6 +96,48 @@ VALID = {
         dict(horizon=1, stride=1, eval_indices=[2, 0, 1, 1]),
         dict(horizon=2, stride=3, eval_indices=(0, 4), horizon_max=8),
     ],
+    ScaffoldArchitecture: [
+        dict(n_policy_flags=1, context_capacity=2),
+        dict(n_policy_flags=0, context_capacity=1, corpus={"d"}),
+        dict(n_policy_flags=2, context_capacity=4, corpus=["d", "e"]),
+    ],
+    ScaffoldState: [
+        dict(context=("a",), memory={"k": "v"}, policy_flags=(0, 1), retrieved=("d",), step_index=3),
+        dict(context=["a", "b"], memory={}, policy_flags=[1], retrieved=frozenset(), step_index=0),
+    ],
+    ActivationSet: [dict(step_index=0, active={"a"}), dict(step_index=2, active=frozenset())],
+    WindowSegment: [dict(start=1, activation_sets=list(ACTS)), dict(start=2, activation_sets=ACTS[1:])],
+    PersistenceResult: [
+        dict(p_weak=1.0, p_strong=0.5, per_window=((0, True, False), (1, True, True))),
+        dict(p_weak=0.0, p_strong=0.0, per_window=()),
+    ],
+    TraceData: [
+        dict(form="activation", activations=ACTS),
+        dict(form="state", states=(STATE,)),
+        dict(form="activation"),
+    ],
+    Action: [
+        dict(kind="infer", tokens=["x", "y"]),
+        dict(kind="retrieve", query="q"),
+        dict(kind="store", key="k", value="v"),
+        dict(kind="tool", flag_index=0, flag_value=0),
+        dict(kind="tool"),
+    ],
+    RetrievalPolicy: [
+        dict(mode="none"),
+        dict(mode="query_driven", injected_doc_lengths={"d": 2}),
+        dict(mode="identity_aware", ingredient_docs={"a": "d"}, injected_doc_lengths={"d": 1}),
+    ],
+    ArchitecturePreset: [
+        dict(name="prompted", context_capacity=2, pinned_prefix=["p"]),
+        dict(name="rag", context_capacity=4, retrieval=QUERIED),
+        dict(name="controller", context_capacity=3, n_policy_flags=2),
+    ],
+    ScenarioFiles: [
+        dict(traces={"": ["{}"]}, identity=GroundedIdentity((CONTEXT,)), cfg=WINDOW),
+        dict(traces={"a": ("x",)}, identity=GroundedIdentity((MEMORY,)), cfg=WINDOW,
+             head={"preset": "rag"}, tail={"expect": {"p_weak": "1"}}),
+    ],
 }
 
 # each __post_init__ error: the class, its keyword arguments, the error
@@ -122,22 +184,67 @@ RAISES = [
      "horizon_max must be >= 0"),
     (WindowConfig, dict(horizon=0, stride=1, eval_indices=[3, -1]), ParameterError,
      "evaluation indices must be >= 0"),
+    (ScaffoldArchitecture, dict(n_policy_flags=0, context_capacity=0), StructuralError,
+     "context_capacity must be >= 1"),
+    (ScaffoldState, dict(context=(), memory={}, policy_flags=(2,), retrieved=(), step_index=0),
+     StructuralError, "policy flags must be the integers 0 or 1"),
+    (ActivationSet, dict(step_index=-1, active=()), StructuralError, "step_index must be >= 0"),
+    (WindowSegment, dict(start=0, activation_sets=ACTS), StructuralError,
+     "segment steps must be consecutive from 0; found step 1 at offset 0"),
+    (Action, dict(kind="store", key="k"), StructuralError, "payload does not match action kind 'store'"),
+    (RetrievalPolicy, dict(mode="identity_aware", ingredient_docs={"a": "d"}), StructuralError,
+     "ingredient documents without declared lengths: ['d']"),
+    (ArchitecturePreset, dict(name="rag", context_capacity=2), StructuralError,
+     "feature set does not match the 'rag' preset"),
 ]
 
 
 def reference(cls: type) -> type:
-    """A frozen dataclass with ``cls``'s name, fields, defaults and ``__post_init__``."""
+    """A frozen dataclass with ``cls``'s name, fields, defaults, ``__post_init__``
+    and the methods it calls; an unhashable default, which a dataclass refuses
+    as mutable, comes from a factory."""
+
+    def default(value):
+        if type(value).__hash__ is None:
+            return dataclasses.field(default_factory=lambda: value)
+        return dataclasses.field(default=value)
+
     annotations = cls.__dict__["__annotations__"]
     fields = [
-        (name, kind, dataclasses.field(default=vars(cls)[name])) if name in vars(cls) else (name, kind)
+        (name, kind, default(cls._defaults[name])) if name in cls._defaults else (name, kind)
         for name, kind in annotations.items()
     ]
-    namespace = {"__post_init__": cls.__post_init__} if "__post_init__" in vars(cls) else {}
+    skipped = {*cls._fields, "__slots__", "__reduce__", "_fields", "_defaults"}
+    namespace = {name: value for name, value in vars(cls).items() if name not in skipped}
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True, namespace=namespace)
+
+
+def declared_defaults(cls: type) -> dict:
+    """The defaults that ``cls``'s body assigns to its fields, read from its source."""
+    body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+    namespace = vars(sys.modules[cls.__module__])
+    return {
+        node.target.id: eval(ast.unparse(node.value), namespace)
+        for node in body
+        if isinstance(node, ast.AnnAssign) and node.value is not None
+    }
 
 
 REFERENCES = {cls: reference(cls) for cls in VALID}
 CLASSES = [pytest.param(cls, id=cls.__name__) for cls in VALID]
+
+
+# each mapping field, by a call that gives it one value
+MAPPING_FIELDS = {
+    "memory": lambda value: ScaffoldState((), value, (), (), 0),
+    "ingredient_docs": lambda value: RetrievalPolicy("none", ingredient_docs=value),
+    "injected_doc_lengths": lambda value: RetrievalPolicy("none", injected_doc_lengths=value),
+    "map_2_to_1": lambda value: LayeredIdentitySpec((), (), value, {}, {}),
+    "map_1_to_0": lambda value: LayeredIdentitySpec((), (), {}, value, {}),
+    "map_2_to_0": lambda value: LayeredIdentitySpec((), (), {}, {}, value),
+    "head": lambda value: ScenarioFiles({}, GroundedIdentity((CONTEXT,)), WINDOW, head=value),
+    "tail": lambda value: ScenarioFiles({}, GroundedIdentity((CONTEXT,)), WINDOW, tail=value),
+}
 
 
 def outcome(call):
@@ -147,21 +254,54 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def test_every_value_class_of_the_command_path_is_covered():
+def test_every_value_class_is_covered():
     assert all(issubclass(cls, Frozen) and not dataclasses.is_dataclass(cls) for cls in VALID)
     assert {cls.__module__ for cls in VALID} == {
-        "tracebind.identity", "tracebind.metrics", "tracebind.windows",
+        "tracebind.identity", "tracebind.metrics", "tracebind.windows", "tracebind.sets",
+        "tracebind.simulator",
     }
-    assert len(VALID) == 8
+    assert len(VALID) == 18
+    assert set(Frozen.__subclasses__()) == set(VALID)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
 def test_fields_and_defaults_are_the_dataclass_ones(cls):
     ref = REFERENCES[cls]
     assert cls._fields == tuple(f.name for f in dataclasses.fields(ref))
-    assert cls._defaults == {
-        f.name: f.default for f in dataclasses.fields(ref) if f.default is not dataclasses.MISSING
+    assert cls._defaults == declared_defaults(cls)
+    assert {name for name in cls._fields if name in cls._defaults} == {
+        f.name for f in dataclasses.fields(ref)
+        if (f.default, f.default_factory) != (dataclasses.MISSING, dataclasses.MISSING)
     }
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_fields_are_slots_and_no_instance_has_a_dict(cls):
+    assert cls.__slots__ == cls._fields and Frozen.__slots__ == ()
+    assert not any(hasattr(cls(**kwargs), "__dict__") for kwargs in VALID[cls])
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_instances_pickle_and_copy(cls):
+    for value in (cls(**kwargs) for kwargs in VALID[cls]):
+        for made in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(made) is cls and repr(made) == repr(value) and made == value
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_replace_is_the_dataclass_replace(cls):
+    ref, other = REFERENCES[cls], VALID[cls][-1]
+    for kwargs in VALID[cls]:
+        ours, theirs = cls(**kwargs), ref(**kwargs)
+        for name in cls._fields:
+            change = {name: getattr(cls(**other), name)}
+            assert outcome(lambda: repr(replace(ours, **change))) == outcome(
+                lambda: repr(dataclasses.replace(theirs, **change))
+            )
+        assert replace(ours) == ours and replace(ours) is not ours
+        for made, replaced in ((ours, replace), (theirs, dataclasses.replace)):
+            with pytest.raises(TypeError):
+                replaced(made, no_such_field=1)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -210,6 +350,15 @@ def test_instances_are_immutable(cls):
             with pytest.raises(AttributeError):
                 delattr(value, name)
         assert made(**VALID[cls][0]) == value
+
+
+@pytest.mark.parametrize("value", ["ab", [("k", "v")], 5], ids=["str", "pairs", "int"])
+@pytest.mark.parametrize("name", MAPPING_FIELDS)
+def test_mapping_fields_refuse_non_mappings(name, value):
+    assert outcome(lambda: MAPPING_FIELDS[name](value)) == (
+        StructuralError, f"{name} must be a mapping, not {type(value).__name__}"
+    )
+    assert outcome(lambda: MAPPING_FIELDS[name]({})) == ("ok", MAPPING_FIELDS[name]({}))
 
 
 def test_equality_with_another_type_is_not_implemented():

@@ -6,7 +6,6 @@ import itertools
 import json
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,7 @@ from tracebind.errors import (
     FileFormatError,
     GroundingLookupError,
     StructuralError,
+    replace,
 )
 from tracebind.identity import (
     GroundedIdentity,
@@ -235,7 +235,7 @@ class TestScaffoldStateValidation:
         assert replace(state, step_index=4) == make_state(("a",), {"k": "v"}, (0, 1), ("d",), 4)
         assert replace(state, step_index=4) != state
         assert repr(state) == (
-            "ScaffoldState(context=('a',), memory={'k': 'v'}, policy_flags=(0, 1), "
+            "ScaffoldState(context=('a',), memory=mappingproxy({'k': 'v'}), policy_flags=(0, 1), "
             "retrieved=frozenset({'d'}), step_index=3)"
         )
         with pytest.raises(AttributeError):
@@ -432,6 +432,23 @@ class TestGrounding:
                 map_1_to_0={"b": frozenset({"name"})},
                 map_2_to_0={"a": frozenset({"name"})},
             )
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("ab", "cd", {}, {"c": "xy"}, {}), "layer2_statements"),
+            (((), "cd", {}, {}, {}), "layer1_statements"),
+            ((("n",), ("c",), {"n": "c"}, {}, {}), "map_2_to_1['n']"),
+            (((), ("c",), {}, {"c": "xy"}, {}), "map_1_to_0['c']"),
+            ((("n",), (), {}, {}, {"n": "ab"}), "map_2_to_0['n']"),
+        ],
+        ids=["layer2", "layer1", "map_2_to_1", "map_1_to_0", "map_2_to_0"],
+    )
+    def test_one_string_is_no_collection(self, args, name):
+        # a tuple or a set built from one string would hold its characters
+        with pytest.raises(StructuralError) as raised:
+            LayeredIdentitySpec(*args)
+        assert str(raised.value) == f"{name} must be a collection of strings, not one string"
 
 
 class TestCompositionality:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import tracebind
@@ -54,5 +52,5 @@ def test_preset_features_follow_the_name(name):
 
 
 def test_preset_features_are_not_fields():
-    names = {f.name for f in dataclasses.fields(ArchitecturePreset)}
+    names = set(ArchitecturePreset._fields)
     assert names.isdisjoint({"memory_enabled", "controller_flags_enabled", "context_persists"})

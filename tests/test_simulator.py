@@ -6,7 +6,6 @@ import itertools
 import json
 import random
 import tempfile
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +19,7 @@ from tracebind.errors import (
     ParameterError,
     ScenarioError,
     StructuralError,
+    replace,
 )
 from tracebind.identity import GroundedIdentity, IngredientSpec
 from tracebind.sets import (
@@ -684,6 +684,8 @@ class TestStepSharesWhatItLeaves:
                 assert new.policy_flags is prev.policy_flags
             if action.kind != "retrieve" or not preset.retrieval.resolve(action.query):
                 assert new.retrieved is prev.retrieved
+            if action.kind != "store" or not preset.supports(action):
+                assert new.memory is prev.memory
 
     def test_infer_shares_the_flags_and_documents(self):
         policy = RetrievalPolicy(mode="query_driven", injected_doc_lengths={"doc": 1})
@@ -692,12 +694,28 @@ class TestStepSharesWhatItLeaves:
         after = step(before, infer("x"), preset)
         assert after.policy_flags is before.policy_flags
         assert after.retrieved is before.retrieved
-        assert after.memory == before.memory and after.memory is not before.memory
+        assert after.memory == before.memory and after.memory is before.memory
 
     def test_infer_that_evicts_every_token_holds_the_action_tokens(self):
         preset = make_preset("prompted", context_capacity=2)
         action = infer("x", "y")
         assert step(run(preset, [infer("a")])[-1], action, preset).context is action.tokens
+
+
+class TestMemoryIsReadOnly:
+    def test_no_state_takes_a_write(self, tmp_path):
+        # a write would reach every later step unchecked, and the trace line
+        # of each would hold a value the reader refuses
+        preset = make_preset("memory", context_capacity=2)
+        stepped = run(preset, [store("k", "v"), infer("x"), store("j", "w")])
+        skipped = run(probe_presets()["stateless"], [store("k", "v")], skip_unsupported=True)
+        path = tmp_path / "trace.jsonl"
+        write_lines(path, state_lines(stepped))
+        made = ScaffoldState((), {"k": "v"}, (0,), (), 0)
+        for state in [preset.initial_state(), *stepped, *skipped, *parse_trace(path).states, made]:
+            with pytest.raises(TypeError):
+                state.memory["k"] = 1
+        assert [dict(state.memory) for state in stepped] == [{}, {"k": "v"}, {"k": "v"}, {"k": "v", "j": "w"}]
 
 
 class TestScenarioActionsBuiltOnce:
@@ -734,14 +752,16 @@ class TestScenarioActionsBuiltOnce:
 
 def assert_as_checked(values):
     """Each value equals its rebuild through the checked constructor, part for
-    part and type for type; no two states share a memory dict, and no state
-    has an instance dict."""
+    part and type for type; no state's memory takes a write, and no state has
+    an instance dict."""
     for value in values:
-        parts = [getattr(value, f.name) for f in fields(value)]
-        rebuilt = [getattr(type(value)(*parts), f.name) for f in fields(value)]
+        parts = [getattr(value, name) for name in value._fields]
+        rebuilt = [getattr(type(value)(*parts), name) for name in value._fields]
         assert [(type(p), p) for p in parts] == [(type(p), p) for p in rebuilt]
     states = [value for value in values if isinstance(value, ScaffoldState)]
-    assert len({id(state.memory) for state in states}) == len(states)
+    for state in states:
+        with pytest.raises(TypeError):
+            state.memory["k"] = "v"
     assert not any(hasattr(state, "__dict__") for state in states)
 
 
