@@ -329,7 +329,7 @@ def _write_scenario(scenario: str, files: ScenarioFiles, base: Path) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = args.scenario_name or args.scenario
+    scenario = args.scenario
     if scenario is None:
         raise ParameterError("simulate needs a scenario name")
     if scenario not in SCENARIOS:
@@ -410,14 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="write a scenario trace plus expected-values sidecar"
     )
-    simulate.add_argument(
-        "scenario_name",
-        nargs="?",
-        default=None,
-        metavar="scenario",
-        help=f"one of: {', '.join(SCENARIOS)}",
-    )
-    simulate.add_argument("--scenario", default=None, help="alternative to the positional name")
+    simulate.add_argument("scenario", nargs="?", default=None, help=f"one of: {', '.join(SCENARIOS)}")
     simulate.add_argument("--length", type=integer, default=100)
     simulate.add_argument("--c", type=integer, default=2, help="capacity scenario: max concurrent ingredients")
     simulate.add_argument("--k", type=integer, default=3, help="ingredient count")

@@ -3,9 +3,10 @@
 Everything raised on bad input derives from ``TracebindError`` so callers
 (the CLI in particular) can separate input problems from genuine bugs.
 Every command loads this module, so it also holds what the value classes
-share, and what ``probe``, which loads only it, ``metrics`` and ``cli``,
-shares with the trace path: two constants of the window kernel and the
-JSON Lines line reader of every input file.
+share, their base and one check per field rule, and what ``probe``, which
+loads only it, ``metrics`` and ``cli``, shares with the trace path: two
+constants of the window kernel and the JSON Lines line reader of every
+input file.
 """
 
 from __future__ import annotations
@@ -128,11 +129,26 @@ def replace(value: Frozen, /, **changes) -> Frozen:
     return type(value)(**{**dict(zip(value._fields, value._values())), **changes})
 
 
-def _collection(value, name: str):
-    """``value``, unless it is one ``str``, which a tuple or set would read as
-    its characters: that raises :class:`StructuralError`."""
+def _integer(value, name: str, least: float = -INFINITE, error: type = StructuralError) -> int:
+    """``value``, an ``int`` of at least ``least``: a bool, which compares equal
+    to 0 and 1, any other type or a smaller value raises ``error`` naming ``name``."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer")
+    if value < least:
+        raise error(f"{name} must be >= {least}")
+    return value
+
+
+def _strings(value, name: str, kind: type = tuple):
+    """``value`` as a ``kind``, a tuple or a frozenset, of strings, kept when it
+    is one already.  One ``str``, which ``kind`` would read as its characters,
+    or an entry that is not a string raises :class:`StructuralError`."""
     if isinstance(value, str):
         raise StructuralError(f"{name} must be a collection of strings, not one string")
+    if type(value) is not kind:
+        value = kind(value)
+    if not all(map(str.__instancecheck__, value)):
+        raise StructuralError(f"{name} entries must be strings")
     return value
 
 

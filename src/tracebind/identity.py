@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
-    FileFormatError, Frozen, GroundingLookupError, StructuralError, _collection, _mapping, _split_lines,
+    FileFormatError, Frozen, GroundingLookupError, StructuralError, _integer, _mapping, _split_lines,
+    _strings,
 )
 
 
@@ -75,7 +76,7 @@ class IngredientSpec(Frozen):
         if self.context_pattern is not None:
             if not isinstance(self.context_pattern, (list, tuple)):
                 raise StructuralError("context_pattern must be a sequence of tokens")
-            object.__setattr__(self, "context_pattern", tuple(self.context_pattern))
+            object.__setattr__(self, "context_pattern", _strings(self.context_pattern, "context_pattern"))
         required = set(_KIND_FIELDS[self.kind])
         actual = {
             name
@@ -91,16 +92,11 @@ class IngredientSpec(Frozen):
         if self.kind == "context":
             if not self.context_pattern:
                 raise StructuralError("context_pattern must be non-empty")
-            if not all(isinstance(token, str) for token in self.context_pattern):
-                raise StructuralError("context_pattern entries must be strings")
         elif self.kind == "memory":
             if not (isinstance(self.memory_key, str) and isinstance(self.memory_value, str)):
                 raise StructuralError("memory_key and memory_value must be strings")
         elif self.kind == "policy":
-            if type(self.flag_index) is not int:
-                raise StructuralError("flag_index must be an integer")
-            if self.flag_index < 0:
-                raise StructuralError("flag_index must be >= 0")
+            _integer(self.flag_index, "flag_index", 0)
         elif not isinstance(self.doc_id, str):
             raise StructuralError("doc_id must be a string")
 
@@ -112,6 +108,8 @@ class GroundedIdentity(Frozen):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ingredients", tuple(self.ingredients))
+        if not all(map(IngredientSpec.__instancecheck__, self.ingredients)):
+            raise StructuralError("ingredients entries must be IngredientSpec values")
         if not self.ingredients:
             raise StructuralError("an identity needs at least one ingredient")
         ids = [spec.ingredient_id for spec in self.ingredients]
@@ -144,10 +142,11 @@ class LayeredIdentitySpec(Frozen):
 
     def __post_init__(self) -> None:
         for name in ("layer2_statements", "layer1_statements"):
-            object.__setattr__(self, name, tuple(_collection(getattr(self, name), name)))
+            object.__setattr__(self, name, _strings(getattr(self, name), name))
         for name in ("map_2_to_1", "map_1_to_0", "map_2_to_0"):
             raw = _mapping(getattr(self, name), name).items()
-            held = {label: frozenset(_collection(to, f"{name}[{label!r}]")) for label, to in raw}
+            held = {label: _strings(to, f"{name}[{label!r}]", frozenset) for label, to in raw}
+            _strings(held, name)  # its labels
             object.__setattr__(self, name, held)
         layer1 = set(self.layer1_statements)
         for label, targets in self.map_2_to_1.items():
@@ -350,16 +349,8 @@ def load_json(text: str, where: str | Path, lineno: int = 0):
     A repeated key, nesting too deep to decode, or an integer literal longer
     than Python converts raises a :class:`FileFormatError` located at
     ``where`` (and line ``lineno``, when it is not 0); any other syntax error
-    raises ``json.JSONDecodeError`` as ``json.loads`` does.  A text that is
-    exactly one JSON value is decoded by one scan; every other text goes
-    through the full decode, so faults and their messages are the same.
+    raises ``json.JSONDecodeError`` as ``json.loads`` does.
     """
-    try:
-        value, end = _STRICT_JSON.scan_once(text, 0)
-        if end == len(text):
-            return value
-    except (StopIteration, ValueError, RecursionError, _RepeatedKey):
-        pass
     if lineno:
         where = f"{where}:{lineno}"
     if text.startswith("\ufeff"):

@@ -22,7 +22,7 @@ from itertools import accumulate, filterfalse, islice
 from operator import xor
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import INFINITE, Frozen, MetricError, OutOfRangeError, ParameterError, StructuralError
+from .errors import INFINITE, Frozen, MetricError, OutOfRangeError, ParameterError, StructuralError, _integer
 
 if TYPE_CHECKING:
     from .windows import WindowConfig
@@ -48,6 +48,9 @@ class GapResult(Frozen):
     ratio: float
     undefined_count: int
     per_t: tuple[tuple[int, int | float, int | float], ...] = ()
+
+    def __post_init__(self) -> None:
+        _integer(self.undefined_count, "undefined_count", 0)
 
 
 class MorphospacePoint(Frozen):
@@ -327,6 +330,10 @@ class MetricsReport(Frozen):
     window_delta: int
     window_stride: int
     t_count: int
+
+    def __post_init__(self) -> None:
+        for name in ("horizon_max", "ref_index", "window_delta", "window_stride", "t_count"):
+            _integer(getattr(self, name), name, 0)
 
     def morphospace_point(self) -> MorphospacePoint:
         if self.consistency is None:

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    Frozen, OutOfRangeError, ParameterError, StreamOrderError, StructuralError, _collection, _mapping,
+    Frozen, OutOfRangeError, ParameterError, StreamOrderError, StructuralError, _integer, _mapping, _strings,
 )
 from .identity import (
     GroundedIdentity,
@@ -41,13 +41,9 @@ class ScaffoldArchitecture(Frozen):
     corpus: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if type(self.context_capacity) is not int or type(self.n_policy_flags) is not int:
-            raise StructuralError("context_capacity and n_policy_flags must be integers")
-        if self.context_capacity < 1:
-            raise StructuralError("context_capacity must be >= 1")
-        if self.n_policy_flags < 0:
-            raise StructuralError("n_policy_flags must be >= 0")
-        object.__setattr__(self, "corpus", frozenset(_collection(self.corpus, "corpus")))
+        _integer(self.context_capacity, "context_capacity", 1)
+        _integer(self.n_policy_flags, "n_policy_flags", 0)
+        object.__setattr__(self, "corpus", _strings(self.corpus, "corpus", frozenset))
 
     def check_state(self, state: ScaffoldState) -> None:
         """Raise StructuralError if ``state`` is not realizable here."""
@@ -79,24 +75,15 @@ class ScaffoldState(Frozen):
     def __post_init__(self) -> None:
         # an exact tuple or frozenset cannot change, so it is kept; memory is
         # copied, so no state holds a dict its caller may change
-        if type(self.context) is not tuple:
-            object.__setattr__(self, "context", tuple(_collection(self.context, "context")))
+        object.__setattr__(self, "context", _strings(self.context, "context"))
         object.__setattr__(self, "memory", MappingProxyType(memory := _mapping(self.memory, "memory")))
+        _strings((*memory, *memory.values()), "memory")
         if type(self.policy_flags) is not tuple:
             object.__setattr__(self, "policy_flags", tuple(self.policy_flags))
-        if type(self.retrieved) is not frozenset:
-            object.__setattr__(self, "retrieved", frozenset(_collection(self.retrieved, "retrieved")))
-        if type(self.step_index) is not int:
-            raise StructuralError("step_index must be an integer")
-        if self.step_index < 0:
-            raise StructuralError("step_index must be >= 0")
+        object.__setattr__(self, "retrieved", _strings(self.retrieved, "retrieved", frozenset))
+        _integer(self.step_index, "step_index", 0)
         if not all(map(is_flag, self.policy_flags)):
             raise StructuralError("policy flags must be the integers 0 or 1")
-        strings = (*self.context, *memory, *memory.values(), *self.retrieved)
-        if not all(map(str.__instancecheck__, strings)):
-            raise StructuralError(
-                "context tokens, memory keys and values, and retrieved document ids must be strings"
-            )
 
     def __reduce__(self):  # a mappingproxy does not pickle; the dict it shows does
         return ScaffoldState, (self.context, dict(self.memory), *self._values()[2:])
@@ -109,14 +96,8 @@ class ActivationSet(Frozen):
     active: frozenset[str]
 
     def __post_init__(self) -> None:
-        if type(self.active) is not frozenset:
-            object.__setattr__(self, "active", frozenset(_collection(self.active, "active")))
-        if type(self.step_index) is not int:
-            raise StructuralError("step_index must be an integer")
-        if self.step_index < 0:
-            raise StructuralError("step_index must be >= 0")
-        if not all(map(str.__instancecheck__, self.active)):
-            raise StructuralError("active ingredient ids must be strings")
+        object.__setattr__(self, "active", _strings(self.active, "active", frozenset))
+        _integer(self.step_index, "step_index", 0)
 
 
 def _built(cls, *parts):
@@ -252,6 +233,7 @@ class WindowSegment(Frozen):
     activation_sets: tuple[ActivationSet, ...]
 
     def __post_init__(self) -> None:
+        _integer(self.start, "start", 0)
         object.__setattr__(self, "activation_sets", tuple(self.activation_sets))
         if not self.activation_sets:
             raise StructuralError("a window segment cannot be empty")
@@ -313,15 +295,15 @@ def window_horizons(
     the given order and with its duplicates: the pair that
     :func:`start_horizons` gives its window start ``stride*t``, each
     distinct start searched once.  A stride or cap that
-    :class:`WindowConfig` refuses raises its :class:`ParameterError`, and a
-    start outside the trace :class:`OutOfRangeError`, before any step is
-    read.  The steps are encoded by :func:`activation_masks` up to the last
-    step a window can reach, the last start plus ``horizon_max`` or the
-    trace end."""
+    :class:`WindowConfig` refuses raises its :class:`ParameterError`, as
+    does a layer time that is no integer, and a start outside the trace
+    :class:`OutOfRangeError`, before any step is read.  The steps are
+    encoded by :func:`activation_masks` up to the last step a window can
+    reach, the last start plus ``horizon_max`` or the trace end."""
     WindowConfig(0, stride, (), horizon_max)  # its stride and cap rule
     n = len(activations)
     for t in eval_indices:
-        start = stride * t
+        start = stride * _integer(t, "evaluation indices", error=ParameterError)
         if not 0 <= start < n:
             raise OutOfRangeError(
                 f"window start {start} is outside the trace of length {n}"

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CapacityError, FeatureError, Frozen, ParameterError, ScenarioError, StructuralError,
-    _collection, _mapping, replace,
+    _integer, _mapping, _strings, replace,
 )
 from .identity import GroundedIdentity, IngredientSpec, is_flag
 from .sets import (
@@ -89,16 +89,16 @@ class Action(Frozen):
         if self.kind not in ACTION_KINDS:
             raise StructuralError(f"unknown action kind {self.kind!r}")
         if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(_collection(self.tokens, "tokens")))
+            object.__setattr__(self, "tokens", _strings(self.tokens, "tokens"))
         required, optional, _, _ = _ACTION_RULES[self.kind]
         actual = {name for name in _PAYLOAD_FIELDS if getattr(self, name) is not None}
         if not required <= actual <= required | optional:
             raise StructuralError(f"payload does not match action kind {self.kind!r}")
-        texts = [getattr(self, name) for name in actual & {"query", "key", "value"}]
-        if not all(map(str.__instancecheck__, (*(self.tokens or ()), *texts))):
-            raise StructuralError("tokens, query, key and value must be strings")
-        if "flag_index" in actual and type(self.flag_index) is not int:
-            raise StructuralError("flag_index must be an integer")
+        for name in sorted(actual & {"query", "key", "value"}):
+            if not isinstance(getattr(self, name), str):
+                raise StructuralError(f"{name} must be a string")
+        if "flag_index" in actual:
+            _integer(self.flag_index, "flag_index", 0)
         if not is_flag(self.flag_value):
             raise StructuralError("flag_value must be the integer 0 or 1")
 
@@ -142,15 +142,9 @@ class RetrievalPolicy(Frozen):
             raise StructuralError(f"unknown retrieval mode {self.mode!r}")
         for name in ("ingredient_docs", "injected_doc_lengths"):
             object.__setattr__(self, name, _mapping(getattr(self, name), name))
-        docs = self.ingredient_docs
-        ids = (*docs, *docs.values(), *self.injected_doc_lengths)
-        if not all(map(str.__instancecheck__, ids)):
-            raise StructuralError("ingredient and document ids must be strings")
-        for doc, length in self.injected_doc_lengths.items():
-            if type(length) is not int:
-                raise StructuralError(f"document {doc!r} has a length that is not an integer")
-            if length < 0:
-                raise StructuralError(f"document {doc!r} has negative length")
+        _strings((*self.ingredient_docs, *self.ingredient_docs.values()), "ingredient_docs")
+        for doc in _strings(self.injected_doc_lengths, "injected_doc_lengths"):
+            _integer(self.injected_doc_lengths[doc], f"injected_doc_lengths[{doc!r}]", 0)
         missing = set(self.ingredient_docs.values()) - set(self.injected_doc_lengths)
         if missing:
             raise StructuralError(
@@ -231,12 +225,10 @@ class ArchitecturePreset(Frozen):
     n_policy_flags: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pinned_prefix", tuple(_collection(self.pinned_prefix, "pinned_prefix")))
+        object.__setattr__(self, "pinned_prefix", _strings(self.pinned_prefix, "pinned_prefix"))
         if self.name not in _PRESET_FEATURES:
             raise StructuralError(f"unknown preset name {self.name!r}")
         self.architecture()  # checks the capacity and the flag count
-        if not all(map(str.__instancecheck__, self.pinned_prefix)):
-            raise StructuralError("pinned prefix tokens must be strings")
         if len(self.pinned_prefix) > self.context_capacity:
             raise StructuralError("pinned prefix exceeds context capacity")
         # only prompted and controller pin a prefix; stateless and prompted
@@ -454,8 +446,7 @@ def scenario_alternating(
     Every two-step window sees both ingredients, so weak persistence is 1,
     while the conjunction is never active at any single step.
     """
-    if length < 2:
-        raise ParameterError("length must be >= 2")
+    _integer(length, "length", 2, ParameterError)
     identity = context_identity(["g1", "g2"])
     preset = make_preset("prompted", context_capacity=1)
     initial = replace(preset.initial_state(), context=("g1",))
@@ -472,12 +463,9 @@ def scenario_capacity_limited(
 ) -> tuple[list[ScaffoldState], GroundedIdentity]:
     """Rotating ``c``-subsets of ``k`` single-token ingredients under a context
     capacity of ``c`` tokens: no realizable state fits the full conjunction."""
-    if c >= k:
+    if _integer(c, "capacity c", 1, ParameterError) >= _integer(k, "k", error=ParameterError):
         raise ParameterError("capacity c must be strictly less than k")
-    if c < 1:
-        raise ParameterError("capacity c must be >= 1")
-    if length < 1:
-        raise ParameterError("length must be >= 1")
+    _integer(length, "length", 1, ParameterError)
     ids = [f"g{i}" for i in range(k)]
     identity = context_identity(ids)
     preset = make_preset("prompted", context_capacity=c)
@@ -507,11 +495,11 @@ def scenario_rag_displacement(
     (identity-aware re-retrieval) while losing co-instantiation in at least
     one, so strong persistence strictly drops and weak persistence does not.
     """
-    k = baseline_block_tokens
+    k = _integer(baseline_block_tokens, "baseline_block_tokens", error=ParameterError)
     if k < 2:
         raise ParameterError("the identity block needs at least two ingredients")
-    if passage_tokens < 0:
-        raise ParameterError("passage_tokens must be >= 0")
+    _integer(passage_tokens, "passage_tokens", 0, ParameterError)
+    _integer(capacity, "capacity", error=ParameterError)
     script_len = 2 + k
     if k + script_len > capacity:
         raise ScenarioError(
@@ -572,14 +560,13 @@ def scenario_drift_recover(
 ) -> tuple[ActivationSet, ActivationSet, ActivationSet]:
     """Reference, drifted, and recovered activation sets where interventions
     can restore at most one controllable drifted ingredient per step."""
-    reference = frozenset(reference_ids)
-    removed = frozenset(drift_ids_removed)
+    reference = _strings(reference_ids, "reference_ids", frozenset)
+    removed = _strings(drift_ids_removed, "drift_ids_removed", frozenset)
     if not removed <= reference:
         raise ParameterError("drifted ingredients must be a subset of the reference")
-    if interventions < 0:
-        raise ParameterError("the intervention count must be >= 0")
+    _integer(interventions, "the intervention count", 0, ParameterError)
     drifted = reference - removed
-    restored = sorted(frozenset(controllable) & removed)[:interventions]
+    restored = sorted(_strings(controllable, "controllable", frozenset) & removed)[:interventions]
     return (
         ActivationSet(step_index=0, active=reference),
         ActivationSet(step_index=1, active=drifted),
@@ -610,8 +597,7 @@ _JUNK = tuple(f"task{j}" for j in range(7))
 def probe_script(cycles: int = 6) -> list[Action]:
     """Fixed probe: restate the persona, do filler work, retrieve the charter,
     write a note, set a flag, do more filler work; repeat."""
-    if cycles < 1:
-        raise ParameterError("cycles must be >= 1")
+    _integer(cycles, "cycles", 1, ParameterError)
     cycle = [
         infer("I", "am", "Alice"),
         infer(*_JUNK),

@@ -32,7 +32,7 @@ from itertools import repeat
 from operator import and_
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_HORIZON_MAX, INFINITE, Frozen, ParameterError
+from .errors import DEFAULT_HORIZON_MAX, INFINITE, Frozen, ParameterError, _integer
 
 
 # The steps of window starts per kernel chunk: long enough that the Python
@@ -52,18 +52,15 @@ class WindowConfig(Frozen):
     horizon_max: int = DEFAULT_HORIZON_MAX
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
-            raise ParameterError("horizon must be >= 0")
-        if self.stride < 1:
-            raise ParameterError("stride must be >= 1")
-        if self.horizon_max < 0:
-            raise ParameterError("horizon_max must be >= 0")
+        _integer(self.horizon, "horizon", 0, ParameterError)
+        _integer(self.stride, "stride", 1, ParameterError)
+        _integer(self.horizon_max, "horizon_max", 0, ParameterError)
         indices = self.eval_indices
-        # a range with a positive step is sorted and distinct, in O(1) memory
+        # a range with a positive step is sorted and distinct ints, in O(1) memory
         if not (isinstance(indices, range) and indices.step > 0):
-            indices = tuple(sorted(set(indices)))
-        if indices and indices[0] < 0:
-            raise ParameterError("evaluation indices must be >= 0")
+            indices = tuple(sorted({_integer(t, "evaluation indices", 0, ParameterError) for t in indices}))
+        elif indices:
+            _integer(indices[0], "evaluation indices", 0, ParameterError)
         object.__setattr__(self, "eval_indices", indices)
 
     @classmethod

@@ -1052,11 +1052,12 @@ class TestSimulateCommand:
     def test_unknown_scenario_is_usage_error(self, tmp_path):
         assert main(["simulate", "warpdrive", "--out", str(tmp_path / "x")]) == 2
 
-    def test_scenario_flag_alias(self, tmp_path):
-        code = main(
-            ["simulate", "--scenario", "noncommutation", "--out", str(tmp_path / "nc")]
-        )
-        assert code == 0
+    def test_scenario_is_named_by_position_only(self, tmp_path, capsys):
+        assert main(["simulate", "noncommutation", "--out", str(tmp_path / "nc")]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--scenario", "noncommutation", "--out", str(tmp_path / "flag")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --scenario" in capsys.readouterr().err
 
     def test_undisplaceable_rag_parameters_error(self, tmp_path):
         code = main(

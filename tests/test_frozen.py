@@ -5,7 +5,9 @@ each one, a reference is built with ``dataclasses.make_dataclass`` from the
 same annotations, defaults and ``__post_init__``, and the two must agree on
 ``repr``, equality, hashing, the arguments they refuse, immutability,
 ``replace`` and every error their ``__post_init__`` raises.  Each class
-holds its fields in slots, and its instances pickle and copy.
+holds its fields in slots, and its instances pickle and copy.  Each
+whole-number and string-collection field refuses what no trace or spec
+file holds, and every class has a row saying which fields those are.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ from __future__ import annotations
 import ast
 import copy
 import dataclasses
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 import sys
 import textwrap
 from itertools import product
 
 import pytest
 
+import tracebind
 from tracebind.errors import Frozen, ParameterError, StructuralError, replace
 from tracebind.identity import GroundedIdentity, IngredientSpec, LayeredIdentitySpec
 from tracebind.metrics import GapResult, MetricParams, MetricsReport, MorphospacePoint
@@ -230,6 +235,40 @@ def declared_defaults(cls: type) -> dict:
     }
 
 
+# what each value class refuses of its own fields: each whole-number field,
+# annotated ``int``, a bool, a float and a str; each string collection, a
+# tuple or frozenset of ``str``, one str and an entry that is not a string
+FIELD_RULES = {
+    GapResult: (("undefined_count",), ()),
+    MorphospacePoint: ((), ()),
+    MetricParams: ((), ()),
+    MetricsReport: (("horizon_max", "ref_index", "window_delta", "window_stride", "t_count"), ()),
+    IngredientSpec: (("flag_index",), ("context_pattern",)),
+    GroundedIdentity: ((), ()),
+    LayeredIdentitySpec: ((), ("layer2_statements", "layer1_statements")),
+    WindowConfig: (("horizon", "stride", "horizon_max"), ()),
+    ScaffoldArchitecture: (("n_policy_flags", "context_capacity"), ("corpus",)),
+    ScaffoldState: (("step_index",), ("context", "retrieved")),
+    ActivationSet: (("step_index",), ("active",)),
+    WindowSegment: (("start",), ()),
+    PersistenceResult: ((), ()),
+    TraceData: ((), ()),
+    Action: (("flag_index", "flag_value"), ("tokens",)),
+    RetrievalPolicy: ((), ()),
+    ArchitecturePreset: (("context_capacity", "n_policy_flags"), ("pinned_prefix",)),
+    ScenarioFiles: ((), ()),
+}
+WHOLE_NUMBERS = {"int", "int | None"}
+STRING_COLLECTIONS = {"tuple[str, ...]", "tuple[str, ...] | None", "frozenset[str]"}
+
+FIELD_CASES = [
+    pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+    for cls, (whole, strings) in FIELD_RULES.items()
+    for names, values in ((whole, (True, 1.5, "1")), (strings, ("ab", ("a", 1))))
+    for name in names
+    for value in values
+]
+
 REFERENCES = {cls: reference(cls) for cls in VALID}
 CLASSES = [pytest.param(cls, id=cls.__name__) for cls in VALID]
 
@@ -359,6 +398,27 @@ def test_mapping_fields_refuse_non_mappings(name, value):
         StructuralError, f"{name} must be a mapping, not {type(value).__name__}"
     )
     assert outcome(lambda: MAPPING_FIELDS[name]({})) == ("ok", MAPPING_FIELDS[name]({}))
+
+
+def test_every_value_class_has_field_rules():
+    # a class added to any module of the package, or a field added to a
+    # class, needs a row here before its checks are tested
+    for module in pkgutil.iter_modules(tracebind.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"tracebind.{module.name}")
+    assert set(FIELD_RULES) == set(Frozen.__subclasses__())
+    for cls, (whole, strings) in FIELD_RULES.items():
+        annotations = cls.__dict__["__annotations__"]
+        assert whole == tuple(name for name, kind in annotations.items() if kind in WHOLE_NUMBERS)
+        assert strings == tuple(name for name, kind in annotations.items() if kind in STRING_COLLECTIONS)
+
+
+@pytest.mark.parametrize("cls, name, value", FIELD_CASES)
+def test_field_rules_refuse_what_no_file_holds(cls, name, value):
+    kwargs = next(kwargs for kwargs in VALID[cls] if kwargs.get(name) is not None)
+    error = ParameterError if cls is WindowConfig else StructuralError
+    kind, message = outcome(lambda: cls(**{**kwargs, name: value}))
+    assert kind is error and message.startswith(f"{name} "), message
 
 
 def test_equality_with_another_type_is_not_implemented():

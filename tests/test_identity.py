@@ -175,6 +175,12 @@ class TestIngredientSpecValidation:
         with pytest.raises(StructuralError):
             GroundedIdentity(())
 
+    @pytest.mark.parametrize("ingredients", [("x",), "ab", (NAME, {"id": "x"})])
+    def test_ingredients_must_be_specs(self, ingredients):
+        # each raised a raw AttributeError from reading spec.ingredient_id
+        with pytest.raises(StructuralError, match="^ingredients entries must be IngredientSpec values$"):
+            GroundedIdentity(ingredients)
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -278,7 +284,7 @@ class TestActivationSetValidation:
     )
     def test_ids_must_be_strings(self, active):
         # a trace line sorts its ids, and {1, "a"} cannot be sorted
-        with pytest.raises(StructuralError, match="ingredient ids must be strings"):
+        with pytest.raises(StructuralError, match="^active entries must be strings$"):
             ActivationSet(0, active)
 
 
@@ -450,6 +456,23 @@ class TestGrounding:
             LayeredIdentitySpec(*args)
         assert str(raised.value) == f"{name} must be a collection of strings, not one string"
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (((1,), ("a",), {}, {}, {}), "layer2_statements"),
+            (((), ("a", None), {}, {}, {}), "layer1_statements"),
+            ((("n",), ("f",), {"n": ["f", 1]}, {}, {}), "map_2_to_1['n']"),
+            (((), ("f",), {}, {"f": {2}}, {}), "map_1_to_0['f']"),
+            (((), (), {}, {}, {1: ()}), "map_2_to_0"),
+        ],
+        ids=["layer2", "layer1", "map_2_to_1", "map_1_to_0", "map_2_to_0-label"],
+    )
+    def test_entries_must_be_strings(self, args, name):
+        # each was accepted, and an identity file written from it would not load
+        with pytest.raises(StructuralError) as raised:
+            LayeredIdentitySpec(*args)
+        assert str(raised.value) == f"{name} entries must be strings"
+
 
 class TestCompositionality:
     def test_derived_spec_is_compositional(self):
@@ -534,6 +557,10 @@ class TestGroundingFailures:
             )
 
 
+LABELS = st.one_of(st.sampled_from(["n", "m", "f", "g"]), st.integers(0, 1))
+TARGETS = st.one_of(st.sampled_from(sorted(FULL_IDENTITY.ingredient_ids)), st.integers(0, 1))
+
+
 class TestIdentityFiles:
     def test_document_round_trip(self, tmp_path):
         doc = identity_to_document(FULL_IDENTITY, LAYERS)
@@ -541,6 +568,29 @@ class TestIdentityFiles:
         assert identity == FULL_IDENTITY
         assert layers is not None
         assert identity_to_document(identity, layers) == doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layer2=st.lists(LABELS, max_size=3),
+        layer1=st.lists(LABELS, max_size=3),
+        maps=st.tuples(*(st.dictionaries(LABELS, st.lists(to, max_size=2), max_size=2)
+                         for to in (LABELS, TARGETS, TARGETS))),
+    )
+    def test_every_spec_the_library_builds_loads_back(self, tmp_path_factory, layer2, layer1, maps):
+        # a spec written by identity_to_document is read back equal by
+        # load_identity_file, or the constructor refused it
+        try:
+            layers = LayeredIdentitySpec(layer2, layer1, *maps)
+        except StructuralError:
+            return
+        path = tmp_path_factory.getbasetemp() / "layers.json"
+        path.write_text(json.dumps(identity_to_document(FULL_IDENTITY, layers)), encoding="utf-8")
+        assert load_identity_file(path) == (FULL_IDENTITY, layers)
+
+    def test_a_library_spec_loads_back(self, tmp_path):
+        path = tmp_path / "layers.json"
+        path.write_text(json.dumps(identity_to_document(FULL_IDENTITY, LAYERS)), encoding="utf-8")
+        assert load_identity_file(path) == (FULL_IDENTITY, LAYERS)
 
     def test_load_single_document(self, tmp_path):
         path = tmp_path / "identity.json"

@@ -452,6 +452,39 @@ class TestScenarioDriftRecover:
             scenario_drift_recover(["g0"], ["g7"], [], 1)
 
 
+SCENARIO_SIZES = {
+    "alternating-length": (lambda: scenario_alternating(6.5), "length must be an integer"),
+    "alternating-bool": (lambda: scenario_alternating(True), "length must be an integer"),
+    "capacity-c": (lambda: scenario_capacity_limited(1.0, 3, 4), "capacity c must be an integer"),
+    "capacity-k": (lambda: scenario_capacity_limited(1, 3.5, 4), "k must be an integer"),
+    "capacity-length": (lambda: scenario_capacity_limited(1, 3, 4.5), "length must be an integer"),
+    "rag-block": (lambda: scenario_rag_displacement(2.5), "baseline_block_tokens must be an integer"),
+    "rag-passage": (lambda: scenario_rag_displacement(passage_tokens=10.5), "passage_tokens must be an integer"),
+    "rag-capacity": (lambda: scenario_rag_displacement(capacity="12"), "capacity must be an integer"),
+    "drift-interventions": (
+        lambda: scenario_drift_recover(["a", "b"], ["b"], ["b"], 1.5),
+        "the intervention count must be an integer",
+    ),
+    "probe-cycles": (lambda: simulator.probe_script(1.5), "cycles must be an integer"),
+}
+
+
+@pytest.mark.parametrize("make, message", SCENARIO_SIZES.values(), ids=SCENARIO_SIZES)
+def test_scenario_sizes_are_whole_numbers(make, message):
+    # each raised a raw TypeError, or built a trace from a coerced size
+    with pytest.raises(ParameterError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_drift_ids_are_string_collections(position):
+    args = [["ab", "c"], ["c"], ["c"]]
+    args[position] = "c"  # would be read as its characters
+    with pytest.raises(StructuralError, match="must be a collection of strings, not one string$"):
+        scenario_drift_recover(*args, 1)
+
+
 class TestPresetProbe:
     def test_weak_persistence_chain(self):
         results = preset_probe()
@@ -844,10 +877,11 @@ class TestInputsCheckedWhenMade:
             lambda: store(b"k", "v"),
             lambda: tool(flag_index=True),
             lambda: tool(flag_index=1.0),
+            lambda: tool(flag_index=-1),
             lambda: Action("infer", tokens=[("a",)]),
         ],
         ids=["infer-int", "infer-none", "retrieve-int", "store-value", "store-key",
-             "tool-bool-index", "tool-float-index", "infer-tuple-token"],
+             "tool-bool-index", "tool-float-index", "tool-negative-index", "infer-tuple-token"],
     )
     def test_action_payload_types(self, make):
         with pytest.raises(StructuralError, match="must be"):
@@ -870,6 +904,15 @@ class TestInputsCheckedWhenMade:
                 RetrievalPolicy(mode, ingredient_docs=docs, injected_doc_lengths=lengths)
 
     @pytest.mark.parametrize(
+        "length, message",
+        [(1.5, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")],
+    )
+    def test_retrieval_policy_lengths_name_their_document(self, length, message):
+        with pytest.raises(StructuralError) as raised:
+            RetrievalPolicy("query_driven", injected_doc_lengths={"d": 2, "e": length})
+        assert str(raised.value) == f"injected_doc_lengths['e'] {message}"
+
+    @pytest.mark.parametrize(
         "counts",
         [
             {"n_policy_flags": 1.5, "context_capacity": 2},
@@ -879,13 +922,13 @@ class TestInputsCheckedWhenMade:
         ],
     )
     def test_architecture_counts(self, counts):
-        with pytest.raises(StructuralError, match="must be integers"):
+        with pytest.raises(StructuralError, match="^[a-z_]+ must be an integer$"):
             ScaffoldArchitecture(**counts)
-        with pytest.raises(StructuralError, match="must be integers"):
+        with pytest.raises(StructuralError, match="^[a-z_]+ must be an integer$"):
             make_preset("prompted", **counts)
 
     def test_preset_pinned_tokens(self):
-        with pytest.raises(StructuralError, match="pinned prefix tokens"):
+        with pytest.raises(StructuralError, match="^pinned_prefix entries must be strings$"):
             make_preset("prompted", context_capacity=2, pinned_prefix=(1,))
 
     @pytest.mark.parametrize(

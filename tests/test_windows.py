@@ -98,6 +98,37 @@ class TestWindowConfig:
         cfg = WindowConfig(horizon=2, stride=1, eval_indices=(0, 5, 50))
         assert cfg.restrict_to(10).eval_indices == (0, 5)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((True, 1, (0,)), "horizon must be an integer"),
+            ((1.5, 1, (0,)), "horizon must be an integer"),
+            ((1.5, 1, range(3)), "horizon must be an integer"),
+            ((1, 1.0, (0,)), "stride must be an integer"),
+            ((1, 1, (0,), 8.0), "horizon_max must be an integer"),
+            ((1, 1, (0.5,)), "evaluation indices must be an integer"),
+            ((1, 1, (1, True)), "evaluation indices must be an integer"),
+            ((1, 1, "01"), "evaluation indices must be an integer"),
+            ((1, 1, range(-1, 3)), "evaluation indices must be >= 0"),
+        ],
+    )
+    def test_only_whole_numbers_are_taken(self, args, message):
+        # horizon True scored as 1, and horizon 1.5 scored 1.0 on five steps
+        # but raised a raw TypeError on ten
+        with pytest.raises(ParameterError) as raised:
+            WindowConfig(*args)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("t", [0.5, True, "0"])
+    def test_window_horizons_takes_only_whole_layer_times(self, t):
+        acts = activations_from_sets([{"g0"}] * 4)
+        with pytest.raises(ParameterError, match="^evaluation indices must be an integer$"):
+            window_horizons(acts, context_identity(1), 1, (t,), 4)
+        with pytest.raises(ParameterError, match="^evaluation indices must be an integer$"):
+            minimal_horizons(acts, context_identity(1), 1, t, 4)
+        with pytest.raises(OutOfRangeError):
+            window_horizons(acts, context_identity(1), 1, (4,), 4)
+
 
 class TestWindowSlicing:
     ACTS = activations_from_sets([{"0"}, set(), {"1"}, {"0"}, {"1"}, {"0", "1"}])
